@@ -34,13 +34,13 @@ from .errors import (
     EprWeaveError,
     NetworkSpecError,
 )
-from .locc import NetworkState
 from .protocols import (
     ProtocolReport,
     protocol_one,
     protocol_three,
     protocol_two,
     setup_epr_network,
+    setup_group_network,
 )
 from .topology import (
     EntangledHypergraph,
@@ -373,17 +373,10 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             print(f"classical bound: {report.cbits} <= 3n-5 = {bound}", file=out)
 
         elif args.command == "fuse":
-            h = spec.to_hypergraph()
-            if spec.mode == "hypergraph":
-                net = NetworkState(spec.n)
-                for members in h.hyperedges:
-                    net.distribute_ghz(members)
-            else:  # EPR pairs are just 2-agent groups
-                net = NetworkState(spec.n)
-                for members in h.hyperedges:
-                    a, b = sorted(members)
-                    net.distribute_epr(a, b)
-            report = protocol_three(net, h, branches=args.branches, seed=args.seed)
+            h = spec.to_hypergraph()  # EPR pairs are just 2-agent groups
+            report = protocol_three(
+                setup_group_network(h), h, branches=args.branches, seed=args.seed
+            )
             document["result"] = _protocol_result(report)
             print(
                 f"fusing {len(h.hyperedges)} group states into a "

@@ -16,22 +16,24 @@ measured it or by having received it in a classical message. Classical
 messages are transcribed and priced: a message of b bits costs b cbits,
 and a broadcast costs the same as a point-to-point send.
 
-All operations mutate the NetworkState in place and append to its
-transcript; ``replay_transcript`` re-executes a transcript on a fresh
-network (optionally censoring messages, which must make any operation
-conditioned on the censored bits fail).
+All operations, locks, pair claims and schedule checks mutate the
+NetworkState in place and append to its transcript, so a transcript is a
+complete schedule. ``NetworkState.apply`` is its one interpreter, used by
+``replay_transcript`` (which can censor messages: any operation
+conditioned on a censored bit must then fail) and by branch exploration.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     ConditioningError,
+    EntanglementError,
     LoccViolationError,
     ProtocolError,
     SetupClosedError,
@@ -109,6 +111,34 @@ class DropGroupRecord:
     qubits: tuple[QubitId, ...]
 
 
+@dataclass(frozen=True)
+class ConsumeRecord:
+    agent_a: AgentId
+    agent_b: AgentId
+
+
+@dataclass(frozen=True)
+class LockRecord:
+    qubits: tuple[QubitId, ...]
+    locked: bool  # False: the qubits were released
+
+
+@dataclass(frozen=True)
+class ZeroCheckRecord:
+    """Schedule check: the actor's qubit is |0> here."""
+
+    actor: AgentId
+    qubit: QubitId
+
+
+@dataclass(frozen=True)
+class FactorSizeRecord:
+    """Schedule check: the factor holding ``qubit`` spans ``size`` qubits."""
+
+    qubit: QubitId
+    size: int
+
+
 Record = (
     SetupRecord
     | AncillaRecord
@@ -117,6 +147,10 @@ Record = (
     | ClassicalMessage
     | DiscardRecord
     | DropGroupRecord
+    | ConsumeRecord
+    | LockRecord
+    | ZeroCheckRecord
+    | FactorSizeRecord
 )
 
 
@@ -429,10 +463,14 @@ class NetworkState:
     def lock_qubits(self, qubits: Iterable[QubitId]) -> None:
         """Freeze qubits until the protocol schedule reaches them; any
         local operation on a locked qubit is a protocol error."""
+        qubits = tuple(qubits)
         self._locked.update(qubits)
+        self.transcript.append(LockRecord(qubits, True))
 
     def unlock_qubits(self, qubits: Iterable[QubitId]) -> None:
+        qubits = tuple(qubits)
         self._locked.difference_update(qubits)
+        self.transcript.append(LockRecord(qubits, False))
 
     def consume_epr(self, a: AgentId, b: AgentId) -> tuple[QubitId, QubitId]:
         """Claim the first unused EPR pair between a and b, unlocking it.
@@ -451,9 +489,75 @@ class NetworkState:
                 halves = (pair.qubit_b, pair.qubit_a)
             else:
                 continue
-            self.unlock_qubits(halves)
+            self._locked.difference_update(halves)
+            self.transcript.append(ConsumeRecord(a, b))
             return halves
         raise ProtocolError(f"no unused EPR pair between agents {a} and {b}")
+
+    # -- schedule checks and the record interpreter ----------------------------
+
+    def check_zero(self, actor: AgentId, q: QubitId) -> None:
+        """Require the actor's qubit to be |0>, as a perfect duplicate is
+        after its uncopy; anything else is an entanglement error."""
+        self._require_owner(actor, (q,))
+        stray = self.joint_state((q,)).probability_of_one(q)
+        if stray > 1e-10:
+            raise EntanglementError(
+                f"qubit {q} is not |0> after its uncopy: it was not perfectly "
+                f"correlated with its partner (P[1] = {stray:.3e})"
+            )
+        self.transcript.append(ZeroCheckRecord(actor, q))
+
+    def check_factor_size(self, q: QubitId, size: int) -> None:
+        """Require the factor holding q to span exactly ``size`` qubits."""
+        actual = len(self.factor_qubits(q))
+        if actual != size:
+            raise ProtocolError(f"merged group spans {actual} qubits, expected {size}")
+        self.transcript.append(FactorSizeRecord(q, size))
+
+    def apply(self, rec: Record, choose: BranchChooser | None = None) -> None:
+        """Run the operation that made ``rec``, with all its checks.
+
+        Conditioned gates and message bits follow this network's
+        knowledge; a measurement takes ``choose``, else the recorded bit.
+        """
+        match rec:
+            case SetupRecord(kind="epr", agents=(a, b)):
+                self.distribute_epr(a, b)
+            case SetupRecord():
+                self.distribute_ghz(rec.agents)
+            case AncillaRecord():
+                self.add_ancilla(rec.actor)
+            case GateRecord():
+                self.local_gate(rec.actor, rec.gate, when=rec.when)
+            case MeasureRecord():
+                self.local_measure(
+                    rec.actor, rec.qubit, label=rec.label,
+                    choose=rec.bit if choose is None else choose,
+                )
+            case ClassicalMessage():
+                bits = [
+                    value if label is None else label
+                    for label, value in zip(rec.labels, rec.bits)
+                ]
+                receivers = rec.receivers if rec.receivers == ALL else rec.receivers[0]
+                self.send_classical(rec.sender, receivers, bits, rec.purpose)
+            case DiscardRecord():
+                self.discard_qubit(rec.actor, rec.qubit)
+            case DropGroupRecord():
+                self.drop_group(rec.qubits)
+            case ConsumeRecord():
+                self.consume_epr(rec.agent_a, rec.agent_b)
+            case LockRecord(locked=True):
+                self.lock_qubits(rec.qubits)
+            case LockRecord():
+                self.unlock_qubits(rec.qubits)
+            case ZeroCheckRecord():
+                self.check_zero(rec.actor, rec.qubit)
+            case FactorSizeRecord():
+                self.check_factor_size(rec.qubit, rec.size)
+            case _:  # pragma: no cover
+                raise TypeError(f"unknown transcript record {rec!r}")
 
     # -- observation ------------------------------------------------------------
 
@@ -500,8 +604,8 @@ class RecordingChooser:
     """Forces a prefix of outcomes, then takes the first live branch
     (preferring 0), recording every decision with its probabilities.
 
-    The branch-exploration driver replays a protocol under increasing
-    prefixes to walk the whole outcome tree.
+    A protocol's live run under ``branches="all"`` takes its branch with
+    this chooser; a prefix pins a hand-driven network to one branch.
     """
 
     def __init__(self, prefix: Sequence[int] = ()):
@@ -525,8 +629,10 @@ def replay_transcript(
 ) -> NetworkState:
     """Re-execute a transcript on a fresh n-agent network.
 
-    Measurement outcomes are forced to their recorded bits, so a faithful
-    replay reproduces the transcript record-for-record. ``skip_messages``
+    Each record goes through ``NetworkState.apply`` with measurement
+    outcomes forced to their recorded bits, so a faithful replay
+    reproduces the transcript record-for-record, checks included; a
+    changed bit replays another branch and its checks. ``skip_messages``
     censors the given transcript indices (which must be messages); any
     later operation conditioned on a censored bit then fails with a
     conditioning violation, which is exactly the soundness check.
@@ -538,27 +644,5 @@ def replay_transcript(
             if not isinstance(rec, ClassicalMessage):
                 raise ValueError(f"transcript entry {i} is not a message")
             continue
-        if isinstance(rec, SetupRecord):
-            if rec.kind == "epr":
-                net.distribute_epr(*rec.agents)
-            else:
-                net.distribute_ghz(rec.agents)
-        elif isinstance(rec, AncillaRecord):
-            net.add_ancilla(rec.actor)
-        elif isinstance(rec, GateRecord):
-            net.local_gate(rec.actor, rec.gate, when=rec.when)
-        elif isinstance(rec, MeasureRecord):
-            net.local_measure(rec.actor, rec.qubit, label=rec.label, choose=rec.bit)
-        elif isinstance(rec, ClassicalMessage):
-            bits = [
-                label if label is not None else value
-                for label, value in zip(rec.labels, rec.bits)
-            ]
-            net.send_classical(rec.sender, rec.receivers if rec.receivers == ALL else rec.receivers[0], bits, rec.purpose)
-        elif isinstance(rec, DiscardRecord):
-            net.discard_qubit(rec.actor, rec.qubit)
-        elif isinstance(rec, DropGroupRecord):
-            net.drop_group(rec.qubits)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown transcript record {rec!r}")
+        net.apply(rec)
     return net

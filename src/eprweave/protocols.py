@@ -4,17 +4,19 @@ Everything here drives :class:`~eprweave.locc.NetworkState` through gates,
 measurements, and classical messages — never touching amplitudes directly —
 so the LOCC checks apply to the protocols themselves.
 
-Protocols succeed on *every* measurement branch, so the drivers rerun each
-protocol once per outcome vector: a :class:`RecordingChooser` walks the
-outcome tree depth-first (forcing an ever-longer prefix of outcomes), or a
-seeded stream samples vectors when exhaustive enumeration would blow up.
-Within one protocol call the schedule of operations is fixed up front, so
-different branches differ only in measured bits and conditioned
-corrections; this is what makes cbit counts branch-independent.
+Protocols succeed on *every* measurement branch. A protocol's schedule
+never depends on measured bits, so each protocol body runs live once and
+its transcript is the schedule; the explorer walks that schedule from the
+setup state through :meth:`NetworkState.apply`, forking the network at
+each measurement, over every branch or over seeded sample streams when
+exhaustive enumeration would blow up. Every branch replays the same
+messages, which is what makes cbit counts branch-independent.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -22,8 +24,16 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EntanglementError, ProtocolError
-from .locc import ALL, NetworkState, RecordingChooser, SetupRecord
-from .statevec import CNOT, H, QubitId, X, Z
+from .locc import (
+    ALL,
+    MeasureRecord,
+    NetworkState,
+    Record,
+    RecordingChooser,
+    SetupRecord,
+    replay_transcript,
+)
+from .statevec import CNOT, PROB_FLOOR, H, QubitId, X, Z
 from .topology import AgentId, EntangledHypergraph, SpanningTree, merge_schedule
 
 FIDELITY_TOL = 1e-10
@@ -64,7 +74,7 @@ class ProtocolReport:
     cbits: int
     branches: tuple[BranchRecord, ...]
     worst_fidelity: float
-    transcript: tuple  # transcript of the first explored branch
+    transcript: tuple  # the live run's transcript: the protocol's schedule
     designated: dict[AgentId, QubitId]
     branch_mode: str = "all"
     k: int | None = None  # leaf count (Protocol II)
@@ -130,105 +140,107 @@ class CorrectionRule:
 # branch exploration
 
 
-class _SampledChooser(RecordingChooser):
-    def __init__(self, rng: np.random.Generator):
-        super().__init__()
-        self.rng = rng
+def _stream(seed: int, i: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+
+
+def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
+    """The copy of ``net`` a protocol body runs on, once: on the first live
+    branch for ``"all"``, on sample stream 0 otherwise."""
+    work = net.copy()
+    work.chooser = RecordingChooser() if branches == "all" else _stream(seed, 0)
+    return work
+
+
+class _Split:
+    """Chooser for one measurement of the walk: keeps the lowest live
+    outcome (or the lowest that a sample stream draws) for the node, and
+    copies the node for the other. It runs before the measurement changes
+    the node; each stream goes where its own draw sends it."""
+
+    def __init__(self, node: NetworkState, streams: list | None):
+        self.node, self.streams = node, streams
+        self.groups: dict[int, list | None] = {}
+        self.forks: dict[int, NetworkState] = {}
+        self.bit = 0
 
     def __call__(self, p0: float, p1: float) -> int:
-        bit = 1 if self.rng.random() < p1 else 0
-        self.record.append((bit, p0, p1))
-        return bit
+        if self.streams is None:
+            self.groups = {bit: None for bit, p in enumerate((p0, p1)) if p >= PROB_FLOOR}
+        else:
+            for rng in self.streams:
+                self.groups.setdefault(1 if rng.random() < p1 else 0, []).append(rng)
+        self.bit, *others = sorted(self.groups)
+        self.forks = {bit: self.node.copy() for bit in others}
+        return self.bit
 
 
-@dataclass
-class _RunResult:
-    fidelity: float
-    net: NetworkState
-    designated: dict[AgentId, QubitId]
-    merge_log: tuple[MergeRecord, ...] = ()
+def _walk(start: NetworkState, schedule: Sequence[Record], streams: list | None):
+    """Yield the leaves of the schedule's outcome tree from ``start``, in
+    increasing outcome order: every live branch for ``streams=None``, else
+    the branches the sample streams reach. Depth first on an explicit
+    stack, so each record runs once per tree node and leaves die young."""
+    stack = [(start.copy(), 0, streams)]
+    while stack:
+        node, at, streams = stack.pop()
+        for at in range(at, len(schedule)):
+            rec = schedule[at]
+            if not isinstance(rec, MeasureRecord):
+                node.apply(rec)
+                continue
+            split = _Split(node, streams)
+            node.apply(rec, choose=split)
+            for bit, fork in split.forks.items():
+                fork.apply(rec, choose=bit)
+                stack.append((fork, at + 1, split.groups[bit]))
+            streams = split.groups[split.bit]
+        yield node
 
 
-def _branch_probability(record: Sequence[tuple[int, float, float]]) -> float:
-    prob = 1.0
-    for bit, p0, p1 in record:
-        prob *= p1 if bit else p0
-    return prob
-
-
-def _explore_branches(
-    run_once: Callable[[RecordingChooser], _RunResult],
+def _explore(
+    protocol: str,
+    net: NetworkState,
+    work: NetworkState,
+    designated: dict[AgentId, QubitId],
     branches: str | int,
     seed: int,
-) -> tuple[list[tuple[BranchRecord, _RunResult]], str]:
-    """Run a protocol once per outcome vector.
-
-    ``branches="all"``: depth-first walk of every nonzero-probability
-    vector (forcing prefixes); falls back to sampling past BRANCH_CAP.
-    ``branches=N``: N runs with independent seeded streams, deduplicated
-    by outcome vector.
-    """
-    if branches == "all":
-        explored: dict[tuple[int, ...], tuple[BranchRecord, _RunResult]] = {}
-        pending: list[tuple[int, ...]] = [()]
-        while pending:
-            prefix = pending.pop()
-            chooser = RecordingChooser(prefix)
-            result = run_once(chooser)
-            outcomes = tuple(bit for bit, _, _ in chooser.record)
-            explored[outcomes] = (
-                BranchRecord(outcomes, _branch_probability(chooser.record), result.fidelity),
-                result,
-            )
-            for i in range(len(prefix), len(chooser.record)):
-                bit, p0, p1 = chooser.record[i]
-                alt_prob = p0 if bit else p1
-                if alt_prob >= 1e-12:
-                    pending.append(outcomes[:i] + (1 - bit,))
-            if len(explored) + len(pending) > BRANCH_CAP:
-                return _explore_branches(run_once, FALLBACK_SAMPLES, seed)
-        mode = "all"
-    else:
-        explored = {}
-        for i in range(int(branches)):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            chooser = _SampledChooser(rng)
-            result = run_once(chooser)
-            outcomes = tuple(bit for bit, _, _ in chooser.record)
-            if outcomes not in explored:
-                explored[outcomes] = (
-                    BranchRecord(
-                        outcomes, _branch_probability(chooser.record), result.fidelity
-                    ),
-                    result,
-                )
-        mode = f"sample:{int(branches)}"
-    return [explored[key] for key in sorted(explored)], mode
-
-
-def _assemble_report(
-    protocol: str,
-    n: int,
-    runs: list[tuple[BranchRecord, _RunResult]],
-    mode: str,
+    max_register: int | None = None,
     **extra,
 ) -> ProtocolReport:
-    cbit_counts = {result.net.cbit_count for _, result in runs}
-    if len(cbit_counts) != 1:
-        raise ProtocolError(f"classical cost varies across branches: {sorted(cbit_counts)}")
-    designations = [result.designated for _, result in runs]
-    if any(d != designations[0] for d in designations[1:]):
-        raise ProtocolError("designated qubits differ across branches")
-    records = tuple(rec for rec, _ in runs)
+    """Check on every branch the schedule that ``work`` ran live from
+    ``net``'s setup, and report it. Each branch must end in the GHZ state
+    on ``designated`` with no register over ``max_register`` qubits.
+
+    ``"all"`` walks every live outcome vector, or FALLBACK_SAMPLES streams
+    when the schedule has more than BRANCH_CAP; N walks the vectors that N
+    seeded streams reach, so one stream is just the live run.
+    """
+    schedule = work.transcript[len(net.transcript) :]
+    measurements = sum(isinstance(rec, MeasureRecord) for rec in schedule)
+    if branches == "all" and 2**measurements > BRANCH_CAP:
+        branches = FALLBACK_SAMPLES
+    if branches == 1:
+        leaves = [work]
+    else:
+        streams = None if branches == "all" else [_stream(seed, i) for i in range(branches)]
+        leaves = _walk(net, schedule, streams)
+    records = []
+    for leaf in leaves:
+        if max_register is not None and leaf.peak_factor_qubits > max_register:
+            raise ProtocolError(f"working register grew to {leaf.peak_factor_qubits} qubits")
+        measured = [rec for rec in leaf.transcript if isinstance(rec, MeasureRecord)]
+        fidelity = verify_ghz(leaf, designated, strict=True)
+        prob = math.prod((rec.probability for rec in measured), start=1.0)
+        records.append(BranchRecord(tuple(rec.bit for rec in measured), prob, fidelity))
     return ProtocolReport(
         protocol=protocol,
-        n=n,
-        cbits=cbit_counts.pop(),
-        branches=records,
+        n=net.n,
+        cbits=work.cbit_count,
+        branches=tuple(records),
         worst_fidelity=min(rec.fidelity for rec in records),
-        transcript=tuple(runs[0][1].net.transcript),
-        designated=designations[0],
-        branch_mode=mode,
+        transcript=tuple(work.transcript),
+        designated=designated,
+        branch_mode="all" if branches == "all" else f"sample:{branches}",
         **extra,
     )
 
@@ -367,12 +379,7 @@ def disentangle_duplicate(
     and free: no measurement, no cbits.
     """
     net.local_gate(actor, CNOT(keep, drop))
-    stray = net.joint_state((drop,)).probability_of_one(drop)
-    if stray > 1e-10:
-        raise EntanglementError(
-            f"qubits {keep} and {drop} were not perfectly correlated "
-            f"(P[drop=1] = {stray:.3e} after the uncopy)"
-        )
+    net.check_zero(actor, drop)
     net.discard_qubit(actor, drop)
 
 
@@ -409,14 +416,15 @@ def _weave_ghz3(
     channel: QubitId,
     z_partner: AgentId,
     z_qubit: QubitId,
-    on_stage: Callable | None = None,
-) -> dict[AgentId, QubitId]:
+) -> tuple[dict[AgentId, QubitId], dict, list[int]]:
     """The symmetric three-party circuit, from two EPR pairs at the hub.
 
     ``keep`` is the hub's half of the pair with the X-partner; ``channel``
     is its half of the pair with the Z-partner and gets measured away.
     Exactly 2 cbits. Both partners act: X-partner corrects with X on the
-    first result bit, Z-partner with Z on the second.
+    first result bit, Z-partner with Z on the second. Returns the
+    designated qubits, the circuit's roles, and the transcript length at
+    each of its seven stages.
     """
     ancilla = work.add_ancilla(hub)
     roles = {
@@ -430,33 +438,29 @@ def _weave_ghz3(
         "z_qubit": z_qubit,
     }
     m2, m1 = f"M2#{channel}", f"M1#{ancilla}"
+    stages: list[int] = []
 
-    def stage(i: int) -> None:
-        if on_stage is not None:
-            snapshot = work.joint_state((keep, x_qubit, ancilla, channel, z_qubit))
-            measured = tuple(
-                work.knowledge[hub][lab] for lab in (m2, m1) if lab in work.knowledge[hub]
-            )
-            on_stage(i, snapshot, dict(roles), measured)
+    def stage() -> None:
+        stages.append(len(work.transcript))
 
     work.local_gate(hub, CNOT(keep, ancilla))
-    stage(1)
+    stage()
     work.local_gate(hub, CNOT(ancilla, channel))
-    stage(2)
+    stage()
     work.local_measure(hub, channel, label=m2)
-    stage(3)
+    stage()
     work.local_gate(hub, H(ancilla))
-    stage(4)
+    stage()
     work.local_measure(hub, ancilla, label=m1)
-    stage(5)
+    stage()
     work.local_gate(hub, X(keep), when=m2)
     work.send_classical(hub, x_partner, [m2], purpose="X correction")
     work.send_classical(hub, z_partner, [m1], purpose="Z correction")
     work.local_gate(x_partner, X(x_qubit), when=m2)
-    stage(6)
+    stage()
     work.local_gate(z_partner, Z(z_qubit), when=m1)
-    stage(7)
-    return {hub: keep, x_partner: x_qubit, z_partner: z_qubit}
+    stage()
+    return {hub: keep, x_partner: x_qubit, z_partner: z_qubit}, roles, stages
 
 
 def protocol_one(
@@ -496,27 +500,28 @@ def protocol_one(
             f"correction rule names {rule.sharer} as sharer but the pairs meet at {hub}"
         )
 
-    def half_of(agent: AgentId, partner: AgentId) -> tuple[QubitId, QubitId]:
-        for p in net.epr_pairs:
-            if {p.agent_a, p.agent_b} == {agent, partner}:
-                return (p.qubit_a, p.qubit_b) if p.agent_a == agent else (p.qubit_b, p.qubit_a)
-        raise ProtocolError(f"no EPR pair between agents {agent} and {partner}")
-
-    def run_once(chooser: RecordingChooser) -> _RunResult:
-        work = net.copy()
-        work.chooser = chooser
-        keep, x_qubit = half_of(hub, rule.x_applier)
-        channel, z_qubit = half_of(hub, rule.z_applier)
-        designated = _weave_ghz3(
-            work, hub, keep, rule.x_applier, x_qubit, channel, rule.z_applier, z_qubit,
-            on_stage=on_stage,
-        )
-        return _RunResult(verify_ghz(work, designated, strict=True), work, designated)
-
-    runs, mode = _explore_branches(run_once, branches, seed)
-    report = _assemble_report("I", net.n, runs, mode)
+    work = _live(net, branches, seed)
+    keep, x_qubit = work.consume_epr(hub, rule.x_applier)
+    channel, z_qubit = work.consume_epr(hub, rule.z_applier)
+    designated, roles, stages = _weave_ghz3(
+        work, hub, keep, rule.x_applier, x_qubit, channel, rule.z_applier, z_qubit
+    )
+    report = _explore("I", net, work, designated, branches, seed)
     if report.cbits != 2:
         raise ProtocolError(f"three-party weave used {report.cbits} cbits instead of 2")
+    if on_stage is not None:  # replay each branch up to each stage of the circuit
+        qubits = tuple(roles[r] for r in ("keep", "x_qubit", "ancilla", "channel", "z_qubit"))
+        for branch in report.branches:
+            bits = iter(branch.outcomes)
+            transcript = [
+                dataclasses.replace(rec, bit=next(bits)) if isinstance(rec, MeasureRecord) else rec
+                for rec in report.transcript
+            ]
+            for i, end in enumerate(stages, start=1):
+                replay = replay_transcript(net.n, transcript[:end])
+                # the hub learns nothing but its own outcomes, in measurement order
+                measured = tuple(replay.knowledge[hub].values())
+                on_stage(i, replay.joint_state(qubits), dict(roles), measured)
     return report
 
 
@@ -599,51 +604,42 @@ def protocol_two(
         third = min(u for u in tree.neighbors(start) if u != root_leaf)
         hops = _traversal_schedule(tree, (start, root_leaf, third), order_rng)
 
-    def run_once(chooser: RecordingChooser) -> _RunResult:
-        work = net.copy()
-        work.chooser = chooser
-        all_halves = [q for p in work.epr_pairs for q in (p.qubit_a, p.qubit_b)]
-        work.send_classical(start, ALL, [1], purpose="weave start")
-        work.lock_qubits(all_halves)
-        if work.n == 2:
-            qs, qt = work.consume_epr(start, root_leaf)
-            designated = {start: qs, root_leaf: qt}
-        else:
-            keep, x_qubit = work.consume_epr(start, root_leaf)
-            channel, z_qubit = work.consume_epr(start, third)
-            if step2 == "symmetric":
-                designated = _weave_ghz3(
-                    work, start, keep, root_leaf, x_qubit, channel, third, z_qubit
-                )
-            else:
-                fusion_step(
-                    work, {keep, x_qubit}, {channel, z_qubit}, start, label="step2"
-                )
-                designated = {start: keep, root_leaf: x_qubit, third: z_qubit}
-            if third in tree.leaves:
-                work.send_classical(third, ALL, [1], purpose="leaf done")
-            for v, u in hops:
-                fresh = extend_ghz(work, v, designated[v])
-                designated[u] = teleport(work, v, fresh, u)
-                if u in tree.leaves:
-                    work.send_classical(u, ALL, [1], purpose="leaf done")
-        if work.peak_factor_qubits > work.n + 2:
-            raise ProtocolError(
-                f"working register grew to {work.peak_factor_qubits} qubits"
+    work = _live(net, branches, seed)
+    work.send_classical(start, ALL, [1], purpose="weave start")
+    work.lock_qubits(q for p in work.epr_pairs for q in (p.qubit_a, p.qubit_b))
+    if work.n == 2:
+        qs, qt = work.consume_epr(start, root_leaf)
+        designated = {start: qs, root_leaf: qt}
+    else:
+        keep, x_qubit = work.consume_epr(start, root_leaf)
+        channel, z_qubit = work.consume_epr(start, third)
+        if step2 == "symmetric":
+            designated, _, _ = _weave_ghz3(
+                work, start, keep, root_leaf, x_qubit, channel, third, z_qubit
             )
-        return _RunResult(verify_ghz(work, designated, strict=True), work, designated)
+        else:
+            fusion_step(work, {keep, x_qubit}, {channel, z_qubit}, start, label="step2")
+            designated = {start: keep, root_leaf: x_qubit, third: z_qubit}
+        if third in tree.leaves:
+            work.send_classical(third, ALL, [1], purpose="leaf done")
+        for v, u in hops:
+            fresh = extend_ghz(work, v, designated[v])
+            designated[u] = teleport(work, v, fresh, u)
+            if u in tree.leaves:
+                work.send_classical(u, ALL, [1], purpose="leaf done")
 
-    runs, mode = _explore_branches(run_once, branches, seed)
     k = len(tree.leaves)
-    consumed = {sum(p.consumed for p in result.net.epr_pairs) for _, result in runs}
-    report = _assemble_report(
+    report = _explore(
         "II",
-        net.n,
-        runs,
-        mode,
+        net,
+        work,
+        designated,
+        branches,
+        seed,
+        max_register=net.n + 2,
         k=k,
         step2_variant=None if net.n == 2 else step2,
-        epr_pairs_consumed=consumed.pop() if len(consumed) == 1 else None,
+        epr_pairs_consumed=sum(p.consumed for p in work.epr_pairs),
     )
     expected = 1 if net.n == 2 else 2 * net.n + k - 4 - (step2 == "zeilinger")
     if report.cbits != expected:
@@ -687,44 +683,34 @@ def protocol_three(
         raise ProtocolError("the network's group states do not match the hypergraph")
     schedule = merge_schedule(h)  # raises ConnectivityError before any quantum op
 
-    def run_once(chooser: RecordingChooser) -> _RunResult:
-        work = net.copy()
-        work.chooser = chooser
-        holder = dict(groups[0])
-        fused_in = {0}
-        merge_log = []
-        for step in schedule:
-            incoming = groups[step.index]
-            fusion_step(
-                work,
-                set(holder.values()),
-                set(incoming.values()),
-                step.junction,
-                label=f"fuse#{step.index}",
-            )
-            fused_in.add(step.index)
-            for agent in sorted(step.overlap - {step.junction}):
-                disentangle_duplicate(work, agent, holder[agent], incoming[agent])
-            for agent in step.hyperedge - step.overlap:
-                holder[agent] = incoming[agent]
-            merged_size = len(work.factor_qubits(holder[step.junction]))
-            merge_log.append(
-                MergeRecord(step.pre_size, step.add_size, len(step.overlap), merged_size)
-            )
-            if merged_size != step.pre_size + step.add_size - len(step.overlap):
-                raise ProtocolError(
-                    f"merged group spans {merged_size} qubits, expected "
-                    f"{step.pre_size + step.add_size - len(step.overlap)}"
-                )
-        for i, group in enumerate(groups):
-            if i not in fused_in:
-                work.drop_group(group.values())
-        return _RunResult(
-            verify_ghz(work, holder, strict=True), work, holder, tuple(merge_log)
+    work = _live(net, branches, seed)
+    holder = dict(groups[0])
+    fused_in = {0}
+    merge_log = []
+    for step in schedule:
+        incoming = groups[step.index]
+        fusion_step(
+            work,
+            set(holder.values()),
+            set(incoming.values()),
+            step.junction,
+            label=f"fuse#{step.index}",
         )
+        fused_in.add(step.index)
+        for agent in sorted(step.overlap - {step.junction}):
+            disentangle_duplicate(work, agent, holder[agent], incoming[agent])
+        for agent in step.hyperedge - step.overlap:
+            holder[agent] = incoming[agent]
+        merged_size = step.pre_size + step.add_size - len(step.overlap)
+        work.check_factor_size(holder[step.junction], merged_size)
+        merge_log.append(
+            MergeRecord(step.pre_size, step.add_size, len(step.overlap), merged_size)
+        )
+    for i, group in enumerate(groups):
+        if i not in fused_in:
+            work.drop_group(group.values())
 
-    runs, mode = _explore_branches(run_once, branches, seed)
-    report = _assemble_report("III", net.n, runs, mode, merge_log=runs[0][1].merge_log)
+    report = _explore("III", net, work, holder, branches, seed, merge_log=tuple(merge_log))
     if report.cbits != len(schedule):
         raise ProtocolError(
             f"fusion used {report.cbits} cbits for {len(schedule)} merge steps"

@@ -5,6 +5,8 @@ acceptance properties; a hand-rolled teleportation circuit doubles as an
 independent oracle for the protocol layer built on top of this module.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,13 @@ from eprweave.errors import (
 from eprweave.locc import (
     ALL,
     ClassicalMessage,
+    MeasureRecord,
     NetworkState,
     RecordingChooser,
     replay_transcript,
 )
+from eprweave.protocols import disentangle_duplicate, protocol_two, setup_epr_network
+from eprweave.topology import SpanningTree
 from eprweave.statevec import CNOT, H, X, Z, StateVector, bell_pair, ghz_state
 
 
@@ -351,6 +356,41 @@ def test_replay_without_trigger_message_raises_conditioning_error():
     )
     with pytest.raises(ConditioningError):
         replay_transcript(net.n, net.transcript, skip_messages=[msg_index])
+
+
+def test_replay_of_a_weave_consumes_its_pairs_and_keeps_its_locks():
+    tree = SpanningTree.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+    report = protocol_two(setup_epr_network(4, tree.edges), tree)
+    twin = replay_transcript(4, report.transcript)
+    assert [p.consumed for p in twin.epr_pairs] == [True, True, True]
+    assert twin.transcript == list(report.transcript)
+
+    # stopped after the first claim, the other pairs' halves stay locked
+    live = setup_epr_network(4, tree.edges)
+    live.send_classical(1, ALL, [1], purpose="weave start")
+    live.lock_qubits(q for p in live.epr_pairs for q in (p.qubit_a, p.qubit_b))
+    live.consume_epr(1, 2)
+    twin = replay_transcript(4, live.transcript)
+    assert [p.consumed for p in twin.epr_pairs] == [True, False, False]
+    assert twin._locked == live._locked == {3, 4, 5, 6}
+    with pytest.raises(ProtocolError, match="locked"):
+        twin.local_gate(2, X(3))
+    twin.local_gate(2, X(2))
+
+
+def test_replay_reruns_the_release_check_on_a_changed_branch():
+    net = NetworkState(1, chooser=RecordingChooser())  # takes outcome 0
+    keep, drop = net.add_ancilla(1), net.add_ancilla(1)
+    net.local_gate(1, H(drop))
+    net.local_measure(1, drop, label="b")
+    disentangle_duplicate(net, 1, keep, drop)  # drop is |0> on this branch
+    assert replay_transcript(1, net.transcript).transcript == net.transcript
+    flipped = [
+        dataclasses.replace(rec, bit=1) if isinstance(rec, MeasureRecord) else rec
+        for rec in net.transcript
+    ]
+    with pytest.raises(EntanglementError, match="not perfectly correlated"):
+        replay_transcript(1, flipped)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from eprweave.errors import (
     EntanglementError,
     ProtocolError,
 )
-from eprweave.locc import ALL, DropGroupRecord, NetworkState, RecordingChooser
+from eprweave import protocols
+from eprweave.locc import ALL, DropGroupRecord, MeasureRecord, NetworkState, RecordingChooser
 from eprweave.protocols import (
     CorrectionRule,
     disentangle_duplicate,
@@ -414,6 +415,36 @@ def test_weave_on_random_larger_trees_with_sampling():
         assert report.branch_mode == "sample:64"
         assert len(report.branches) >= 32
         check_weave_identities(report, tree)
+
+
+def test_sampled_branches_are_those_each_stream_reaches_on_its_own():
+    net, tree = tree_network(prufer_tree(6, (2, 2, 5, 5)), n=6)
+    report = protocol_two(net, tree, branches=12, seed=5)
+    schedule = report.transcript[len(net.transcript) :]
+    reached = set()
+    for i in range(12):  # one full run of the schedule per stream
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(i,)))
+        run = net.copy()
+        for rec in schedule:
+            run.apply(rec, choose=rng if isinstance(rec, MeasureRecord) else None)
+        reached.add(tuple(r.bit for r in run.transcript if isinstance(r, MeasureRecord)))
+    assert [b.outcomes for b in report.branches] == sorted(reached)
+
+
+def test_branch_cap_fallback_is_decided_before_any_branch_runs(monkeypatch):
+    edges = [(1, 2), (2, 3), (2, 4), (4, 5)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return verify_ghz(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "BRANCH_CAP", 16)
+    monkeypatch.setattr(protocols, "verify_ghz", counted)
+    report = protocol_two(*tree_network(edges), branches="all")
+    assert report.branch_mode == "sample:1024"
+    assert len(calls) == len(report.branches) == 64
+    assert report.to_dict() == protocol_two(*tree_network(edges), branches=1024).to_dict()
 
 
 def test_weave_is_insensitive_to_hop_ordering():
