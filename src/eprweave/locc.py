@@ -604,8 +604,8 @@ class RecordingChooser:
     """Forces a prefix of outcomes, then takes the first live branch
     (preferring 0), recording every decision with its probabilities.
 
-    A protocol's live run under ``branches="all"`` takes its branch with
-    this chooser; a prefix pins a hand-driven network to one branch.
+    A prefix pins a network to one branch, as when a recorded outcome
+    vector is run again; the record shows which branches were live.
     """
 
     def __init__(self, prefix: Sequence[int] = ()):

@@ -5,21 +5,21 @@ measurements, and classical messages — never touching amplitudes directly —
 so the LOCC checks apply to the protocols themselves.
 
 Protocols succeed on *every* measurement branch. A protocol's schedule
-never depends on measured bits, so each protocol body runs live once and
-its transcript is the schedule; the explorer walks that schedule from the
-setup state through :meth:`NetworkState.apply`, forking the network at
-each measurement, over every branch or over seeded sample streams when
-exhaustive enumeration would blow up. Every branch replays the same
-messages, which is what makes cbit counts branch-independent.
+never depends on measured bits, so each protocol body runs live once, on
+one branch, and its transcript is the schedule. Every other branch, of
+all of them or of those that seeded sample streams reach when exhaustive
+enumeration would blow up, runs that schedule from the setup state
+through :meth:`NetworkState.apply`, with every message and check. Every
+branch sends the same messages, which is what makes cbit counts
+branch-independent.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -28,10 +28,8 @@ from .locc import (
     ALL,
     MeasureRecord,
     NetworkState,
-    Record,
     RecordingChooser,
     SetupRecord,
-    replay_transcript,
 )
 from .statevec import CNOT, PROB_FLOOR, H, QubitId, X, Z
 from .topology import AgentId, EntangledHypergraph, SpanningTree, merge_schedule
@@ -74,7 +72,7 @@ class ProtocolReport:
     cbits: int
     branches: tuple[BranchRecord, ...]
     worst_fidelity: float
-    transcript: tuple  # the live run's transcript: the protocol's schedule
+    transcript: tuple  # the lowest branch's transcript: the protocol's schedule
     designated: dict[AgentId, QubitId]
     branch_mode: str = "all"
     k: int | None = None  # leaf count (Protocol II)
@@ -144,57 +142,45 @@ def _stream(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
 
 
-def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
-    """The copy of ``net`` a protocol body runs on, once: on the first live
-    branch for ``"all"``, on sample stream 0 otherwise."""
-    work = net.copy()
-    work.chooser = RecordingChooser() if branches == "all" else _stream(seed, 0)
-    return work
+class _Fork:
+    """Branch chooser for one execution of a protocol's schedule.
 
+    It follows ``prefix``; at each later measurement it takes the lowest
+    outcome that is live (``streams=None``) or that a sample stream draws,
+    and leaves each other outcome, with the streams that drew it, on
+    ``pending`` for an execution of its own. So each outcome vector runs
+    once, and each stream draws once per measurement on its path, in order.
+    """
 
-class _Split:
-    """Chooser for one measurement of the walk: keeps the lowest live
-    outcome (or the lowest that a sample stream draws) for the node, and
-    copies the node for the other. It runs before the measurement changes
-    the node; each stream goes where its own draw sends it."""
-
-    def __init__(self, node: NetworkState, streams: list | None):
-        self.node, self.streams = node, streams
-        self.groups: dict[int, list | None] = {}
-        self.forks: dict[int, NetworkState] = {}
-        self.bit = 0
+    def __init__(self, prefix: tuple[int, ...], streams: list | None, pending: list):
+        self.bits, self.streams, self.pending = list(prefix), streams, pending
+        self.at = 0
 
     def __call__(self, p0: float, p1: float) -> int:
+        self.at += 1
+        if self.at <= len(self.bits):
+            return self.bits[self.at - 1]
         if self.streams is None:
-            self.groups = {bit: None for bit, p in enumerate((p0, p1)) if p >= PROB_FLOOR}
+            groups = {bit: None for bit, p in enumerate((p0, p1)) if p >= PROB_FLOOR}
         else:
+            groups = {}
             for rng in self.streams:
-                self.groups.setdefault(1 if rng.random() < p1 else 0, []).append(rng)
-        self.bit, *others = sorted(self.groups)
-        self.forks = {bit: self.node.copy() for bit in others}
-        return self.bit
+                groups.setdefault(1 if rng.random() < p1 else 0, []).append(rng)
+        bit, *others = sorted(groups)
+        self.pending += [((*self.bits, other), groups[other]) for other in others]
+        self.bits.append(bit)
+        self.streams = groups[bit]
+        return bit
 
 
-def _walk(start: NetworkState, schedule: Sequence[Record], streams: list | None):
-    """Yield the leaves of the schedule's outcome tree from ``start``, in
-    increasing outcome order: every live branch for ``streams=None``, else
-    the branches the sample streams reach. Depth first on an explicit
-    stack, so each record runs once per tree node and leaves die young."""
-    stack = [(start.copy(), 0, streams)]
-    while stack:
-        node, at, streams = stack.pop()
-        for at in range(at, len(schedule)):
-            rec = schedule[at]
-            if not isinstance(rec, MeasureRecord):
-                node.apply(rec)
-                continue
-            split = _Split(node, streams)
-            node.apply(rec, choose=split)
-            for bit, fork in split.forks.items():
-                fork.apply(rec, choose=bit)
-                stack.append((fork, at + 1, split.groups[bit]))
-            streams = split.groups[split.bit]
-        yield node
+def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
+    """The copy of ``net`` a protocol body runs on, once: it takes the
+    lowest live branch for ``"all"``, else the lowest that N sample streams
+    reach, and leaves the other branches to :func:`_explore`."""
+    work = net.copy()
+    streams = None if branches == "all" else [_stream(seed, i) for i in range(branches)]
+    work.chooser = _Fork((), streams, [])
+    return work
 
 
 def _explore(
@@ -211,34 +197,47 @@ def _explore(
     ``net``'s setup, and report it. Each branch must end in the GHZ state
     on ``designated`` with no register over ``max_register`` qubits.
 
-    ``"all"`` walks every live outcome vector, or FALLBACK_SAMPLES streams
-    when the schedule has more than BRANCH_CAP; N walks the vectors that N
-    seeded streams reach, so one stream is just the live run.
+    The live run is the first branch; every other branch it left pending
+    runs the schedule from the setup through :meth:`NetworkState.apply`,
+    sending every message and running every check again. ``"all"`` covers
+    every live outcome vector, or FALLBACK_SAMPLES streams when the
+    schedule has more than BRANCH_CAP; N covers the vectors that N seeded
+    streams reach, so one stream is just the live run.
     """
     schedule = work.transcript[len(net.transcript) :]
+    pending, executed = work.chooser.pending, [work]
     measurements = sum(isinstance(rec, MeasureRecord) for rec in schedule)
     if branches == "all" and 2**measurements > BRANCH_CAP:
         branches = FALLBACK_SAMPLES
-    if branches == 1:
-        leaves = [work]
-    else:
-        streams = None if branches == "all" else [_stream(seed, i) for i in range(branches)]
-        leaves = _walk(net, schedule, streams)
-    records = []
-    for leaf in leaves:
+        pending[:] = [((), [_stream(seed, i) for i in range(branches)])]
+        executed = []
+
+    def executions() -> Iterable[NetworkState]:
+        yield from executed
+        while pending:
+            fork = _Fork(*pending.pop(), pending)
+            run = net.copy()
+            for rec in schedule:
+                run.apply(rec, fork)
+            yield run
+
+    records, transcript = [], None
+    for leaf in executions():
         if max_register is not None and leaf.peak_factor_qubits > max_register:
             raise ProtocolError(f"working register grew to {leaf.peak_factor_qubits} qubits")
         measured = [rec for rec in leaf.transcript if isinstance(rec, MeasureRecord)]
         fidelity = verify_ghz(leaf, designated, strict=True)
         prob = math.prod((rec.probability for rec in measured), start=1.0)
         records.append(BranchRecord(tuple(rec.bit for rec in measured), prob, fidelity))
+        transcript = transcript or tuple(leaf.transcript)  # the lowest branch runs first
+    records.sort(key=lambda rec: rec.outcomes)
     return ProtocolReport(
         protocol=protocol,
         n=net.n,
         cbits=work.cbit_count,
         branches=tuple(records),
         worst_fidelity=min(rec.fidelity for rec in records),
-        transcript=tuple(work.transcript),
+        transcript=transcript,
         designated=designated,
         branch_mode="all" if branches == "all" else f"sample:{branches}",
         **extra,
@@ -416,15 +415,15 @@ def _weave_ghz3(
     channel: QubitId,
     z_partner: AgentId,
     z_qubit: QubitId,
-) -> tuple[dict[AgentId, QubitId], dict, list[int]]:
+) -> tuple[dict[AgentId, QubitId], dict, list[int], tuple[str, str]]:
     """The symmetric three-party circuit, from two EPR pairs at the hub.
 
     ``keep`` is the hub's half of the pair with the X-partner; ``channel``
     is its half of the pair with the Z-partner and gets measured away.
     Exactly 2 cbits. Both partners act: X-partner corrects with X on the
     first result bit, Z-partner with Z on the second. Returns the
-    designated qubits, the circuit's roles, and the transcript length at
-    each of its seven stages.
+    designated qubits, the circuit's roles, the transcript length at each
+    of its seven stages, and the labels of its two measurements.
     """
     ancilla = work.add_ancilla(hub)
     roles = {
@@ -460,7 +459,7 @@ def _weave_ghz3(
     stage()
     work.local_gate(z_partner, Z(z_qubit), when=m1)
     stage()
-    return {hub: keep, x_partner: x_qubit, z_partner: z_qubit}, roles, stages
+    return {hub: keep, x_partner: x_qubit, z_partner: z_qubit}, roles, stages, (m2, m1)
 
 
 def protocol_one(
@@ -478,6 +477,13 @@ def protocol_one(
     and the ancilla. Two result bits travel (one to each partner); the
     kept qubit plus both partners' corrected qubits end in
     (|000>+|111>)/sqrt(2) on every branch.
+
+    Once every branch has passed its checks, ``on_stage(stage, snapshot,
+    roles, measured)`` fires at each of the circuit's seven stages of each
+    reported branch, branches in report order: ``snapshot`` is the joint
+    state of the circuit's five qubits and ``measured`` the hub's outcomes
+    so far, in measurement order. A branch that several sample streams
+    reach is reported, and so staged, once.
     """
     if net.n != 3:
         raise ProtocolError(f"this weave needs exactly 3 agents, got {net.n}")
@@ -503,25 +509,23 @@ def protocol_one(
     work = _live(net, branches, seed)
     keep, x_qubit = work.consume_epr(hub, rule.x_applier)
     channel, z_qubit = work.consume_epr(hub, rule.z_applier)
-    designated, roles, stages = _weave_ghz3(
+    designated, roles, stages, labels = _weave_ghz3(
         work, hub, keep, rule.x_applier, x_qubit, channel, rule.z_applier, z_qubit
     )
     report = _explore("I", net, work, designated, branches, seed)
     if report.cbits != 2:
         raise ProtocolError(f"three-party weave used {report.cbits} cbits instead of 2")
-    if on_stage is not None:  # replay each branch up to each stage of the circuit
+    if on_stage is not None:  # run each branch once more, stopping at each stage
         qubits = tuple(roles[r] for r in ("keep", "x_qubit", "ancilla", "channel", "z_qubit"))
+        marks = {end: i for i, end in enumerate(stages, start=1)}
         for branch in report.branches:
-            bits = iter(branch.outcomes)
-            transcript = [
-                dataclasses.replace(rec, bit=next(bits)) if isinstance(rec, MeasureRecord) else rec
-                for rec in report.transcript
-            ]
-            for i, end in enumerate(stages, start=1):
-                replay = replay_transcript(net.n, transcript[:end])
-                # the hub learns nothing but its own outcomes, in measurement order
-                measured = tuple(replay.knowledge[hub].values())
-                on_stage(i, replay.joint_state(qubits), dict(roles), measured)
+            pin, replay = RecordingChooser(branch.outcomes), NetworkState(net.n)
+            for at, rec in enumerate(report.transcript, start=1):
+                replay.apply(rec, pin)
+                if at in marks:
+                    known = replay.knowledge[hub]
+                    measured = tuple(known[label] for label in labels if label in known)
+                    on_stage(marks[at], replay.joint_state(qubits), dict(roles), measured)
     return report
 
 
@@ -614,9 +618,9 @@ def protocol_two(
         keep, x_qubit = work.consume_epr(start, root_leaf)
         channel, z_qubit = work.consume_epr(start, third)
         if step2 == "symmetric":
-            designated, _, _ = _weave_ghz3(
+            designated = _weave_ghz3(
                 work, start, keep, root_leaf, x_qubit, channel, third, z_qubit
-            )
+            )[0]
         else:
             fusion_step(work, {keep, x_qubit}, {channel, z_qubit}, start, label="step2")
             designated = {start: keep, root_leaf: x_qubit, third: z_qubit}

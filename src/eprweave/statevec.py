@@ -174,6 +174,8 @@ class StateVector:
         hot = (base & mask) != 0
         p1 = float(np.sum(np.abs(self.amps[hot]) ** 2))
         p0 = 1.0 - p1
+        if p0 < 1e-3:  # 1 - p1 keeps too few digits of a small p0 to renormalize by
+            p0 = float(np.sum(np.abs(self.amps[~hot]) ** 2))
         if isinstance(choose, (int, np.integer)):
             bit = int(choose)
             if bit not in (0, 1):

@@ -134,6 +134,20 @@ def test_three_party_weave_matches_stage_algebra_on_every_branch():
         assert snapshot.fidelity(expected) >= GOOD, (stage, measured)
 
 
+def test_sampled_weave_stages_each_reported_branch_once_in_report_order():
+    staged = []
+    report = protocol_one(
+        hub_network(), branches=16, seed=3, on_stage=lambda *rec: staged.append(rec)
+    )
+    assert report.branch_mode == "sample:16" and 1 < len(report.branches) <= 4
+    assert [stage for stage, *_ in staged] == list(range(1, 8)) * len(report.branches)
+    finals = [measured for stage, _, _, measured in staged if stage == 7]
+    assert finals == [b.outcomes for b in report.branches]
+    for stage, snapshot, roles, measured in staged:
+        assert len(measured) == (stage >= 3) + (stage >= 5)
+        assert snapshot.fidelity(expected_stage_state(stage, roles, measured)) >= GOOD
+
+
 def test_three_party_weave_succeeds_on_all_four_branches():
     report = protocol_one(hub_network())
     assert report.protocol == "I"

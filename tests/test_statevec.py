@@ -266,6 +266,15 @@ def test_measure_projects_and_renormalizes():
     assert post.fidelity(new_register([0, 1, 2])) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_improbable_zero_outcome_renormalizes_exactly():
+    a = 0.001953  # P[0] ~ 3.8e-6, where 1 - P[1] keeps only ~10 digits
+    sv = StateVector((0,), np.array([1j * a, 1j * np.sqrt(1 - a * a)]))
+    outcome, post = sv.measure(0, 0)
+    assert outcome.probability == pytest.approx(a * a, rel=1e-12)
+    assert abs(post.norm_squared() - 1.0) <= 1e-12
+    post.apply(X(0))  # asserts the norm has not drifted
+
+
 def test_measure_with_callable_chooser():
     outcome, _ = bell_pair(0, 1).measure(0, lambda p0, p1: int(p1 > 0.25))
     assert outcome.bit == 1
