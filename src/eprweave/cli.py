@@ -46,6 +46,8 @@ from .topology import (
     EntangledHypergraph,
     EprGraph,
     SpanningTree,
+    add_edge,
+    check_group,
     hypergraph_is_connected,
     is_connected,
     minimum_spanning_tree,
@@ -100,75 +102,56 @@ class NetworkSpec:
 
 
 def parse_spec(text: str) -> NetworkSpec:
-    """Parse the spec format; errors carry 1-based line numbers."""
+    """Parse the spec format; errors carry 1-based line numbers.
+
+    Only tokenising happens here: each edge and group goes through the
+    topology layer's own checks, whose messages gain the line number.
+    """
     n = None
     edges: list[tuple] = []
     hyperedges: list[tuple[int, ...]] = []
-    seen_pairs: set[tuple[int, int]] = set()
+    weights: dict[tuple[int, int], float] = {}
 
-    def agent(token: str, line: int) -> int:
+    def number(kind, token: str, what: str):
         try:
-            v = int(token)
+            return kind(token)
         except ValueError:
-            raise NetworkSpecError(f"expected an agent number, got {token!r}", line)
-        if not 1 <= v <= n:
-            raise NetworkSpecError(f"agent {v} is outside 1..{n}", line)
-        return v
+            raise ValueError(f"{what} {token!r}") from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        tokens = body.split()
-        keyword, args = tokens[0], tokens[1:]
-        if n is None:
-            if keyword != "agents":
-                raise NetworkSpecError(
-                    f"first directive must be 'agents N', got {keyword!r}", lineno
-                )
-            if len(args) != 1:
-                raise NetworkSpecError("'agents' takes exactly one number", lineno)
-            try:
-                n = int(args[0])
-            except ValueError:
-                raise NetworkSpecError(f"bad agent count {args[0]!r}", lineno)
-            if n < 1:
-                raise NetworkSpecError("need at least one agent", lineno)
-        elif keyword == "agents":
-            raise NetworkSpecError("'agents' may only appear once, first", lineno)
-        elif keyword == "edge":
-            if hyperedges:
-                raise NetworkSpecError("cannot mix 'edge' and 'hyper' lines", lineno)
-            if len(args) not in (2, 3):
-                raise NetworkSpecError("'edge' takes two agents and an optional weight", lineno)
-            a, b = agent(args[0], lineno), agent(args[1], lineno)
-            if a == b:
-                raise NetworkSpecError(f"agent {a} cannot pair with itself", lineno)
-            pair = (min(a, b), max(a, b))
-            if pair in seen_pairs:
-                raise NetworkSpecError(f"duplicate edge {pair[0]} {pair[1]}", lineno)
-            seen_pairs.add(pair)
-            if len(args) == 3:
-                try:
-                    w = float(args[2])
-                except ValueError:
-                    raise NetworkSpecError(f"bad edge weight {args[2]!r}", lineno)
-                if w < 0:
-                    raise NetworkSpecError("edge weights must be nonnegative", lineno)
-                edges.append((a, b, w))
+        keyword, *args = body.split()
+        try:
+            if n is None:
+                if keyword != "agents":
+                    raise ValueError(f"first directive must be 'agents N', got {keyword!r}")
+                if len(args) != 1:
+                    raise ValueError("'agents' takes exactly one number")
+                n = number(int, args[0], "bad agent count")
+                if n < 1:
+                    raise ValueError("need at least one agent")
+            elif keyword == "agents":
+                raise ValueError("'agents' may only appear once, first")
+            elif keyword == "edge":
+                if hyperedges:
+                    raise ValueError("cannot mix 'edge' and 'hyper' lines")
+                if len(args) not in (2, 3):
+                    raise ValueError("'edge' takes two agents and an optional weight")
+                a, b = (number(int, t, "expected an agent number, got") for t in args[:2])
+                w = [number(float, t, "bad edge weight") for t in args[2:]]
+                add_edge(weights, n, a, b, *w)
+                edges.append((a, b, *w))
+            elif keyword == "hyper":
+                if edges:
+                    raise ValueError("cannot mix 'edge' and 'hyper' lines")
+                members = [number(int, t, "expected an agent number, got") for t in args]
+                hyperedges.append(tuple(sorted(check_group(n, members))))
             else:
-                edges.append((a, b))
-        elif keyword == "hyper":
-            if edges:
-                raise NetworkSpecError("cannot mix 'edge' and 'hyper' lines", lineno)
-            if len(args) < 2:
-                raise NetworkSpecError("'hyper' needs at least two agents", lineno)
-            members = tuple(agent(t, lineno) for t in args)
-            if len(set(members)) != len(members):
-                raise NetworkSpecError("repeated agent in hyperedge", lineno)
-            hyperedges.append(tuple(sorted(members)))
-        else:
-            raise NetworkSpecError(f"unknown directive {keyword!r}", lineno)
+                raise ValueError(f"unknown directive {keyword!r}")
+        except ValueError as exc:
+            raise NetworkSpecError(str(exc), lineno) from None
     if n is None:
         raise NetworkSpecError("empty spec: expected an 'agents N' directive")
     return NetworkSpec(n, tuple(edges), tuple(hyperedges))
@@ -239,9 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 # command bodies
 
 
-def _choose_tree(spec: NetworkSpec) -> SpanningTree:
+def _choose_tree(spec: NetworkSpec, mst: bool) -> tuple[SpanningTree, dict]:
+    """The minimum-weight or the BFS spanning tree, and its report summary."""
     g = spec.to_graph()
-    return minimum_spanning_tree(g) if spec.weighted else spanning_tree(g)
+    tree = minimum_spanning_tree(g) if mst else spanning_tree(g)
+    return tree, _tree_summary(tree, g)
 
 
 def _network_summary(spec: NetworkSpec) -> dict:
@@ -316,6 +301,9 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             "network": _network_summary(spec),
         }
 
+        if args.command in ("tree", "mst", "ghz3", "weave") and spec.mode != "epr-graph":
+            raise EprWeaveError(f"'{args.command}' needs an EPR-pair spec, not groups")
+
         if args.command == "check":
             if spec.mode == "hypergraph":
                 connected = hypergraph_is_connected(spec.to_hypergraph())
@@ -328,13 +316,10 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             print(f"{spec.mode} on {spec.n} agents: connected", file=out)
 
         elif args.command in ("tree", "mst"):
-            if spec.mode != "epr-graph":
-                raise EprWeaveError(f"'{args.command}' needs an EPR-pair spec, not groups")
-            g = spec.to_graph()
-            tree = minimum_spanning_tree(g) if args.command == "mst" else spanning_tree(g)
-            document["result"] = dict(_tree_summary(tree, g), ok=True)
+            tree, summary = _choose_tree(spec, args.command == "mst")
+            document["result"] = dict(summary, ok=True)
             kind = "minimum-weight spanning tree" if args.command == "mst" else "spanning tree"
-            print(f"{kind} on {spec.n} agents (total weight {tree.total_weight(g)}):", file=out)
+            print(f"{kind} on {spec.n} agents (total weight {summary['total_weight']}):", file=out)
             for a, b in tree.edges:
                 print(f"  {a} -- {b}", file=out)
             print(
@@ -344,8 +329,6 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             )
 
         elif args.command == "ghz3":
-            if spec.mode != "epr-graph":
-                raise EprWeaveError("'ghz3' needs an EPR-pair spec, not groups")
             net = setup_epr_network(spec.n, [e[:2] for e in spec.edges])
             report = protocol_one(net, branches=args.branches, seed=args.seed)
             document["result"] = _protocol_result(report)
@@ -353,11 +336,8 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             _print_protocol(report, args.verbose, out)
 
         elif args.command == "weave":
-            if spec.mode != "epr-graph":
-                raise EprWeaveError("'weave' needs an EPR-pair spec, not groups")
-            tree = _choose_tree(spec)
+            tree, document["tree"] = _choose_tree(spec, spec.weighted)
             document["options"]["tree"] = "mst" if spec.weighted else "bfs"
-            document["tree"] = _tree_summary(tree, spec.to_graph())
             net = setup_epr_network(spec.n, tree.edges)
             report = protocol_two(
                 net, tree, step2=args.step2, branches=args.branches, seed=args.seed
@@ -404,3 +384,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,6 @@ branch-independent.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -32,7 +31,7 @@ from .locc import (
     SetupRecord,
 )
 from .statevec import CNOT, PROB_FLOOR, H, QubitId, X, Z
-from .topology import AgentId, EntangledHypergraph, SpanningTree, merge_schedule
+from .topology import AgentId, EntangledHypergraph, SpanningTree, bfs_edges, merge_schedule
 
 FIDELITY_TOL = 1e-10
 
@@ -545,30 +544,16 @@ def _traversal_schedule(
     un-entangled neighbor) may fire next — used to check the weave is
     insensitive to who processes first.
     """
+    if order_rng is None:
+        return bfs_edges(initially_entangled, tree.neighbors)
     entangled = set(initially_entangled)
     hops = []
-    if order_rng is None:
-        queue = deque(sorted(entangled))
-        while queue:
-            v = queue.popleft()
-            for u in tree.neighbors(v):
-                if u not in entangled:
-                    entangled.add(u)
-                    hops.append((v, u))
-                    queue.append(u)
-    else:
-        while True:
-            frontier = [
-                (v, u)
-                for v in sorted(entangled)
-                for u in tree.neighbors(v)
-                if u not in entangled
-            ]
-            if not frontier:
-                break
-            v, u = frontier[int(order_rng.integers(len(frontier)))]
-            entangled.add(u)
-            hops.append((v, u))
+    while frontier := [
+        (v, u) for v in sorted(entangled) for u in tree.neighbors(v) if u not in entangled
+    ]:
+        v, u = frontier[int(order_rng.integers(len(frontier)))]
+        entangled.add(u)
+        hops.append((v, u))
     return hops
 
 

@@ -10,9 +10,10 @@ protocol transcripts are reproducible.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConnectivityError
 
@@ -21,64 +22,115 @@ AgentId = int
 
 def _check_agent(v: int, n: int) -> None:
     if not 1 <= v <= n:
-        raise ValueError(f"agent index {v} outside 1..{n}")
+        raise ValueError(f"agent {v} is outside 1..{n}")
+
+
+def _check_weight(w) -> float:
+    w = float(w)
+    if not (math.isfinite(w) and w >= 0):
+        raise ValueError(f"edge weights must be finite and nonnegative, got {w}")
+    return w
+
+
+def add_edge(weights: dict, n: int, a: int, b: int, weight: float = 1.0) -> None:
+    """Check the EPR pair ``a -- b`` on agents 1..n and record it in
+    ``weights``, keyed ``(low, high)``; the map doubles as the duplicate
+    check. This is the one edge check: ``EprGraph`` and spec parsing both
+    use it."""
+    _check_agent(a, n)
+    _check_agent(b, n)
+    if a == b:
+        raise ValueError(f"agent {a} cannot pair with itself")
+    pair = (a, b) if a < b else (b, a)
+    if pair in weights:
+        raise ValueError(f"duplicate edge {pair[0]} {pair[1]}")
+    weights[pair] = _check_weight(weight)
+
+
+def check_group(n: int, members: Iterable[int]) -> frozenset[int]:
+    """Check one group state's members on agents 1..n: at least two,
+    all in range, none repeated. This is the one group check:
+    ``EntangledHypergraph`` and spec parsing both use it."""
+    members = tuple(members)
+    if len(members) < 2:
+        raise ValueError("a group state needs at least two agents")
+    for v in members:
+        _check_agent(v, n)
+    group = frozenset(members)
+    if len(group) != len(members):
+        raise ValueError("repeated agent in hyperedge")
+    return group
+
+
+def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    for nbrs in adj.values():
+        nbrs.sort()
+    return adj
+
+
+def bfs_edges(
+    roots: Iterable[int], neighbors: Callable[[int], Sequence[int]]
+) -> list[tuple[int, int]]:
+    """Breadth-first discovery edges ``(v, u)``, ``u`` first reached from
+    ``v``. The search starts from every root, in increasing order, and
+    takes each vertex's neighbors in the order ``neighbors`` returns them
+    (increasing, for the graphs and trees here)."""
+    seen = set(roots)
+    queue = deque(sorted(seen))
+    found = []
+    while queue:
+        v = queue.popleft()
+        for u in neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                found.append((v, u))
+                queue.append(u)
+    return found
 
 
 class EprGraph:
     """Undirected graph of pre-shared EPR pairs, with optional edge weights.
 
     ``edges`` may contain ``(a, b)`` pairs or ``(a, b, weight)`` triples.
-    Self-loops, repeated pairs (multi-edges), and negative weights are
-    rejected; an agent pair either shares one EPR pair or none.
+    Self-loops, repeated pairs (multi-edges), and negative or non-finite
+    weights are rejected; an agent pair either shares one EPR pair or none.
+    ``weights`` maps every edge to its weight, 1.0 where none was given.
     """
 
-    __slots__ = ("n", "edges", "weights")
+    __slots__ = ("n", "edges", "weights", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Sequence], weights: Mapping | None = None):
         if n < 1:
             raise ValueError("need at least one agent")
-        seen: set[tuple[int, int]] = set()
         wmap: dict[tuple[int, int], float] = {}
         for item in edges:
-            if len(item) == 3:
-                a, b, w = item
-            else:
-                (a, b), w = item, None
-            _check_agent(a, n)
-            _check_agent(b, n)
-            if a == b:
-                raise ValueError(f"self-loop at agent {a}")
-            pair = (a, b) if a < b else (b, a)
-            if pair in seen:
-                raise ValueError(f"agents {pair} already share an EPR pair")
-            seen.add(pair)
-            if w is not None:
-                if float(w) < 0:
-                    raise ValueError(f"negative weight on edge {pair}")
-                wmap[pair] = float(w)
+            add_edge(wmap, n, *item)
         for (a, b), w in (weights or {}).items():
             pair = (a, b) if a < b else (b, a)
-            if pair not in seen:
+            if pair not in wmap:
                 raise ValueError(f"weight given for missing edge {pair}")
-            if float(w) < 0:
-                raise ValueError(f"negative weight on edge {pair}")
-            wmap[pair] = float(w)
+            wmap[pair] = _check_weight(w)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(wmap))
         self.weights = wmap
+        self._adj = _adjacency(n, self.edges)
 
     def weight(self, a: int, b: int) -> float:
         """Edge weight; edges declared without one cost 1."""
         pair = (a, b) if a < b else (b, a)
-        if pair not in self.edges:
-            raise ValueError(f"no edge {pair}")
-        return self.weights.get(pair, 1.0)
+        try:
+            return self.weights[pair]
+        except KeyError:
+            raise ValueError(f"no edge {pair}") from None
 
     def neighbors(self, v: int) -> list[int]:
         """Adjacent agents in increasing index order."""
         _check_agent(v, self.n)
-        out = [b for a, b in self.edges if a == v] + [a for a, b in self.edges if b == v]
-        return sorted(out)
+        return list(self._adj[v])
 
 
 @dataclass(frozen=True)
@@ -96,50 +148,35 @@ class SpanningTree:
     root_leaf: AgentId
     start: AgentId
     leaves: frozenset[AgentId]
+    _adj: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_adj", _adjacency(self.n, self.edges))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SpanningTree":
         """Build (and validate) a tree from an explicit edge list."""
         if n < 2:
             raise ValueError("a spanning tree needs at least two agents")
-        norm = []
-        for a, b in edges:
-            _check_agent(a, n)
-            _check_agent(b, n)
-            if a == b:
-                raise ValueError(f"self-loop at agent {a}")
-            norm.append((a, b) if a < b else (b, a))
-        norm = tuple(sorted(norm))
-        if len(set(norm)) != len(norm) or len(norm) != n - 1:
-            raise ValueError(f"{len(norm)} edges cannot form a tree on {n} agents")
-        adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        for a, b in norm:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        if len(seen) != n:
-            missing = min(set(range(1, n + 1)) - seen)
+        g = EprGraph(n, edges)
+        if len(g.edges) != n - 1:
+            raise ValueError(f"{len(g.edges)} edges cannot form a tree on {n} agents")
+        missing = _unreached_agent(n, bfs_edges([1], g.neighbors))
+        if missing is not None:
             raise ValueError(f"edge set is not connected (agent {missing} unreachable)")
-        degree_one = sorted(v for v in adj if len(adj[v]) == 1)
+        degree_one = [v for v in range(1, n + 1) if len(g._adj[v]) == 1]
         root_leaf = degree_one[0]
         return cls(
             n=n,
-            edges=norm,
+            edges=g.edges,
             root_leaf=root_leaf,
-            start=adj[root_leaf][0],
+            start=g._adj[root_leaf][0],
             leaves=frozenset(degree_one),
         )
 
     def neighbors(self, v: int) -> list[int]:
-        out = [b for a, b in self.edges if a == v] + [a for a, b in self.edges if b == v]
-        return sorted(out)
+        """Tree neighbors in increasing index order."""
+        return list(self._adj.get(v, ()))
 
     def total_weight(self, g: EprGraph) -> float:
         return sum(g.weight(a, b) for a, b in self.edges)
@@ -158,14 +195,7 @@ class EntangledHypergraph:
     def __init__(self, n: int, hyperedges: Iterable[Iterable[int]]):
         if n < 1:
             raise ValueError("need at least one agent")
-        cleaned = []
-        for members in hyperedges:
-            edge = frozenset(members)
-            if len(edge) < 2:
-                raise ValueError(f"hyperedge {sorted(edge)} has fewer than 2 agents")
-            for v in edge:
-                _check_agent(v, n)
-            cleaned.append(edge)
+        cleaned = [check_group(n, members) for members in hyperedges]
         order = sorted(range(len(cleaned)), key=lambda i: (-len(cleaned[i]), i))
         self.n = n
         self.hyperedges: tuple[frozenset[int], ...] = tuple(cleaned[i] for i in order)
@@ -201,26 +231,18 @@ class MergeStep:
 
 def is_connected(g: EprGraph) -> bool:
     """True iff every pair of agents is joined by a path of EPR pairs."""
-    return _unreached_agent(g.n, g.neighbors) is None
+    return _unreached_agent(g.n, bfs_edges([1], g.neighbors)) is None
 
 
-def _unreached_agent(n: int, neighbors) -> int | None:
-    """Lowest-index agent unreachable from agent 1, or None if none."""
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for u in neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if len(seen) == n:
-        return None
-    return min(set(range(1, n + 1)) - seen)
+def _unreached_agent(n: int, found: Iterable[tuple[int, int]]) -> int | None:
+    """Lowest-index agent that the discovery edges ``found`` of a search
+    from agent 1 do not reach, or None if they reach all of 1..n."""
+    reached = {u for _, u in found}
+    return next((v for v in range(2, n + 1) if v not in reached), None)
 
 
-def _require_connected(g: EprGraph) -> None:
-    missing = _unreached_agent(g.n, g.neighbors)
+def _require_connected(n: int, found: Iterable[tuple[int, int]]) -> None:
+    missing = _unreached_agent(n, found)
     if missing is not None:
         raise ConnectivityError(
             f"EPR graph is disconnected: no path joins agents 1 and {missing}",
@@ -234,17 +256,8 @@ def spanning_tree(g: EprGraph) -> SpanningTree:
     neighbors in increasing index order."""
     if g.n < 2:
         raise ValueError("a spanning tree needs at least two agents")
-    _require_connected(g)
-    seen = {1}
-    queue = deque([1])
-    chosen = []
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                chosen.append((v, u) if v < u else (u, v))
-                queue.append(u)
+    chosen = bfs_edges([1], g.neighbors)
+    _require_connected(g.n, chosen)
     return SpanningTree.from_edges(g.n, chosen)
 
 
@@ -253,7 +266,7 @@ def minimum_spanning_tree(g: EprGraph) -> SpanningTree:
     ties broken by lexicographic edge order."""
     if g.n < 2:
         raise ValueError("a spanning tree needs at least two agents")
-    _require_connected(g)
+    _require_connected(g.n, bfs_edges([1], g.neighbors))
     parent = {v: v for v in range(1, g.n + 1)}
 
     def find(v):
@@ -274,26 +287,13 @@ def minimum_spanning_tree(g: EprGraph) -> SpanningTree:
 def hypergraph_is_connected(h: EntangledHypergraph) -> bool:
     """True iff every pair of agents is joined by a chain of overlapping
     hyperedges. An agent covered by no hyperedge disconnects any n >= 2."""
-    if h.n == 1:
-        return True
-    incident: dict[int, list[int]] = {v: [] for v in range(1, h.n + 1)}
-    for i, edge in enumerate(h.hyperedges):
-        for v in edge:
-            incident[v].append(i)
-    seen_agents = {1}
-    used_edges = set()
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for i in incident[v]:
-            if i in used_edges:
-                continue
-            used_edges.add(i)
-            for u in h.hyperedges[i]:
-                if u not in seen_agents:
-                    seen_agents.add(u)
-                    queue.append(u)
-    return len(seen_agents) == h.n
+    # agent-group incidence graph: group i is vertex n + 1 + i
+    adj: dict[int, list[int]] = {v: [] for v in range(1, h.n + 1)}
+    for i, group in enumerate(h.hyperedges, start=h.n + 1):
+        adj[i] = sorted(group)
+        for v in group:
+            adj[v].append(i)
+    return _unreached_agent(h.n, bfs_edges([1], adj.__getitem__)) is None
 
 
 def merge_schedule(h: EntangledHypergraph) -> list[MergeStep]:

@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from eprweave.cli import NetworkSpec, load_spec, parse_spec, run
 from eprweave.errors import NetworkSpecError
+from eprweave.topology import EntangledHypergraph, EprGraph
 
 PATH3 = """\
 # a path of three agents
@@ -84,6 +89,8 @@ def test_parse_spec_reads_weights_and_hyperedges():
         ("agents 3\nedge 1 2\nedge 2 1\n", 3, "duplicate edge"),
         ("agents 3\nedge 1 2 heavy\n", 2, "bad edge weight"),
         ("agents 3\nedge 1 2 -1\n", 2, "nonnegative"),
+        ("agents 3\nedge 1 2 nan\n", 2, "finite"),
+        ("agents 3\nedge 1 2 inf\n", 2, "finite"),
         ("agents 3\nhyper 1\n", 2, "at least two agents"),
         ("agents 3\nhyper 1 2 2\n", 2, "repeated agent"),
         ("agents 3\nedge 1 2\nhyper 1 2 3\n", 3, "cannot mix"),
@@ -95,6 +102,32 @@ def test_parse_spec_errors_carry_line_numbers(text, lineno, fragment):
     with pytest.raises(NetworkSpecError, match=fragment) as exc:
         parse_spec(text)
     assert f"line {lineno}:" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, lineno, build",
+    [
+        ("agents 3\nedge 2 2\n", 2, lambda: EprGraph(3, [(2, 2)])),
+        ("agents 3\nedge 1 2\nedge 2 1\n", 3, lambda: EprGraph(3, [(1, 2), (2, 1)])),
+        ("agents 3\nedge 1 5\n", 2, lambda: EprGraph(3, [(1, 5)])),
+        ("agents 3\nedge 1 2 -1\n", 2, lambda: EprGraph(3, [(1, 2, -1.0)])),
+        ("agents 3\nedge 1 2 nan\n", 2, lambda: EprGraph(3, [(1, 2, float("nan"))])),
+        ("agents 3\nedge 1 2 inf\n", 2, lambda: EprGraph(3, [(1, 2, float("inf"))])),
+        ("agents 3\nhyper 1 2 2\n", 2, lambda: EntangledHypergraph(3, [(1, 2, 2)])),
+        ("agents 3\nhyper 1 4\n", 2, lambda: EntangledHypergraph(3, [(1, 4)])),
+        ("agents 3\nhyper 1\n", 2, lambda: EntangledHypergraph(3, [(1,)])),
+    ],
+    ids=[
+        "self-loop", "duplicate", "edge-out-of-range", "negative", "nan", "inf",
+        "repeated-member", "group-out-of-range", "lone-member",
+    ],
+)
+def test_spec_and_api_reject_the_same_edges_and_groups(text, lineno, build):
+    with pytest.raises(ValueError) as api:
+        build()
+    with pytest.raises(NetworkSpecError) as spec:
+        parse_spec(text)
+    assert str(spec.value) == f"line {lineno}: {api.value}"
 
 
 def test_parse_spec_rejects_empty_input():
@@ -145,6 +178,23 @@ def test_check_rejects_disconnected_specs_with_exit_2(tmp_path):
     assert code == 2
     assert "rejected" in err
     assert "if and only if" in err
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    import eprweave
+
+    src = str(Path(eprweave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "eprweave.cli", "check", write(tmp_path, DISCONNECTED)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("rejected:")
 
 
 def test_check_handles_hypergraph_mode(tmp_path):

@@ -175,6 +175,11 @@ def test_graph_rejects_out_of_range_agents():
 def test_graph_rejects_bad_weights():
     with pytest.raises(ValueError):
         EprGraph(3, [(1, 2, -1.0)])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            EprGraph(3, [(1, 2, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            EprGraph(3, [(1, 2)], weights={(1, 2): bad})
     with pytest.raises(ValueError):
         EprGraph(3, [(1, 2)], weights={(1, 3): 2.0})
 
@@ -345,6 +350,8 @@ def test_hypergraph_rejects_tiny_or_out_of_range_edges():
         EntangledHypergraph(3, [{1}])
     with pytest.raises(ValueError):
         EntangledHypergraph(3, [{1, 4}])
+    with pytest.raises(ValueError, match="repeated agent"):
+        EntangledHypergraph(3, [(1, 2, 2), (2, 3)])
 
 
 def test_hyperpath_example_is_connected():
