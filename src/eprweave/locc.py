@@ -355,13 +355,13 @@ class NetworkState:
         if chooser is None:
             raise ValueError("no branch chooser configured for this measurement")
         i = self._factor_index(q)
-        outcome, post = self._factors[i].measure(q, chooser)
+        outcome, rest = self._factors[i].measure_out(q, chooser)
         collapsed = np.zeros(2, dtype=complex)
         collapsed[outcome.bit] = 1.0
-        if post.n == 1:
+        if rest.n == 0:
             self._factors[i] = StateVector((q,), collapsed, _trusted=True)
         else:
-            self._factors[i] = post.discard(q)
+            self._factors[i] = rest
             self._store_factor(StateVector((q,), collapsed, _trusted=True))
         self._labels.add(label)
         self.knowledge[actor][label] = outcome.bit

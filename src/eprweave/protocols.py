@@ -278,16 +278,10 @@ def verify_ghz(
                     f"designated qubits remain entangled with {sorted(set(f.qubits) - inside)}"
                     f" (cut entropy {leak:.3e})"
                 )
-        mask = 0
-        for q in inside:
-            mask |= 1 << f.position(q)
-        base = np.arange(f.amps.size)
-        rows0 = base[(base & mask) == 0]
-        rows1 = rows0 | mask
-        lo, hi = f.amps[rows0], f.amps[rows1]
-        t00 *= np.sum(np.abs(lo) ** 2)
-        t11 *= np.sum(np.abs(hi) ** 2)
-        t01 *= np.sum(lo * np.conj(hi))
+        block = f.ghz_block(inside)
+        t00 *= block[0, 0]
+        t11 *= block[1, 1]
+        t01 *= block[0, 1]
     fid = (t00.real + t11.real + 2 * t01.real) / 2
     return min(1.0, max(0.0, float(fid)))
 

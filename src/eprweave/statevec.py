@@ -7,6 +7,14 @@ complex array of length ``2**n`` in which bit ``b`` of the array index
 by list position, and equality checks are fidelity-based (insensitive to a
 global phase).
 
+Kernels never build index masks. In C order the flat array is
+``(high, bit, low)`` around the qubit at position ``p``, with
+``high = 2**(n-1-p)`` and ``low = 2**p``, and ``(…, bit, …, bit, …)``
+around several qubits. ``_split`` returns that reshape as a view with the
+bit axes in front, so ``view[b]`` is the strided block of amplitudes in
+which the qubit reads ``b``. Gates copy or combine such blocks, a
+measurement weighs them, and measuring a qubit out keeps one block.
+
 All operations are pure: they return new ``StateVector`` instances and
 never mutate their inputs.
 """
@@ -34,6 +42,43 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 #: How a measurement picks its branch: a forced bit, a random generator, or
 #: a callable ``(p0, p1) -> bit``.
 BranchChooser = int | np.random.Generator | Callable[[float, float], int]
+
+
+def _split(amps: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """View a register with one length-2 axis per qubit position, in front.
+
+    ``view[b_0, b_1, ...]`` is the strided block of amplitudes whose index
+    bits at ``positions[0], positions[1], ...`` are ``b_0, b_1, ...``; the
+    remaining axes run over the other bits, most significant first, so a
+    block flattens to the register without those qubits. No copy is made.
+    """
+    shape, axis_of = [], {}
+    top = amps.size.bit_length() - 1
+    for p in sorted(positions, reverse=True):
+        if top - p > 1:
+            shape.append(1 << (top - p - 1))
+        axis_of[p] = len(shape)
+        shape.append(2)
+        top = p
+    if top:
+        shape.append(1 << top)
+    front = [axis_of[p] for p in positions]
+    rest = [a for a in range(len(shape)) if a not in front]
+    return amps.reshape(shape).transpose(front + rest)
+
+
+def _norm_sq(block) -> float:
+    """Squared norm of an amplitude block. ``np.vdot`` is several times
+    slower on a 2-D strided view than on the flattened copy."""
+    flat = block.reshape(-1)
+    return float(np.vdot(flat, flat).real)
+
+
+def _block_density(lo, hi) -> np.ndarray:
+    """2x2 Gram matrix ``rho[i, j] = <block_j|block_i>`` of two blocks."""
+    lo, hi = lo.reshape(-1), hi.reshape(-1)
+    off = np.vdot(hi, lo)
+    return np.array([[np.vdot(lo, lo), off], [np.conj(off), np.vdot(hi, hi)]])
 
 
 @dataclass(frozen=True)
@@ -93,7 +138,7 @@ class StateVector:
                 f"expected {2 ** len(qubits)} amplitudes for {len(qubits)} qubits, got {amps.shape}"
             )
         if not _trusted:
-            norm_sq = float(np.sum(np.abs(amps) ** 2))
+            norm_sq = _norm_sq(amps)
             if abs(norm_sq - 1.0) > 1e-9:
                 raise ValueError(f"state is not normalized (|psi|^2 = {norm_sq})")
             amps = amps / np.sqrt(norm_sq)
@@ -123,59 +168,41 @@ class StateVector:
             raise ValueError(f"qubit {q} not in register {self.qubits}") from None
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+        return _norm_sq(self.amps)
 
     def probability_of_one(self, q: QubitId) -> float:
-        mask = 1 << self.position(q)
-        base = np.arange(self.amps.size)
-        return float(np.sum(np.abs(self.amps[(base & mask) != 0]) ** 2))
+        return _norm_sq(_split(self.amps, (self.position(q),))[1])
 
     # -- unitaries -----------------------------------------------------------
 
     def apply(self, gate: Gate) -> "StateVector":
         """Apply a gate; the result stays normalized to within 1e-12."""
-        amps = self.amps
-        base = np.arange(amps.size)
+        positions = [self.position(q) for q in gate.qubits]
+        src = _split(self.amps, positions)
+        out = self.amps.copy()
+        dst = _split(out, positions)
         if gate.kind == "CNOT":
-            cmask = 1 << self.position(gate.qubits[0])
-            tmask = 1 << self.position(gate.qubits[1])
-            out = amps.copy()
-            hot = (base & cmask) != 0
-            out[hot] = amps[base[hot] ^ tmask]
-        else:
-            mask = 1 << self.position(gate.qubits[0])
-            if gate.kind == "X":
-                out = amps[base ^ mask]
-            elif gate.kind == "Z":
-                out = amps.copy()
-                out[(base & mask) != 0] *= -1.0
-            else:  # H
-                lo = base[(base & mask) == 0]
-                hi = lo | mask
-                out = np.empty_like(amps)
-                out[lo] = (amps[lo] + amps[hi]) * _SQRT_HALF
-                out[hi] = (amps[lo] - amps[hi]) * _SQRT_HALF
-        assert abs(float(np.sum(np.abs(out) ** 2)) - 1.0) <= NORM_TOL, "norm drifted"
+            dst[1, 0], dst[1, 1] = src[1, 1], src[1, 0]
+        elif gate.kind == "X":
+            dst[0], dst[1] = src[1], src[0]
+        elif gate.kind == "Z":
+            dst[1] *= -1.0
+        else:  # H
+            dst[0] = (src[0] + src[1]) * _SQRT_HALF
+            dst[1] = (src[0] - src[1]) * _SQRT_HALF
+        assert abs(_norm_sq(out) - 1.0) <= NORM_TOL, "norm drifted"
         return StateVector(self.qubits, out, _trusted=True)
 
     # -- measurement -----------------------------------------------------------
 
-    def measure(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, "StateVector"]:
-        """Measure one qubit in the computational basis.
-
-        ``choose`` selects the branch: a forced bit (0/1), a seeded
-        ``numpy.random.Generator``, or a callable ``(p0, p1) -> bit``.
-        Forcing a branch of probability below 1e-12 raises
-        ``ZeroProbabilityError``.
-        """
-        pos = self.position(q)
-        mask = 1 << pos
-        base = np.arange(self.amps.size)
-        hot = (base & mask) != 0
-        p1 = float(np.sum(np.abs(self.amps[hot]) ** 2))
+    def _outcome(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, np.ndarray]:
+        """Pick the branch of measuring ``q``; return it with the block of
+        amplitudes it keeps (a view of ``self.amps``, not renormalized)."""
+        halves = _split(self.amps, (self.position(q),))
+        p1 = _norm_sq(halves[1])
         p0 = 1.0 - p1
         if p0 < 1e-3:  # 1 - p1 keeps too few digits of a small p0 to renormalize by
-            p0 = float(np.sum(np.abs(self.amps[~hot]) ** 2))
+            p0 = _norm_sq(halves[0])
         if isinstance(choose, (int, np.integer)):
             bit = int(choose)
             if bit not in (0, 1):
@@ -189,10 +216,33 @@ class StateVector:
             raise ZeroProbabilityError(
                 f"outcome {bit} on qubit {q} has probability {prob:.3e}"
             )
-        out = self.amps.copy()
-        out[hot != bool(bit)] = 0.0
-        out /= np.sqrt(prob)
-        return MeasurementOutcome(q, bit, prob), StateVector(self.qubits, out, _trusted=True)
+        return MeasurementOutcome(q, bit, prob), halves[bit]
+
+    def measure(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, "StateVector"]:
+        """Measure one qubit in the computational basis.
+
+        ``choose`` selects the branch: a forced bit (0/1), a seeded
+        ``numpy.random.Generator``, or a callable ``(p0, p1) -> bit``.
+        Forcing a branch of probability below 1e-12 raises
+        ``ZeroProbabilityError``. The returned state is the full register,
+        projected and renormalized.
+        """
+        outcome, kept = self._outcome(q, choose)
+        out = np.zeros_like(self.amps)
+        _split(out, (self.position(q),))[outcome.bit] = kept / np.sqrt(outcome.probability)
+        return outcome, StateVector(self.qubits, out, _trusted=True)
+
+    def measure_out(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, "StateVector"]:
+        """Measure ``q`` as ``measure`` does and return the rest of the register.
+
+        After the measurement ``q`` is exactly classical, so the rest is the
+        kept block renormalized by its own norm: no purity check and no
+        linear algebra.
+        """
+        outcome, kept = self._outcome(q, choose)
+        rest = kept.reshape(-1)
+        rest = rest / np.sqrt(_norm_sq(rest))
+        return outcome, StateVector(tuple(x for x in self.qubits if x != q), rest, _trusted=True)
 
     def enumerate_branches(self, q: QubitId) -> list[tuple[MeasurementOutcome, "StateVector"]]:
         """Both measurement branches of ``q`` whose probability exceeds 1e-12."""
@@ -211,30 +261,33 @@ class StateVector:
 
         Raises ``EntanglementError`` when the qubit's reduced state has
         purity <= 1 - 1e-10. The remaining state is preserved up to a
-        global phase.
+        global phase: it is the blocks' combination along the dominant
+        eigenvector of the qubit's 2x2 reduced density matrix.
         """
         pos = self.position(q)
-        mask = 1 << pos
-        base = np.arange(self.amps.size)
-        rows = np.stack([self.amps[(base & mask) == 0], self.amps[(base & mask) != 0]])
-        _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        probs = s**2
+        remaining = tuple(x for x in self.qubits if x != q)
+        if not remaining:  # a one-qubit register is always pure
+            return StateVector((), np.ones(1, dtype=complex), _trusted=True)
+        halves = _split(self.amps, (pos,))
+        probs, vecs = np.linalg.eigh(_block_density(halves[0], halves[1]))
         purity = float(np.sum(probs**2))
         if purity <= 1.0 - PURITY_TOL:
             raise EntanglementError(
                 f"qubit {q} is still entangled with the rest (purity {purity:.12f})"
             )
-        remaining = tuple(x for x in self.qubits if x != q)
-        return StateVector(remaining, vh[0], _trusted=True)
+        top = vecs[:, 1].conj()
+        rest = (top[0] * halves[0] + top[1] * halves[1]).reshape(-1)
+        rest /= np.sqrt(_norm_sq(rest))
+        return StateVector(remaining, rest, _trusted=True)
 
     def tensor(self, other: "StateVector") -> "StateVector":
         """Tensor product; ``self`` keeps the low index bits."""
         overlap = set(self.qubits) & set(other.qubits)
         if overlap:
             raise ValueError(f"registers share qubits {sorted(overlap)}")
-        return StateVector(
-            self.qubits + other.qubits, np.kron(other.amps, self.amps), _trusted=True
-        )
+        # the outer product, flattened, is np.kron of two vectors without its overhead
+        amps = np.multiply.outer(other.amps, self.amps).reshape(-1)
+        return StateVector(self.qubits + other.qubits, amps, _trusted=True)
 
     def reordered(self, new_order: Sequence[QubitId]) -> "StateVector":
         """Same state with the qubit list permuted to ``new_order``."""
@@ -243,13 +296,8 @@ class StateVector:
             raise ValueError(f"{new_order} is not a permutation of {self.qubits}")
         if new_order == self.qubits:
             return self
-        base = np.arange(self.amps.size)
-        dest = np.zeros_like(base)
-        for new_pos, q in enumerate(new_order):
-            dest |= ((base >> self.position(q)) & 1) << new_pos
-        out = np.empty_like(self.amps)
-        out[dest] = self.amps
-        return StateVector(new_order, out, _trusted=True)
+        msb_first = [self.position(q) for q in reversed(new_order)]
+        return StateVector(new_order, _split(self.amps, msb_first).reshape(-1), _trusted=True)
 
     # -- comparisons and audits ----------------------------------------------
 
@@ -284,10 +332,18 @@ class StateVector:
 
     def reduced_density(self, q: QubitId) -> np.ndarray:
         """2x2 reduced density matrix of one qubit."""
-        mask = 1 << self.position(q)
-        base = np.arange(self.amps.size)
-        rows = np.stack([self.amps[(base & mask) == 0], self.amps[(base & mask) != 0]])
-        return rows @ rows.conj().T
+        return self.ghz_block((q,))
+
+    def ghz_block(self, qubits: Iterable[QubitId]) -> np.ndarray:
+        """The reduced density matrix of ``qubits`` on span{|0…0>, |1…1>}.
+
+        A 2x2 matrix: the weights of all-zeros and all-ones on the diagonal,
+        their coherence ``<0…0|rho|1…1>`` at ``[0, 1]``. The overlap with
+        the GHZ state is ``(rho[0, 0] + rho[1, 1] + 2 Re rho[0, 1]) / 2``.
+        """
+        positions = [self.position(q) for q in qubits]
+        view = _split(self.amps, positions)
+        return _block_density(view[(0,) * len(positions)], view[(1,) * len(positions)])
 
     def __repr__(self):
         return f"StateVector(qubits={self.qubits}, amps={np.round(self.amps, 6)!r})"

@@ -10,6 +10,7 @@ protocol transcripts are reproducible.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -308,29 +309,37 @@ def merge_schedule(h: EntangledHypergraph) -> list[MergeStep]:
         raise ValueError("no hyperedges to merge")
     if not hypergraph_is_connected(h):
         raise ConnectivityError("entangled hypergraph is disconnected")
-    fused = set(h.hyperedges[0])
-    remaining = deque((i, e) for i, e in enumerate(h.hyperedges) if i > 0)
+    incident: dict[int, list[int]] = {}
+    for i, group in enumerate(h.hyperedges):
+        for v in group:
+            incident.setdefault(v, []).append(i)
+    # Min-heap of the groups that touch the fused set: the smallest one is
+    # the first stored overlapping group, and a contained group stays
+    # contained as the fused set grows, so popping it drops it for good.
+    touching, queued = [0], {0}
+    fused: set[int] = set()
     steps = []
-    while remaining:
-        remaining = deque((i, e) for i, e in remaining if not e <= fused)
-        if not remaining:
-            break
-        for pos, (i, edge) in enumerate(remaining):
+    while touching:
+        i = heapq.heappop(touching)
+        edge = h.hyperedges[i]
+        if edge <= fused:
+            continue
+        if fused:
             overlap = edge & fused
-            if overlap:
-                steps.append(
-                    MergeStep(
-                        index=i,
-                        hyperedge=edge,
-                        junction=min(overlap),
-                        overlap=frozenset(overlap),
-                        pre_size=len(fused),
-                        add_size=len(edge),
-                    )
+            steps.append(
+                MergeStep(
+                    index=i,
+                    hyperedge=edge,
+                    junction=min(overlap),
+                    overlap=frozenset(overlap),
+                    pre_size=len(fused),
+                    add_size=len(edge),
                 )
-                fused |= edge
-                del remaining[pos]
-                break
-        else:  # pragma: no cover - unreachable on connected input
-            raise ConnectivityError("merge schedule stalled on disconnected remainder")
+            )
+        for v in edge - fused:
+            for j in incident[v]:
+                if j not in queued:
+                    queued.add(j)
+                    heapq.heappush(touching, j)
+        fused |= edge
     return steps

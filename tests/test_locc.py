@@ -153,6 +153,29 @@ def test_measured_qubit_splits_into_its_own_factor():
     assert net.joint_state((b,)).probability_of_one(b) == pytest.approx(1.0)
 
 
+def test_local_measure_slices_the_qubit_out_without_discard(monkeypatch):
+    discards = []
+    original = StateVector.discard
+
+    def counting(self, q):
+        discards.append(q)
+        return original(self, q)
+
+    monkeypatch.setattr(StateVector, "discard", counting)
+    net = NetworkState(3)
+    held = net.distribute_ghz([1, 2, 3])
+    a, b = net.distribute_epr(1, 2)
+    net.local_gate(1, CNOT(held[1], a))  # one five-qubit factor
+    net.local_measure(1, a, choose=1)
+    assert discards == []
+    ghz4 = (held[1], held[2], held[3], b)
+    assert net.factor_qubits(b) == ghz4
+    assert net.factor_qubits(a) == (a,)
+    assert net.joint_state((b,)).fidelity(ghz_state(ghz4).apply(X(b))) == pytest.approx(
+        1.0, abs=1e-12
+    )
+
+
 # ---------------------------------------------------------------------------
 # classical messages and cbit accounting
 

@@ -2,8 +2,12 @@
 
 Oracles used here are deliberately independent of the implementation:
 reduced density matrices come from an explicit double loop over amplitude
-indices, and entropies from eigenvalues of those matrices.
+indices, entropies from eigenvalues of those matrices, gates from explicit
+``np.kron`` operators, and measuring a qubit out from projection followed by
+an SVD.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from eprweave.errors import EntanglementError, ZeroProbabilityError
 from eprweave.statevec import (
     CNOT,
+    PURITY_TOL,
     H,
     X,
     Z,
@@ -390,3 +395,126 @@ def test_gates_preserve_inner_products(sv_and_gates, data):
         u, v = u.apply(gate), v.apply(gate)
     after = np.vdot(u.amps, v.amps)
     assert abs(after - before) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# strided kernels against explicit references
+
+I2 = np.eye(2)
+P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+GATE_MATRICES = {
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Z": np.diag([1.0, -1.0]),
+    "H": np.array([[1.0, 1.0], [1.0, -1.0]]) * SQ2,
+}
+
+
+def kron_operator(n, factors):
+    """Dense operator on n qubits with ``factors[p]`` acting on position p.
+
+    Position p is index bit p, so the Kronecker product runs from the most
+    significant position (n-1) down to 0."""
+    op = np.ones((1, 1))
+    for p in reversed(range(n)):
+        op = np.kron(op, factors.get(p, I2))
+    return op
+
+
+def random_state(rng, n, first_id=20):
+    """Random normalized state on n qubits with shuffled, non-positional ids."""
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    ids = tuple(int(q) for q in rng.permutation(np.arange(first_id, first_id + n)))
+    return StateVector(ids, amps / np.linalg.norm(amps))
+
+
+def measured_out_oracle(sv, pos, bit, prob):
+    """Project onto ``bit`` at ``pos``, then drop the qubit by SVD."""
+    projected = kron_operator(sv.n, {pos: P1 if bit else P0}) @ sv.amps / np.sqrt(prob)
+    rows = np.zeros((2, 2 ** (sv.n - 1)), dtype=complex)
+    for i, amp in enumerate(projected):
+        rest = (i & ((1 << pos) - 1)) | ((i >> (pos + 1)) << pos)
+        rows[(i >> pos) & 1, rest] = amp
+    return np.linalg.svd(rows, full_matrices=False)[2][0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_single_qubit_gates_match_kron_reference(n):
+    rng = np.random.default_rng(n)
+    sv = random_state(rng, n)
+    for kind, mat in GATE_MATRICES.items():
+        for pos, q in enumerate(sv.qubits):
+            expected = kron_operator(n, {pos: mat}) @ sv.amps
+            assert np.allclose(sv.apply(Gate(kind, (q,))).amps, expected, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tensor_equals_kron_exactly(n):
+    rng = np.random.default_rng(300 + n)
+    low, high = random_state(rng, n), random_state(rng, 6 - n, first_id=40)
+    joined = low.tensor(high)
+    assert joined.qubits == low.qubits + high.qubits
+    assert np.array_equal(joined.amps, np.kron(high.amps, low.amps))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cnot_matches_kron_reference_at_every_position_pair(n):
+    rng = np.random.default_rng(100 + n)
+    sv = random_state(rng, n)
+    for c, t in itertools.permutations(range(n), 2):  # control above and below
+        op = kron_operator(n, {c: P0}) + kron_operator(n, {c: P1, t: GATE_MATRICES["X"]})
+        got = sv.apply(CNOT(sv.qubits[c], sv.qubits[t])).amps
+        assert np.allclose(got, op @ sv.amps, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_measure_out_matches_projection_then_svd(n):
+    rng = np.random.default_rng(200 + n)
+    sv = random_state(rng, n)
+    for pos, q in enumerate(sv.qubits):
+        for bit in (0, 1):
+            outcome, rest = sv.measure_out(q, bit)
+            full_outcome, _ = sv.measure(q, bit)
+            assert outcome == full_outcome
+            assert rest.qubits == tuple(x for x in sv.qubits if x != q)
+            assert abs(rest.norm_squared() - 1.0) <= 1e-12
+            oracle = measured_out_oracle(sv, pos, bit, outcome.probability)
+            assert abs(abs(np.vdot(oracle, rest.amps)) ** 2 - 1.0) <= 1e-12
+
+
+def test_measure_out_keeps_the_zero_probability_check():
+    with pytest.raises(ZeroProbabilityError):
+        bell_pair(0, 1).tensor(new_register([2])).measure_out(2, 1)
+    with pytest.raises(ValueError):
+        bell_pair(0, 1).measure_out(0, 2)
+
+
+def _weakly_entangled_pair(impurity):
+    """sqrt(1-x)|00> + sqrt(x)|11> on qubits 1 and 2, between two random
+    spectator qubits, with purity 1 - 2x(1-x) = 1 - impurity for either
+    qubit of the pair."""
+    x = (1.0 - np.sqrt(1.0 - 2.0 * impurity)) / 2.0
+    pair = StateVector((1, 2), [np.sqrt(1.0 - x), 0.0, 0.0, np.sqrt(x)])
+    rng = np.random.default_rng(7)
+    return random_state(rng, 1, first_id=0).tensor(pair).tensor(random_state(rng, 1, first_id=3))
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_discard_purity_threshold_is_sharp(q):
+    below = _weakly_entangled_pair(PURITY_TOL * 1.01)
+    with pytest.raises(EntanglementError):
+        below.discard(q)
+    above = _weakly_entangled_pair(PURITY_TOL * 0.99)
+    kept = above.discard(q)
+    assert kept.qubits == tuple(x for x in above.qubits if x != q)
+    assert abs(kept.norm_squared() - 1.0) <= 1e-12
+    # the partner keeps the dominant branch, |0>, not a mixture
+    assert kept.probability_of_one(3 - q) <= 1e-12
+
+
+@settings(max_examples=100)
+@given(states(min_qubits=1, max_qubits=4), st.data())
+def test_ghz_block_matches_reduced_density_oracle(sv, data):
+    keep = data.draw(st.lists(st.sampled_from(sv.qubits), min_size=1, unique=True))
+    rho = reduced_density_oracle(sv, keep)
+    corners = np.array([[rho[0, 0], rho[0, -1]], [rho[-1, 0], rho[-1, -1]]])
+    assert np.allclose(sv.ghz_block(keep), corners, atol=1e-12)

@@ -3,11 +3,13 @@
 Oracles are independent of the implementation: a standalone union-find for
 graph connectivity, clique expansion + union-find for hypergraph
 connectivity, and exhaustive enumeration of every spanning tree for
-minimum-weight checks.
+minimum-weight checks. The merge order is checked against the original
+rescan-every-step algorithm, kept here as its reference.
 """
 
 import heapq
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,22 @@ def connected_oracle(n, pairs):
     for a, b in pairs:
         uf.union(a, b)
     return len({uf.find(v) for v in range(1, n + 1)}) == 1
+
+
+def merge_order_oracle(h):
+    """The rescanning merge order: at each step drop every contained
+    hyperedge, then take the first stored one that overlaps the fused set."""
+    fused = set(h.hyperedges[0])
+    remaining = [(i, e) for i, e in enumerate(h.hyperedges) if i > 0]
+    order = []
+    while True:
+        remaining = [(i, e) for i, e in remaining if not e <= fused]
+        if not remaining:
+            return order
+        pos = next(pos for pos, (_, e) in enumerate(remaining) if e & fused)
+        i, edge = remaining.pop(pos)
+        order.append((i, edge, min(edge & fused), frozenset(edge & fused), len(fused)))
+        fused |= edge
 
 
 def clique_expansion(hyperedges):
@@ -423,3 +441,36 @@ def test_merge_schedule_covers_everything_step_by_step(h):
         fused |= step.hyperedge
     assert fused == set().union(*h.hyperedges)
     assert fused == set(range(1, h.n + 1))
+
+
+def _schedule_rows(h):
+    return [
+        (s.index, s.hyperedge, s.junction, s.overlap, s.pre_size) for s in merge_schedule(h)
+    ]
+
+
+@settings(max_examples=200)
+@given(connected_hypergraphs(max_n=12))
+def test_merge_schedule_matches_the_rescanning_oracle(h):
+    assert _schedule_rows(h) == merge_order_oracle(h)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_merge_schedule_matches_the_oracle_on_random_connected_hypergraphs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 60)
+    agents = list(range(1, n + 1))
+    rng.shuffle(agents)
+    groups, covered = [], [agents[0]]
+    for v in agents[1:]:  # a spanning chain of overlaps, then random extras
+        if rng.random() < 0.5 or len(groups) == 0:
+            groups.append({rng.choice(covered), v})
+        else:
+            groups[-1].add(v)
+        covered.append(v)
+    for _ in range(rng.randint(0, 2 * n)):
+        groups.append(set(rng.sample(range(1, n + 1), rng.randint(2, min(6, n)))))
+    rng.shuffle(groups)
+    h = EntangledHypergraph(n, groups)
+    assert hypergraph_is_connected(h)
+    assert _schedule_rows(h) == merge_order_oracle(h)
