@@ -258,7 +258,7 @@ def _protocol_result(report: ProtocolReport) -> dict:
 def _print_branches(report: ProtocolReport, out) -> None:
     for b in report.branches:
         bits = "".join(map(str, b.outcomes)) or "-"
-        print(f"  branch {bits}  p={b.probability:.6f}  fidelity={b.fidelity:.12f}", file=out)
+        print(f"  branch {bits}  p={b.probability!r}  fidelity={b.fidelity:.12f}", file=out)
 
 
 def _print_protocol(report: ProtocolReport, verbose: bool, out) -> None:

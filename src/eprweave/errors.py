@@ -13,6 +13,10 @@ class EntanglementError(EprWeaveError):
     """A qubit was treated as unentangled while it still carries entanglement."""
 
 
+class ResourceError(EprWeaveError):
+    """A dense register would exceed the simulator's qubit limit."""
+
+
 class LoccViolationError(EprWeaveError):
     """An agent tried to operate on a qubit it does not own."""
 

@@ -2,12 +2,18 @@
 
 A ``NetworkState`` tracks n agents, the qubits each one owns, and the
 joint quantum state. The joint state is stored as a list of independent
-factors (registers over disjoint qubit sets) that are merged only when a
-gate spans them, so the largest register ever simulated stays small even
+factors (states over disjoint qubit sets) that are merged only when a
+gate spans them, so the largest factor ever simulated stays small even
 though the network as a whole holds many qubits. Measured qubits are
 split back out into singleton factors immediately, which keeps redundancy
-out of the working register and makes "does this group factor out?"
+out of the working factor and makes "does this group factor out?"
 audits exact.
+
+Factors are stabilizer tableaux (:class:`~eprweave.stabilizer.Tableau`):
+every setup state, ancilla and protocol operation is a stabilizer one.
+A dense :class:`~eprweave.statevec.StateVector` factor enters only
+through ``prepare_local``; a merge with a dense factor makes the merged
+factor dense, and ``joint_state`` converts to dense for snapshots.
 
 Locality is enforced at every operation: gates and measurements require
 ownership of every operand, and conditioning a gate on a measurement
@@ -29,8 +35,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     ConditioningError,
     EntanglementError,
@@ -38,20 +42,33 @@ from .errors import (
     ProtocolError,
     SetupClosedError,
 )
+from .stabilizer import Tableau
 from .statevec import (
     BranchChooser,
     Gate,
     MeasurementOutcome,
     QubitId,
     StateVector,
-    bell_pair,
-    ghz_state,
 )
 
 AgentId = int
 
 #: Receiver sentinel: every agent except the sender.
 ALL = "all"
+
+Factor = Tableau | StateVector
+
+
+def _dense(f: Factor) -> StateVector:
+    return f if isinstance(f, StateVector) else f.to_statevector()
+
+
+def _merge(a: Factor, b: Factor) -> Factor:
+    """Tensor two factors; ``a`` keeps the low bits. A dense side makes the
+    product dense."""
+    if isinstance(a, StateVector) or isinstance(b, StateVector):
+        a, b = _dense(a), _dense(b)
+    return a.tensor(b)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +197,7 @@ class NetworkState:
         self.setup_open = True
         self.epr_pairs: list[EprPairRecord] = []
         self.peak_factor_qubits = 0
-        self._factors: list[StateVector] = []
+        self._factors: list[Factor] = []
         self._locked: set[QubitId] = set()
         self._labels: set[str] = set()
         self._next_qubit = 1
@@ -207,7 +224,7 @@ class NetworkState:
         dup.setup_open = self.setup_open
         dup.epr_pairs = [dataclasses.replace(p) for p in self.epr_pairs]
         dup.peak_factor_qubits = self.peak_factor_qubits
-        dup._factors = list(self._factors)  # StateVectors are never mutated
+        dup._factors = list(self._factors)  # factors are never mutated
         dup._locked = set(self._locked)
         dup._labels = set(self._labels)
         dup._next_qubit = self._next_qubit
@@ -229,11 +246,11 @@ class NetworkState:
                 return i
         raise ValueError(f"qubit {q} is not live in this network")
 
-    def _store_factor(self, sv: StateVector) -> None:
-        if sv.n == 0:
+    def _store_factor(self, f: Factor) -> None:
+        if f.n == 0:
             return  # a fully-discarded register is just a global phase
-        self._factors.append(sv)
-        self.peak_factor_qubits = max(self.peak_factor_qubits, sv.n)
+        self._factors.append(f)
+        self.peak_factor_qubits = max(self.peak_factor_qubits, f.n)
 
     def _merged_factor(self, qubits: Sequence[QubitId]) -> int:
         """Ensure all qubits share one factor; return its index."""
@@ -242,7 +259,7 @@ class NetworkState:
         if len(indices) > 1:
             combined = self._factors[first]
             for i in indices[1:]:
-                combined = combined.tensor(self._factors[i])
+                combined = _merge(combined, self._factors[i])
             for i in reversed(indices[1:]):
                 del self._factors[i]
             self._factors[first] = combined
@@ -278,7 +295,7 @@ class NetworkState:
         if not self.setup_open:
             raise SetupClosedError("EPR distribution is only allowed during setup")
         qa, qb = self._new_qubit(a), self._new_qubit(b)
-        self._store_factor(bell_pair(qa, qb))
+        self._store_factor(Tableau.ghz((qa, qb)))
         self.epr_pairs.append(EprPairRecord(a, b, qa, qb))
         self.transcript.append(SetupRecord("epr", (a, b), (qa, qb)))
         return qa, qb
@@ -291,7 +308,7 @@ class NetworkState:
         if not self.setup_open:
             raise SetupClosedError("group-state distribution is only allowed during setup")
         held = {a: self._new_qubit(a) for a in members}
-        self._store_factor(ghz_state(tuple(held[a] for a in members)))
+        self._store_factor(Tableau.ghz(tuple(held[a] for a in members)))
         self.transcript.append(
             SetupRecord("ghz", tuple(members), tuple(held[a] for a in members))
         )
@@ -302,9 +319,27 @@ class NetworkState:
     def add_ancilla(self, actor: AgentId) -> QubitId:
         """Fresh local |0> qubit; free, and legal at any time."""
         q = self._new_qubit(actor)
-        self._store_factor(StateVector.zeros((q,)))
+        self._store_factor(Tableau.zeros((q,)))
         self.transcript.append(AncillaRecord(actor, q))
         return q
+
+    def prepare_local(self, actor: AgentId, q: QubitId, amps) -> None:
+        """Load a dense one-qubit state into the actor's standalone qubit.
+
+        The one way a non-stabilizer payload enters a network: the qubit's
+        factor must hold just that qubit (as after ``add_ancilla``), and
+        ``amps`` must be normalized. The factor becomes a dense
+        ``StateVector``, and so does any factor it later merges with.
+        Like the test input it stands for, it is not recorded in the
+        transcript: a replay starts the qubit from |0>.
+        """
+        self._require_owner(actor, (q,))
+        i = self._factor_index(q)
+        if self._factors[i].qubits != (q,):
+            raise ProtocolError(
+                f"qubit {q} shares its factor with {sorted(set(self._factors[i].qubits) - {q})}"
+            )
+        self._factors[i] = StateVector((q,), amps)
 
     def local_gate(self, actor: AgentId, gate: Gate, when: str | None = None) -> bool:
         """Apply a gate to the actor's own qubits.
@@ -356,13 +391,12 @@ class NetworkState:
             raise ValueError("no branch chooser configured for this measurement")
         i = self._factor_index(q)
         outcome, rest = self._factors[i].measure_out(q, chooser)
-        collapsed = np.zeros(2, dtype=complex)
-        collapsed[outcome.bit] = 1.0
+        collapsed = Tableau.basis_state(q, outcome.bit)
         if rest.n == 0:
-            self._factors[i] = StateVector((q,), collapsed, _trusted=True)
+            self._factors[i] = collapsed
         else:
             self._factors[i] = rest
-            self._store_factor(StateVector((q,), collapsed, _trusted=True))
+            self._store_factor(collapsed)
         self._labels.add(label)
         self.knowledge[actor][label] = outcome.bit
         self.transcript.append(
@@ -500,7 +534,7 @@ class NetworkState:
         """Require the actor's qubit to be |0>, as a perfect duplicate is
         after its uncopy; anything else is an entanglement error."""
         self._require_owner(actor, (q,))
-        stray = self.joint_state((q,)).probability_of_one(q)
+        stray = self._factors[self._factor_index(q)].probability_of_one(q)
         if stray > 1e-10:
             raise EntanglementError(
                 f"qubit {q} is not |0> after its uncopy: it was not perfectly "
@@ -561,19 +595,24 @@ class NetworkState:
 
     # -- observation ------------------------------------------------------------
 
-    def joint_state(self, qubits: Iterable[QubitId] | None = None) -> StateVector:
-        """Read-only merged view of the factors touching ``qubits`` (all
-        factors if None). Does not change the stored factoring."""
+    def factors(self, qubits: Iterable[QubitId] | None = None) -> list[Factor]:
+        """The factors touching ``qubits`` (all if None), in stored order.
+        Factors are immutable, so reading them changes nothing."""
         if qubits is None:
-            involved = list(range(len(self._factors)))
-        else:
-            involved = sorted({self._factor_index(q) for q in qubits})
+            return list(self._factors)
+        return [self._factors[i] for i in sorted({self._factor_index(q) for q in qubits})]
+
+    def joint_state(self, qubits: Iterable[QubitId] | None = None) -> StateVector:
+        """Dense merged view of the factors touching ``qubits`` (all
+        factors if None). Does not change the stored factoring; a view over
+        ``DENSE_QUBIT_LIMIT`` qubits raises ``ResourceError``."""
+        involved = self.factors(qubits)
         if not involved:
             return StateVector.zeros(())
-        view = self._factors[involved[0]]
-        for i in involved[1:]:
-            view = view.tensor(self._factors[i])
-        return view
+        view = involved[0]
+        for f in involved[1:]:
+            view = _merge(view, f)
+        return _dense(view)
 
     def audit_cut(self, part: Iterable[AgentId]) -> float:
         """Entanglement entropy between one group of agents and the rest.

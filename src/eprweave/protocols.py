@@ -267,10 +267,8 @@ def verify_ghz(
             raise ValueError(f"qubit {q} is not held by agent {agent}")
     chosen = set(designated.values())
     t00 = t11 = t01 = 1.0 + 0.0j
-    for f in net._factors:
+    for f in net.factors(chosen):
         inside = set(f.qubits) & chosen
-        if not inside:
-            continue
         if strict and inside != set(f.qubits):
             leak = f.cut_entropy(inside)
             if leak > 1e-10:

@@ -17,6 +17,13 @@ measurement weighs them, and measuring a qubit out keeps one block.
 
 All operations are pure: they return new ``StateVector`` instances and
 never mutate their inputs.
+
+Protocol runs keep their factors as stabilizer tableaux
+(:mod:`eprweave.stabilizer`); a dense register holds a payload loaded with
+``NetworkState.prepare_local``, a snapshot from ``joint_state``, and the
+oracle the tableau is tested against. No dense register grows beyond
+``DENSE_QUBIT_LIMIT`` qubits: building one raises ``ResourceError``
+before it is allocated.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EntanglementError, ZeroProbabilityError
+from .errors import EntanglementError, ResourceError, ZeroProbabilityError
 
 QubitId = int
 
@@ -34,6 +41,9 @@ QubitId = int
 NORM_TOL = 1e-12
 PROB_FLOOR = 1e-12
 PURITY_TOL = 1e-10
+
+#: The largest dense register: 2**24 complex128 amplitudes are 256 MiB a copy.
+DENSE_QUBIT_LIMIT = 24
 
 GATE_KINDS = ("X", "Z", "H", "CNOT")
 
@@ -65,6 +75,15 @@ def _split(amps: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     front = [axis_of[p] for p in positions]
     rest = [a for a in range(len(shape)) if a not in front]
     return amps.reshape(shape).transpose(front + rest)
+
+
+def require_dense(n: int) -> None:
+    """Refuse a dense register over ``DENSE_QUBIT_LIMIT`` qubits."""
+    if n > DENSE_QUBIT_LIMIT:
+        raise ResourceError(
+            f"a dense register of {n} qubits needs {16 * 2**n / 2**20:,.0f} MiB per copy, "
+            f"over the {DENSE_QUBIT_LIMIT}-qubit limit"
+        )
 
 
 def _norm_sq(block) -> float:
@@ -123,6 +142,23 @@ class MeasurementOutcome:
     probability: float
 
 
+def choose_outcome(q: QubitId, choose: BranchChooser, p0: float, p1: float) -> MeasurementOutcome:
+    """Pick the branch of measuring ``q`` whose outcomes have probabilities
+    ``p0`` and ``p1``; a forced bit below ``PROB_FLOOR`` is an error."""
+    if isinstance(choose, (int, np.integer)):
+        bit = int(choose)
+        if bit not in (0, 1):
+            raise ValueError(f"forced bit must be 0 or 1, got {choose}")
+    elif isinstance(choose, np.random.Generator):
+        bit = 1 if choose.random() < p1 else 0
+    else:
+        bit = int(choose(p0, p1))
+    prob = p1 if bit else p0
+    if prob < PROB_FLOOR:
+        raise ZeroProbabilityError(f"outcome {bit} on qubit {q} has probability {prob:.3e}")
+    return MeasurementOutcome(q, bit, prob)
+
+
 class StateVector:
     """Normalized pure state over an ordered tuple of qubit ids."""
 
@@ -151,6 +187,7 @@ class StateVector:
     def zeros(cls, qubit_ids: Iterable[QubitId]) -> "StateVector":
         """The all-|0> register; an empty id list gives the scalar state."""
         qubit_ids = tuple(qubit_ids)
+        require_dense(len(qubit_ids))
         amps = np.zeros(2 ** len(qubit_ids), dtype=complex)
         amps[0] = 1.0
         return cls(qubit_ids, amps, _trusted=True)
@@ -203,20 +240,8 @@ class StateVector:
         p0 = 1.0 - p1
         if p0 < 1e-3:  # 1 - p1 keeps too few digits of a small p0 to renormalize by
             p0 = _norm_sq(halves[0])
-        if isinstance(choose, (int, np.integer)):
-            bit = int(choose)
-            if bit not in (0, 1):
-                raise ValueError(f"forced bit must be 0 or 1, got {choose}")
-        elif isinstance(choose, np.random.Generator):
-            bit = 1 if choose.random() < p1 else 0
-        else:
-            bit = int(choose(p0, p1))
-        prob = p1 if bit else p0
-        if prob < PROB_FLOOR:
-            raise ZeroProbabilityError(
-                f"outcome {bit} on qubit {q} has probability {prob:.3e}"
-            )
-        return MeasurementOutcome(q, bit, prob), halves[bit]
+        outcome = choose_outcome(q, choose, p0, p1)
+        return outcome, halves[outcome.bit]
 
     def measure(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, "StateVector"]:
         """Measure one qubit in the computational basis.
@@ -285,6 +310,7 @@ class StateVector:
         overlap = set(self.qubits) & set(other.qubits)
         if overlap:
             raise ValueError(f"registers share qubits {sorted(overlap)}")
+        require_dense(self.n + other.n)
         # the outer product, flattened, is np.kron of two vectors without its overhead
         amps = np.multiply.outer(other.amps, self.amps).reshape(-1)
         return StateVector(self.qubits + other.qubits, amps, _trusted=True)
@@ -359,6 +385,7 @@ def ghz_state(qubit_ids: Iterable[QubitId]) -> StateVector:
     qubit_ids = tuple(qubit_ids)
     if not qubit_ids:
         raise ValueError("need at least one qubit")
+    require_dense(len(qubit_ids))
     amps = np.zeros(2 ** len(qubit_ids), dtype=complex)
     amps[0] = amps[-1] = _SQRT_HALF
     return StateVector(qubit_ids, amps, _trusted=True)

@@ -474,10 +474,7 @@ def test_acceptance_6_simulator_core_guarantees():
             net = NetworkState(2, chooser=RecordingChooser(prefix))
             net.distribute_epr(1, 2)
             payload = net.add_ancilla(1)
-            i = next(
-                idx for idx, f in enumerate(net._factors) if f.qubits == (payload,)
-            )
-            net._factors[i] = StateVector((payload,), amps)
+            net.prepare_local(1, payload, amps)
             carrier = teleport(net, 1, payload, 2)
             received = net.joint_state((carrier,))
             assert received.fidelity(StateVector((carrier,), amps)) >= GOOD

@@ -235,6 +235,15 @@ def test_ghz3_runs_the_three_party_weave(tmp_path):
     assert out.count("  branch ") == 4
 
 
+def test_verbose_branch_lines_print_exact_probabilities(tmp_path):
+    path6 = "agents 6\n" + "".join(f"edge {i} {i + 1}\n" for i in range(1, 6))
+    code, out, _ = invoke(["weave", write(tmp_path, path6), "--verbose"])
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("  branch ")]
+    assert len(lines) == 2**8  # 2n-4 measurements, each 1/2 either way
+    assert all("  p=0.00390625  " in line for line in lines)
+
+
 def test_ghz3_accepts_any_two_pairs_sharing_an_agent(tmp_path):
     # a path 1-2-3 has both pairs at agent 2, which makes agent 2 the hub
     code, out, _ = invoke(["ghz3", write(tmp_path, PATH3)])

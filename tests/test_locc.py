@@ -334,7 +334,7 @@ def manual_teleport(prefix, payload_amps=None, prep=()):
     half_a, half_b = net.distribute_epr(1, 2)
     payload = net.add_ancilla(1)
     if payload_amps is not None:
-        net._factors[net._factor_index(payload)] = StateVector((payload,), payload_amps)
+        net.prepare_local(1, payload, payload_amps)
     for make_gate in prep:
         net.local_gate(1, make_gate(payload))
     net.local_gate(1, CNOT(payload, half_a))
@@ -355,6 +355,36 @@ def test_manual_teleport_is_an_identity_channel(prefix):
     target = StateVector((carrier,), amps)
     assert net.joint_state((carrier,)).fidelity(target) == pytest.approx(1.0, abs=1e-10)
     assert net.cbit_count == 2
+
+
+def test_prepare_local_loads_a_dense_payload_off_the_transcript():
+    net = NetworkState(2)
+    half_a, half_b = net.distribute_epr(1, 2)
+    payload = net.add_ancilla(1)
+    before = list(net.transcript)
+    amps = np.array([0.6, 0.8j])
+    net.prepare_local(1, payload, amps)
+    assert net.transcript == before
+    (factor,) = net.factors((payload,))
+    assert isinstance(factor, StateVector)
+    assert net.joint_state((payload,)).fidelity(StateVector((payload,), amps)) == pytest.approx(1.0)
+    # a merge with the dense factor makes the merged factor dense
+    net.local_gate(1, CNOT(payload, half_a))
+    (merged,) = net.factors((half_b,))
+    assert isinstance(merged, StateVector)
+    assert set(merged.qubits) == {payload, half_a, half_b}
+
+
+def test_prepare_local_checks_owner_factor_and_norm():
+    net = NetworkState(2)
+    half_a, _ = net.distribute_epr(1, 2)
+    payload = net.add_ancilla(1)
+    with pytest.raises(LoccViolationError):
+        net.prepare_local(2, payload, [0.6, 0.8])
+    with pytest.raises(ProtocolError, match="shares its factor"):
+        net.prepare_local(1, half_a, [0.6, 0.8])
+    with pytest.raises(ValueError, match="not normalized"):
+        net.prepare_local(1, payload, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

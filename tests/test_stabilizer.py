@@ -1,0 +1,319 @@
+"""Oracle tests for the stabilizer tableau.
+
+The dense ``StateVector`` is the oracle. Hypothesis draws X/Z/H/CNOT and
+measurement sequences over products of Bell pairs, GHZ states and |0>
+registers, and after every operation each query of the ``Tableau`` must
+agree with the same query of the dense state. Whole protocol runs must
+agree between a network of dense factors and one of tableaux, and the
+tableau must carry the protocols to sizes no dense register reaches.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eprweave import locc, protocols
+from eprweave.errors import EntanglementError, EprWeaveError, ResourceError, ZeroProbabilityError
+from eprweave.locc import MeasureRecord, NetworkState
+from eprweave.protocols import (
+    protocol_three,
+    protocol_two,
+    setup_epr_network,
+    setup_group_network,
+    verify_ghz,
+)
+from eprweave.stabilizer import Tableau
+from eprweave.statevec import (
+    CNOT,
+    DENSE_QUBIT_LIMIT,
+    H,
+    X,
+    Z,
+    StateVector,
+    bell_pair,
+    ghz_state,
+    new_register,
+)
+from eprweave.topology import EntangledHypergraph, SpanningTree, hypergraph_is_connected
+
+from test_acceptance import _random_connected_hypergraph, prufer_tree
+
+TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# gate-level agreement with the dense oracle
+
+
+@st.composite
+def product_states(draw):
+    """A (Tableau, StateVector) pair over 1-6 qubits: a product of Bell
+    pairs, GHZ states and |0> registers, in drawn order."""
+    tableau, dense, next_id = None, None, 1
+    while next_id <= 6:
+        kind = draw(st.sampled_from(["bell", "ghz", "zeros"]))
+        size = 2 if kind == "bell" else draw(st.integers(1, 3))
+        if next_id + size > 7:
+            break
+        ids = tuple(range(next_id, next_id + size))
+        next_id += size
+        if kind == "bell":
+            t, d = Tableau.ghz(ids), bell_pair(*ids)
+        elif kind == "ghz":
+            t, d = Tableau.ghz(ids), ghz_state(ids)
+        else:
+            t, d = Tableau.zeros(ids), new_register(ids)
+        tableau = t if tableau is None else tableau.tensor(t)
+        dense = d if dense is None else dense.tensor(d)
+        if draw(st.booleans()):
+            break
+    return tableau, dense
+
+
+def assert_agree(t: Tableau, d: StateVector, data) -> None:
+    assert t.qubits == d.qubits
+    assert t.to_statevector().fidelity(d) == pytest.approx(1.0, abs=TOL)
+    for q in d.qubits:
+        assert t.probability_of_one(q) == pytest.approx(d.probability_of_one(q), abs=TOL)
+        for bit in (0, 1):
+            try:
+                d_out, d_rest = d.measure_out(q, bit)
+            except ZeroProbabilityError:
+                with pytest.raises(ZeroProbabilityError):
+                    t.measure_out(q, bit)
+                continue
+            t_out, t_rest = t.measure_out(q, bit)
+            assert (t_out.qubit, t_out.bit) == (d_out.qubit, d_out.bit)
+            assert t_out.probability == pytest.approx(d_out.probability, abs=TOL)
+            assert t_rest.qubits == d_rest.qubits
+            assert t_rest.to_statevector().fidelity(d_rest) == pytest.approx(1.0, abs=TOL)
+        try:
+            d_kept = d.discard(q)
+        except EntanglementError:
+            with pytest.raises(EntanglementError):
+                t.discard(q)
+        else:
+            t_kept = t.discard(q)
+            assert t_kept.qubits == d_kept.qubits
+            assert t_kept.to_statevector().fidelity(d_kept) == pytest.approx(1.0, abs=TOL)
+    subset = data.draw(st.lists(st.sampled_from(d.qubits), min_size=1, unique=True))
+    np.testing.assert_allclose(t.ghz_block(subset), d.ghz_block(subset), atol=TOL)
+    if len(subset) < d.n:
+        assert t.cut_entropy(subset) == pytest.approx(d.cut_entropy(subset), abs=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_states(), st.data())
+def test_tableau_agrees_with_the_dense_state_after_every_operation(start, data):
+    t, d = start
+    assert_agree(t, d, data)
+    for _ in range(data.draw(st.integers(1, 10))):
+        op = data.draw(st.sampled_from(["X", "Z", "H", "CNOT", "measure"]))
+        q = data.draw(st.sampled_from(d.qubits))
+        if op == "CNOT":
+            if d.n < 2:
+                continue
+            gate = CNOT(q, data.draw(st.sampled_from([v for v in d.qubits if v != q])))
+        elif op == "measure":  # keep the collapsed qubit, at the top
+            bit = data.draw(st.integers(0, 1))
+            try:
+                d_out, d_rest = d.measure_out(q, bit)
+            except ZeroProbabilityError:
+                continue
+            t_out, t_rest = t.measure_out(q, bit)
+            assert t_out.bit == d_out.bit
+            collapsed = np.zeros(2, dtype=complex)
+            collapsed[bit] = 1.0
+            t = t_rest.tensor(Tableau.basis_state(q, bit))
+            d = d_rest.tensor(StateVector((q,), collapsed))
+            assert_agree(t, d, data)
+            continue
+        else:
+            gate = {"X": X, "Z": Z, "H": H}[op](q)
+        t, d = t.apply(gate), d.apply(gate)
+        assert_agree(t, d, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_states(), st.data())
+def test_long_gate_sequences_track_the_dense_state(start, data):
+    # fidelity only, so sequences can be long enough to reach Y components
+    t, d = start
+    for _ in range(40):
+        q = data.draw(st.sampled_from(d.qubits))
+        kind = data.draw(st.sampled_from(["X", "Z", "H", "CNOT"] if d.n > 1 else ["X", "Z", "H"]))
+        if kind == "CNOT":
+            gate = CNOT(q, data.draw(st.sampled_from([v for v in d.qubits if v != q])))
+        else:
+            gate = {"X": X, "Z": Z, "H": H}[kind](q)
+        t, d = t.apply(gate), d.apply(gate)
+        assert t.to_statevector().fidelity(d) == pytest.approx(1.0, abs=TOL)
+
+
+def test_measure_out_follows_the_chooser_contract():
+    t = Tableau.ghz((1, 2, 3))
+    seen = []
+    out, rest = t.measure_out(2, lambda p0, p1: seen.append((p0, p1)) or 1)
+    assert seen == [(0.5, 0.5)]
+    assert (out.bit, out.probability) == (1, 0.5)
+    assert rest.to_statevector().fidelity(StateVector((1, 3), [0, 0, 0, 1])) == 1.0
+    with pytest.raises(ValueError, match="forced bit"):
+        t.measure_out(2, 2)
+    out, _ = t.measure_out(1, np.random.default_rng(0))
+    assert out.probability == 0.5
+    certain = Tableau.zeros((1, 2)).apply(X(2))
+    with pytest.raises(ZeroProbabilityError):
+        certain.measure_out(2, 0)
+    out, rest = certain.measure_out(2, 1)
+    assert (out.bit, out.probability, rest.qubits) == (1, 1.0, (1,))
+
+
+def test_tableau_ghz_block_is_exact_on_mixed_subsets():
+    t = Tableau.ghz((1, 2, 3, 4))
+    # any proper subset of a GHZ state is the classical mixture of 0...0 and 1...1
+    assert t.ghz_block((2, 4)).tolist() == [[0.5, 0.0], [0.0, 0.5]]
+    assert t.ghz_block((1, 2, 3, 4)).tolist() == [[0.5, 0.5], [0.5, 0.5]]
+    assert t.cut_entropy((1, 3)) == 1.0
+    with pytest.raises(EntanglementError):
+        t.discard(3)
+
+
+# ---------------------------------------------------------------------------
+# protocol-level agreement: every run once on dense factors, once on tableaux
+
+
+class DenseFactors:
+    """The factor constructors ``NetworkState`` calls, building dense states."""
+
+    zeros = staticmethod(StateVector.zeros)
+    ghz = staticmethod(ghz_state)
+
+    @staticmethod
+    def basis_state(q, bit):
+        amps = np.zeros(2, dtype=complex)
+        amps[bit] = 1.0
+        return StateVector((q,), amps)
+
+
+def run_both(monkeypatch, run):
+    """``run()`` on tableaux and on dense factors, each with the
+    ``peak_factor_qubits`` and factor types of every branch, in the order
+    the branches were verified."""
+    results = []
+    for factors in (Tableau, DenseFactors):
+        leaves = []
+
+        def recording(net, designated, strict=False, _verify=protocols.verify_ghz):
+            leaves.append((net.peak_factor_qubits, {type(f) for f in net.factors()}))
+            return _verify(net, designated, strict)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(locc, "Tableau", factors)
+            patch.setattr(protocols, "verify_ghz", recording)
+            results.append((run(), leaves))
+    return results
+
+
+def assert_same_run(tableau_run, dense_run):
+    (t, t_leaves), (d, d_leaves) = tableau_run, dense_run
+    assert t.cbits == d.cbits
+    assert t.designated == d.designated
+    assert t.merge_log == d.merge_log
+    assert [b.outcomes for b in t.branches] == [b.outcomes for b in d.branches]
+    for tb, db in zip(t.branches, d.branches):
+        assert tb.probability == pytest.approx(db.probability, abs=TOL)
+        assert tb.fidelity == pytest.approx(db.fidelity, abs=TOL)
+        assert tb.fidelity == 1.0
+        assert tb.probability == 0.5 ** len(tb.outcomes)
+    assert [peak for peak, _ in t_leaves] == [peak for peak, _ in d_leaves]
+    assert all(kinds == {Tableau} for _, kinds in t_leaves)
+    assert all(kinds == {StateVector} for _, kinds in d_leaves)
+    assert len(t.transcript) == len(d.transcript)
+    for tr, dr in zip(t.transcript, d.transcript):
+        if isinstance(tr, MeasureRecord):
+            assert tr.probability == pytest.approx(dr.probability, abs=TOL)
+            tr, dr = dataclasses.replace(tr, probability=0.0), dataclasses.replace(dr, probability=0.0)
+        assert tr == dr
+
+
+def census_trees():
+    for n in (3, 4, 5):
+        for seq in itertools.product(range(1, n + 1), repeat=n - 2):
+            yield n, prufer_tree(n, seq)
+
+
+def test_every_census_tree_weaves_alike_on_both_backends(monkeypatch):
+    runs = 0
+    for n, edges in census_trees():
+        tree = SpanningTree.from_edges(n, edges)
+        for step2 in ("symmetric", "zeilinger"):
+            both = run_both(
+                monkeypatch,
+                lambda: protocol_two(setup_epr_network(n, tree.edges), tree, step2=step2),
+            )
+            assert_same_run(*both)
+            runs += 1
+    assert runs == 2 * (3 + 16 + 125)
+
+
+def test_acceptance_4_hypergraphs_fuse_alike_on_both_backends(monkeypatch):
+    # the hypergraphs of acceptance test 4, drawn the same way
+    rng = np.random.default_rng(404)
+    cases = [
+        EntangledHypergraph(n, [(i, i + 1, i + 2) for i in range(1, n - 1)])
+        for n in (4, 5, 6, 7, 8)
+    ]
+    while len(cases) < 30:
+        h = _random_connected_hypergraph(rng, int(rng.integers(3, 9)))
+        if hypergraph_is_connected(h):
+            cases.append(h)
+    for h in cases:
+        both = run_both(monkeypatch, lambda: protocol_three(setup_group_network(h), h))
+        assert_same_run(*both)
+
+
+# ---------------------------------------------------------------------------
+# sizes no dense register reaches
+
+
+def test_weaves_past_the_dense_limit():
+    path = SpanningTree.from_edges(64, [(i, i + 1) for i in range(1, 64)])
+    star = SpanningTree.from_edges(40, [(1, i) for i in range(2, 41)])
+    for tree in (path, star):
+        report = protocol_two(setup_epr_network(tree.n, tree.edges), tree, branches=1)
+        assert report.cbits == 2 * tree.n + len(tree.leaves) - 4
+        assert report.epr_pairs_consumed == tree.n - 1
+        assert report.worst_fidelity == 1.0
+        (branch,) = report.branches
+        assert branch.probability == 0.5 ** (2 * tree.n - 4)
+
+
+def test_fuses_past_the_dense_limit():
+    rng = np.random.default_rng(40)
+    h = _random_connected_hypergraph(rng, 40)
+    assert hypergraph_is_connected(h)
+    report = protocol_three(setup_group_network(h), h, branches=16)
+    assert report.merge_log[-1].merged_size == 40 > DENSE_QUBIT_LIMIT
+    assert report.cbits == len(report.merge_log)
+    assert report.worst_fidelity == 1.0
+    assert all(b.fidelity == 1.0 for b in report.branches)
+
+
+def test_dense_registers_over_the_limit_are_refused():
+    assert issubclass(ResourceError, EprWeaveError)  # so the CLI exits 1 with a message
+    net = NetworkState(30)
+    held = net.distribute_ghz(net.agents)
+    with pytest.raises(ResourceError, match="30 qubits"):
+        net.joint_state()
+    assert verify_ghz(net, held, strict=True) == 1.0
+    big = tuple(range(DENSE_QUBIT_LIMIT + 1))
+    with pytest.raises(ResourceError):
+        StateVector.zeros(big)
+    with pytest.raises(ResourceError):
+        Tableau.ghz(big).to_statevector()
+    with pytest.raises(ResourceError):
+        StateVector.zeros(big[:12]).tensor(StateVector.zeros(big[12:]))
