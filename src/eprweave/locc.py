@@ -32,6 +32,7 @@ conditioned on a censored bit must then fail) and by branch exploration.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -232,13 +233,16 @@ class NetworkState:
 
     # -- internal plumbing ----------------------------------------------------
 
-    def _new_qubit(self, agent: AgentId) -> QubitId:
-        if agent not in self.agents:
-            raise ValueError(f"unknown agent {agent}")
-        q = self._next_qubit
-        self._next_qubit += 1
-        self.owner[q] = agent
-        return q
+    def _new_qubits(self, agents: Sequence[AgentId]) -> tuple[QubitId, ...]:
+        """One fresh qubit per agent, in order; nothing is allocated
+        unless every agent exists."""
+        for agent in agents:
+            if agent not in self.agents:
+                raise ValueError(f"unknown agent {agent}")
+        qubits = tuple(range(self._next_qubit, self._next_qubit + len(agents)))
+        self._next_qubit += len(agents)
+        self.owner.update(zip(qubits, agents))
+        return qubits
 
     def _factor_index(self, q: QubitId) -> int:
         for i, f in enumerate(self._factors):
@@ -294,7 +298,7 @@ class NetworkState:
             raise ValueError(f"agent {a} cannot share an EPR pair with itself")
         if not self.setup_open:
             raise SetupClosedError("EPR distribution is only allowed during setup")
-        qa, qb = self._new_qubit(a), self._new_qubit(b)
+        qa, qb = self._new_qubits((a, b))
         self._store_factor(Tableau.ghz((qa, qb)))
         self.epr_pairs.append(EprPairRecord(a, b, qa, qb))
         self.transcript.append(SetupRecord("epr", (a, b), (qa, qb)))
@@ -307,18 +311,16 @@ class NetworkState:
             raise ValueError(f"a group state needs at least 2 agents, got {members}")
         if not self.setup_open:
             raise SetupClosedError("group-state distribution is only allowed during setup")
-        held = {a: self._new_qubit(a) for a in members}
-        self._store_factor(Tableau.ghz(tuple(held[a] for a in members)))
-        self.transcript.append(
-            SetupRecord("ghz", tuple(members), tuple(held[a] for a in members))
-        )
-        return held
+        qubits = self._new_qubits(members)
+        self._store_factor(Tableau.ghz(qubits))
+        self.transcript.append(SetupRecord("ghz", tuple(members), qubits))
+        return dict(zip(members, qubits))
 
     # -- local quantum operations -----------------------------------------------
 
     def add_ancilla(self, actor: AgentId) -> QubitId:
         """Fresh local |0> qubit; free, and legal at any time."""
-        q = self._new_qubit(actor)
+        (q,) = self._new_qubits((actor,))
         self._store_factor(Tableau.zeros((q,)))
         self.transcript.append(AncillaRecord(actor, q))
         return q
@@ -383,7 +385,7 @@ class NetworkState:
         self._require_owner(actor, (q,))
         self._require_unlocked((q,))
         if label is None:
-            label = f"m{len(self._labels) + 1}"
+            label = next(f"m{k}" for k in itertools.count(1) if f"m{k}" not in self._labels)
         if label in self._labels:
             raise ValueError(f"measurement label {label!r} already used in this run")
         chooser = choose if choose is not None else self.chooser
@@ -424,6 +426,8 @@ class NetworkState:
         the group is untouched and unentangled with everything else.
         """
         qubits = frozenset(qubits)
+        if not qubits:
+            raise ValueError("a dropped group needs at least one qubit")
         i = self._factor_index(next(iter(qubits)))
         if frozenset(self._factors[i].qubits) != qubits:
             raise ProtocolError(
@@ -457,18 +461,13 @@ class NetworkState:
             raise ValueError(f"unknown agent {sender}")
         if not bits:
             raise ValueError("a classical message must carry at least one bit")
-        if receivers == ALL:
-            audience = tuple(a for a in self.agents if a != sender)
-            record_receivers: tuple[AgentId, ...] | str = ALL
-        else:
+        if receivers != ALL:
             if receivers not in self.agents:
                 raise ValueError(f"unknown receiver {receivers}")
             if receivers == sender:
                 raise ValueError("sending a message to oneself is not communication")
-            audience = (receivers,)
-            record_receivers = (receivers,)
         values: list[int] = []
-        labels: list[str | None] = []
+        learned: dict[str, int] = {}
         for bit in bits:
             if isinstance(bit, str):
                 if bit not in self.knowledge[sender]:
@@ -476,18 +475,19 @@ class NetworkState:
                         f"agent {sender} sends {bit!r} without having measured "
                         "or received it"
                     )
-                values.append(self.knowledge[sender][bit])
-                labels.append(bit)
-            else:
-                if bit not in (0, 1):
-                    raise ValueError(f"classical bits must be 0 or 1, got {bit}")
+                learned[bit] = self.knowledge[sender][bit]
+                values.append(learned[bit])
+            elif bit in (0, 1):
                 values.append(int(bit))
-                labels.append(None)
-        for agent in audience:
-            for label, value in zip(labels, values):
-                if label is not None:
-                    self.knowledge[agent][label] = value
-        msg = ClassicalMessage(sender, record_receivers, tuple(values), tuple(labels), purpose)
+            else:
+                raise ValueError(f"classical bits must be 0 or 1, got {bit}")
+        if learned:  # constant bits teach nobody anything
+            for agent in self.agents if receivers == ALL else (receivers,):
+                if agent != sender:
+                    self.knowledge[agent].update(learned)
+        labels = tuple(bit if isinstance(bit, str) else None for bit in bits)
+        record_receivers = ALL if receivers == ALL else (receivers,)
+        msg = ClassicalMessage(sender, record_receivers, tuple(values), labels, purpose)
         self.transcript.append(msg)
         self.cbit_count += len(values)
         return msg

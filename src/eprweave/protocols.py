@@ -18,18 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import EntanglementError, ProtocolError
-from .locc import (
-    ALL,
-    MeasureRecord,
-    NetworkState,
-    RecordingChooser,
-    SetupRecord,
-)
+from .locc import ALL, MeasureRecord, NetworkState, SetupRecord
 from .statevec import CNOT, PROB_FLOOR, H, QubitId, X, Z
 from .topology import AgentId, EntangledHypergraph, SpanningTree, bfs_edges, merge_schedule
 
@@ -406,51 +400,28 @@ def _weave_ghz3(
     channel: QubitId,
     z_partner: AgentId,
     z_qubit: QubitId,
-) -> tuple[dict[AgentId, QubitId], dict, list[int], tuple[str, str]]:
+) -> dict[AgentId, QubitId]:
     """The symmetric three-party circuit, from two EPR pairs at the hub.
 
     ``keep`` is the hub's half of the pair with the X-partner; ``channel``
     is its half of the pair with the Z-partner and gets measured away.
     Exactly 2 cbits. Both partners act: X-partner corrects with X on the
     first result bit, Z-partner with Z on the second. Returns the
-    designated qubits, the circuit's roles, the transcript length at each
-    of its seven stages, and the labels of its two measurements.
+    designated qubits.
     """
     ancilla = work.add_ancilla(hub)
-    roles = {
-        "hub": hub,
-        "keep": keep,
-        "channel": channel,
-        "ancilla": ancilla,
-        "x_partner": x_partner,
-        "x_qubit": x_qubit,
-        "z_partner": z_partner,
-        "z_qubit": z_qubit,
-    }
     m2, m1 = f"M2#{channel}", f"M1#{ancilla}"
-    stages: list[int] = []
-
-    def stage() -> None:
-        stages.append(len(work.transcript))
-
     work.local_gate(hub, CNOT(keep, ancilla))
-    stage()
     work.local_gate(hub, CNOT(ancilla, channel))
-    stage()
     work.local_measure(hub, channel, label=m2)
-    stage()
     work.local_gate(hub, H(ancilla))
-    stage()
     work.local_measure(hub, ancilla, label=m1)
-    stage()
     work.local_gate(hub, X(keep), when=m2)
     work.send_classical(hub, x_partner, [m2], purpose="X correction")
     work.send_classical(hub, z_partner, [m1], purpose="Z correction")
     work.local_gate(x_partner, X(x_qubit), when=m2)
-    stage()
     work.local_gate(z_partner, Z(z_qubit), when=m1)
-    stage()
-    return {hub: keep, x_partner: x_qubit, z_partner: z_qubit}, roles, stages, (m2, m1)
+    return {hub: keep, x_partner: x_qubit, z_partner: z_qubit}
 
 
 def protocol_one(
@@ -459,7 +430,6 @@ def protocol_one(
     *,
     branches: str | int = "all",
     seed: int = 0,
-    on_stage: Callable | None = None,
 ) -> ProtocolReport:
     """Three agents, two EPR pairs at one of them, out comes a GHZ state.
 
@@ -468,13 +438,6 @@ def protocol_one(
     and the ancilla. Two result bits travel (one to each partner); the
     kept qubit plus both partners' corrected qubits end in
     (|000>+|111>)/sqrt(2) on every branch.
-
-    Once every branch has passed its checks, ``on_stage(stage, snapshot,
-    roles, measured)`` fires at each of the circuit's seven stages of each
-    reported branch, branches in report order: ``snapshot`` is the joint
-    state of the circuit's five qubits and ``measured`` the hub's outcomes
-    so far, in measurement order. A branch that several sample streams
-    reach is reported, and so staged, once.
     """
     if net.n != 3:
         raise ProtocolError(f"this weave needs exactly 3 agents, got {net.n}")
@@ -500,23 +463,12 @@ def protocol_one(
     work = _live(net, branches, seed)
     keep, x_qubit = work.consume_epr(hub, rule.x_applier)
     channel, z_qubit = work.consume_epr(hub, rule.z_applier)
-    designated, roles, stages, labels = _weave_ghz3(
+    designated = _weave_ghz3(
         work, hub, keep, rule.x_applier, x_qubit, channel, rule.z_applier, z_qubit
     )
     report = _explore("I", net, work, designated, branches, seed)
     if report.cbits != 2:
         raise ProtocolError(f"three-party weave used {report.cbits} cbits instead of 2")
-    if on_stage is not None:  # run each branch once more, stopping at each stage
-        qubits = tuple(roles[r] for r in ("keep", "x_qubit", "ancilla", "channel", "z_qubit"))
-        marks = {end: i for i, end in enumerate(stages, start=1)}
-        for branch in report.branches:
-            pin, replay = RecordingChooser(branch.outcomes), NetworkState(net.n)
-            for at, rec in enumerate(report.transcript, start=1):
-                replay.apply(rec, pin)
-                if at in marks:
-                    known = replay.knowledge[hub]
-                    measured = tuple(known[label] for label in labels if label in known)
-                    on_stage(marks[at], replay.joint_state(qubits), dict(roles), measured)
     return report
 
 
@@ -597,7 +549,7 @@ def protocol_two(
         if step2 == "symmetric":
             designated = _weave_ghz3(
                 work, start, keep, root_leaf, x_qubit, channel, third, z_qubit
-            )[0]
+            )
         else:
             fusion_step(work, {keep, x_qubit}, {channel, z_qubit}, start, label="step2")
             designated = {start: keep, root_leaf: x_qubit, third: z_qubit}

@@ -14,7 +14,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConnectivityError
 
@@ -24,13 +24,6 @@ AgentId = int
 def _check_agent(v: int, n: int) -> None:
     if not 1 <= v <= n:
         raise ValueError(f"agent {v} is outside 1..{n}")
-
-
-def _check_weight(w) -> float:
-    w = float(w)
-    if not (math.isfinite(w) and w >= 0):
-        raise ValueError(f"edge weights must be finite and nonnegative, got {w}")
-    return w
 
 
 def add_edge(weights: dict, n: int, a: int, b: int, weight: float = 1.0) -> None:
@@ -45,7 +38,10 @@ def add_edge(weights: dict, n: int, a: int, b: int, weight: float = 1.0) -> None
     pair = (a, b) if a < b else (b, a)
     if pair in weights:
         raise ValueError(f"duplicate edge {pair[0]} {pair[1]}")
-    weights[pair] = _check_weight(weight)
+    weight = float(weight)
+    if not (math.isfinite(weight) and weight >= 0):
+        raise ValueError(f"edge weights must be finite and nonnegative, got {weight}")
+    weights[pair] = weight
 
 
 def check_group(n: int, members: Iterable[int]) -> frozenset[int]:
@@ -104,17 +100,12 @@ class EprGraph:
 
     __slots__ = ("n", "edges", "weights", "_adj")
 
-    def __init__(self, n: int, edges: Iterable[Sequence], weights: Mapping | None = None):
+    def __init__(self, n: int, edges: Iterable[Sequence]):
         if n < 1:
             raise ValueError("need at least one agent")
         wmap: dict[tuple[int, int], float] = {}
         for item in edges:
             add_edge(wmap, n, *item)
-        for (a, b), w in (weights or {}).items():
-            pair = (a, b) if a < b else (b, a)
-            if pair not in wmap:
-                raise ValueError(f"weight given for missing edge {pair}")
-            wmap[pair] = _check_weight(w)
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(wmap))
         self.weights = wmap

@@ -53,6 +53,7 @@ from eprweave.topology import (
     minimum_spanning_tree,
     spanning_tree,
 )
+from weave_stages import weave_stages
 
 GOOD = 1 - 1e-10
 
@@ -168,11 +169,8 @@ def stage_oracle(stage, roles, measured):
 
 def test_acceptance_1_three_party_weave_exact_on_every_branch():
     started = time.perf_counter()
-    snapshots = []
-    report = protocol_one(
-        hub_network(),
-        on_stage=lambda *rec: snapshots.append(rec),
-    )
+    report = protocol_one(hub_network())
+    snapshots = weave_stages(report)
     elapsed = time.perf_counter() - started
 
     assert len(report.branches) == 4

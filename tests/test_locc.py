@@ -92,6 +92,53 @@ def test_two_member_group_equals_epr_pair():
         net.distribute_ghz({1})
 
 
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda net: net.distribute_epr(1, 9),
+        lambda net: net.distribute_epr(9, 1),
+        lambda net: net.distribute_ghz((1, 2, 9)),
+        lambda net: net.add_ancilla(9),
+    ],
+    ids=["epr-second", "epr-first", "ghz", "ancilla"],
+)
+def test_refused_setup_call_allocates_nothing(refused):
+    def network():
+        net = NetworkState(3)
+        net.distribute_epr(1, 3)
+        return net
+
+    net, fresh = network(), network()
+    owner, transcript = dict(net.owner), list(net.transcript)
+    with pytest.raises(ValueError, match="unknown agent 9"):
+        refused(net)
+    assert net.owner == owner
+    assert net.transcript == transcript
+    qa, qb = net.distribute_epr(1, 2)
+    assert (qa, qb) == fresh.distribute_epr(1, 2)
+    net.local_gate(1, H(qa))
+    net.local_gate(2, X(qb))
+    assert replay_transcript(3, net.transcript).transcript == net.transcript
+
+
+def test_dropping_an_empty_group_is_a_value_error():
+    net = NetworkState(2)
+    net.distribute_epr(1, 2)
+    with pytest.raises(ValueError, match="at least one qubit"):
+        net.drop_group(())
+
+
+def test_automatic_measurement_label_skips_labels_in_use():
+    net = NetworkState(1, RecordingChooser())
+    a, b, c = (net.add_ancilla(1) for _ in range(3))
+    net.local_measure(1, a, label="m2")
+    net.local_measure(1, b)
+    net.local_measure(1, c)
+    labels = [rec.label for rec in net.transcript if isinstance(rec, MeasureRecord)]
+    assert labels == ["m2", "m1", "m3"]
+    assert net.knowledge[1] == {"m1": 0, "m2": 0, "m3": 0}
+
+
 # ---------------------------------------------------------------------------
 # locality enforcement
 

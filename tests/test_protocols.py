@@ -39,6 +39,7 @@ from eprweave.topology import (
     minimum_spanning_tree,
     spanning_tree,
 )
+from weave_stages import weave_stages
 
 GOOD = 1 - 1e-10
 
@@ -121,12 +122,8 @@ def expected_stage_state(stage, roles, measured):
 
 
 def test_three_party_weave_matches_stage_algebra_on_every_branch():
-    snapshots = []
-
-    def on_stage(stage, snapshot, roles, measured):
-        snapshots.append((stage, snapshot, roles, measured))
-
-    report = protocol_one(hub_network(), on_stage=on_stage)
+    report = protocol_one(hub_network())
+    snapshots = weave_stages(report)
     assert len(report.branches) == 4
     assert len(snapshots) == 7 * 4
     for stage, snapshot, roles, measured in snapshots:
@@ -135,10 +132,8 @@ def test_three_party_weave_matches_stage_algebra_on_every_branch():
 
 
 def test_sampled_weave_stages_each_reported_branch_once_in_report_order():
-    staged = []
-    report = protocol_one(
-        hub_network(), branches=16, seed=3, on_stage=lambda *rec: staged.append(rec)
-    )
+    report = protocol_one(hub_network(), branches=16, seed=3)
+    staged = weave_stages(report)
     assert report.branch_mode == "sample:16" and 1 < len(report.branches) <= 4
     assert [stage for stage, *_ in staged] == list(range(1, 8)) * len(report.branches)
     finals = [measured for stage, _, _, measured in staged if stage == 7]
@@ -146,6 +141,19 @@ def test_sampled_weave_stages_each_reported_branch_once_in_report_order():
     for stage, snapshot, roles, measured in staged:
         assert len(measured) == (stage >= 3) + (stage >= 5)
         assert snapshot.fidelity(expected_stage_state(stage, roles, measured)) >= GOOD
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["cycle", "reversed"])
+@pytest.mark.parametrize("hub", [1, 2, 3])
+def test_weave_stage_algebra_holds_for_every_hub_and_correction_rule(hub, reverse):
+    others = sorted({1, 2, 3} - {hub}, reverse=reverse)
+    rule = CorrectionRule(cycle=(hub, *others), sharer=hub)
+    snapshots = weave_stages(protocol_one(hub_network(hub), rule))
+    assert len(snapshots) == 7 * 4
+    for stage, snapshot, roles, measured in snapshots:
+        assert (roles["hub"], roles["x_partner"], roles["z_partner"]) == rule.cycle
+        expected = expected_stage_state(stage, roles, measured)
+        assert snapshot.fidelity(expected) >= GOOD, (hub, reverse, stage, measured)
 
 
 def test_three_party_weave_succeeds_on_all_four_branches():

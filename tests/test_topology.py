@@ -121,8 +121,7 @@ def connected_graphs(draw, max_n=7, weighted=False):
     extra = draw(st.lists(st.sampled_from(spare), unique=True)) if spare else []
     edges = tree + extra
     if weighted:
-        weights = {e: draw(st.sampled_from(WEIGHT_CHOICES)) for e in edges}
-        return EprGraph(n, edges, weights)
+        edges = [(a, b, draw(st.sampled_from(WEIGHT_CHOICES))) for a, b in edges]
     return EprGraph(n, edges)
 
 
@@ -196,10 +195,6 @@ def test_graph_rejects_bad_weights():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             EprGraph(3, [(1, 2, bad)])
-        with pytest.raises(ValueError, match="finite"):
-            EprGraph(3, [(1, 2)], weights={(1, 2): bad})
-    with pytest.raises(ValueError):
-        EprGraph(3, [(1, 2)], weights={(1, 3): 2.0})
 
 
 def test_graph_normalizes_edge_order_and_defaults_weight_to_one():

@@ -1,0 +1,125 @@
+"""Run a fixed corpus of CLI calls and write what each one produced.
+
+Usage (from anywhere)::
+
+    python3 tools/report_corpus.py OUTDIR
+
+Every entry calls ``eprweave.cli.run`` in-process, from this checkout's
+``src``, and gets a directory ``OUTDIR/<entry>/`` holding ``exit`` (the
+exit code), ``stdout``, ``stderr`` and, when the call wrote one,
+``report.json``. Calls run inside a scratch directory with relative spec
+and report paths, so the output names no path of the machine and two
+checkouts compare with ``diff -r``.
+
+The corpus is the benchmark's four pools (``perfbench/workloads.py``, read
+only) at one seed with ``--verbose``, then hand-written specs that reach
+paths the pools do not: ``ghz3``, both step-2 circuits on small and weighted
+trees, the ``BRANCH_CAP`` fallback, contained, duplicate and EPR groups under
+``fuse``, disconnected networks under every command, and refused specs.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # leave perfbench/ as it is
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from eprweave.cli import run  # noqa: E402
+
+SEED = 7
+COMMANDS = ("check", "tree", "mst", "ghz3", "weave", "fuse")
+
+
+def _spec(n: int, lines) -> str:
+    return f"agents {n}\n" + "".join(f"{line}\n" for line in lines)
+
+
+def _edges(n: int, pairs) -> str:
+    return _spec(n, ("edge " + " ".join(map(str, e)) for e in pairs))
+
+
+def _groups(n: int, groups) -> str:
+    return _spec(n, ("hyper " + " ".join(map(str, g)) for g in groups))
+
+
+def corpus():
+    """``(name, spec text, argv without spec path or --report)`` entries."""
+    for workload in workloads.WORKLOADS:
+        for item in workloads.generate(workload, SEED):
+            for c, call in enumerate(item["calls"]):
+                command, *options = call["argv"]
+                yield (
+                    f"{workload}-{item['index']:03d}-{c}",
+                    item["specs"][call["spec"]],
+                    [command, *options, "--verbose"],
+                )
+
+    hub = _edges(3, [(1, 2), (1, 3)])
+    for branches in ("all", "sample:4"):
+        yield f"ghz3-{branches}", hub, ["ghz3", "--branches", branches, "--seed", "3", "--verbose"]
+
+    trees = {
+        "pair": _edges(2, [(1, 2)]),
+        "path": _edges(6, [(v, v + 1) for v in range(1, 6)]),
+        "star": _edges(6, [(1, v) for v in range(2, 7)]),
+        "weighted": _edges(5, [(1, 2, 4), (2, 3, 1), (1, 3, 1), (3, 4, 2.5), (4, 5, 1), (2, 5, 0)]),
+    }
+    for name, text in trees.items():
+        for step2 in ("symmetric", "zeilinger"):
+            yield f"weave-{name}-{step2}", text, ["weave", "--step2", step2, "--verbose"]
+    yield "weave-fallback-13", _edges(13, [(v, v + 1) for v in range(1, 13)]), ["weave"]
+
+    fused = {
+        "contained": _groups(5, [(1, 2, 3, 4), (2, 3), (4, 5)]),
+        "duplicate": _groups(4, [(1, 2, 3), (1, 2, 3), (3, 4)]),
+        "epr": _edges(5, [(1, 2), (2, 3), (3, 4), (2, 5)]),
+    }
+    for name, text in fused.items():
+        yield f"fuse-{name}", text, ["fuse", "--verbose"]
+
+    refused = {
+        "disconnected-edges": _edges(5, [(1, 2), (2, 3), (4, 5)]),
+        "disconnected-groups": _groups(5, [(1, 2, 3), (4, 5)]),
+        "nan-weight": _edges(3, [(1, 2, "nan"), (2, 3)]),
+        "repeated-member": _groups(3, [(1, 1, 2), (2, 3)]),
+    }
+    for name, text in refused.items():
+        for command in COMMANDS:
+            yield f"{name}-{command}", text, [command]
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/report_corpus.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(args[0]).resolve()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for name, text, argv in corpus():
+                Path("net.spec").write_text(text)
+                out, err = io.StringIO(), io.StringIO()
+                code = run([argv[0], "net.spec", *argv[1:], "--report", "report.json"], out, err)
+                entry = outdir / name
+                entry.mkdir(parents=True, exist_ok=True)
+                (entry / "exit").write_text(f"{code}\n")
+                (entry / "stdout").write_text(out.getvalue())
+                (entry / "stderr").write_text(err.getvalue())
+                if os.path.exists("report.json"):
+                    os.replace("report.json", entry / "report.json")
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
