@@ -22,10 +22,12 @@ before any quantum operation).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -72,6 +74,11 @@ class NetworkSpec:
     n: int
     edges: tuple[tuple, ...] = ()  # (a, b) or (a, b, weight)
     hyperedges: tuple[tuple[int, ...], ...] = ()
+    # What parse_spec already checked line by line: the edge-weight map of
+    # ``add_edge``, or the groups of ``check_group`` for a hypergraph spec.
+    # None for a spec built by hand, which to_graph and to_hypergraph check
+    # in full; ``dataclasses.replace`` resets it, so an edited spec does too.
+    _checked: dict | list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
@@ -82,79 +89,106 @@ class NetworkSpec:
         return any(len(e) == 3 for e in self.edges)
 
     def to_graph(self) -> EprGraph:
-        return EprGraph(self.n, self.edges)
+        if self._checked is None or self.hyperedges:
+            return EprGraph(self.n, self.edges)
+        return EprGraph.from_checked(self.n, dict(self._checked))
 
     def to_hypergraph(self) -> EntangledHypergraph:
-        members = self.hyperedges if self.hyperedges else tuple(e[:2] for e in self.edges)
-        return EntangledHypergraph(self.n, members)
+        if self._checked is None:
+            members = self.hyperedges if self.hyperedges else tuple(e[:2] for e in self.edges)
+            return EntangledHypergraph(self.n, members)
+        # EPR pairs are just 2-agent groups
+        groups = self._checked if self.hyperedges else map(frozenset, self._checked)
+        return EntangledHypergraph.from_checked(self.n, groups)
 
     def serialize(self) -> str:
         """Canonical text form: whitespace- and comment-insensitive."""
-        lines = [f"agents {self.n}"]
-        for e in sorted(self.edges, key=lambda e: e[:2]):
-            lines.append("edge " + " ".join(repr(x) if isinstance(x, float) else str(x) for x in e))
+        lines = [f"agents {self.n}\n"]
+        for e in sorted(self.edges):
+            lines.append(("edge %s %s\n" if len(e) == 2 else "edge %s %s %r\n") % e)
         for members in self.hyperedges:  # declaration order matters here
-            lines.append("hyper " + " ".join(map(str, members)))
-        return "\n".join(lines) + "\n"
+            lines.append("hyper " + " ".join(map(str, members)) + "\n")
+        return "".join(lines)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
+
+
+def _bad_number(tokens: list[str], agents: int) -> str:
+    """The error for the first of ``tokens`` that is not a number: the
+    first ``agents`` must be agent numbers, the rest edge weights."""
+    for i, token in enumerate(tokens):
+        kind, what = (int, "expected an agent number, got") if i < agents else (float, "bad edge weight")
+        try:
+            kind(token)
+        except ValueError:
+            return f"{what} {token!r}"
+    raise AssertionError(f"every token of {tokens} is a number")
 
 
 def parse_spec(text: str) -> NetworkSpec:
     """Parse the spec format; errors carry 1-based line numbers.
 
     Only tokenising happens here: each edge and group goes through the
-    topology layer's own checks, whose messages gain the line number.
+    topology layer's own checks, whose messages gain the line number. What
+    those checks build is kept, so the graph is not checked a second time.
     """
     n = None
     edges: list[tuple] = []
     hyperedges: list[tuple[int, ...]] = []
     weights: dict[tuple[int, int], float] = {}
-
-    def number(kind, token: str, what: str):
-        try:
-            return kind(token)
-        except ValueError:
-            raise ValueError(f"{what} {token!r}") from None
+    groups: list[frozenset[int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        keyword, *args = body.split()
+        keyword = tokens[0]
         try:
             if n is None:
                 if keyword != "agents":
                     raise ValueError(f"first directive must be 'agents N', got {keyword!r}")
-                if len(args) != 1:
+                if len(tokens) != 2:
                     raise ValueError("'agents' takes exactly one number")
-                n = number(int, args[0], "bad agent count")
+                try:
+                    n = int(tokens[1])
+                except ValueError:
+                    raise ValueError(f"bad agent count {tokens[1]!r}") from None
                 if n < 1:
                     raise ValueError("need at least one agent")
-            elif keyword == "agents":
-                raise ValueError("'agents' may only appear once, first")
             elif keyword == "edge":
                 if hyperedges:
                     raise ValueError("cannot mix 'edge' and 'hyper' lines")
-                if len(args) not in (2, 3):
+                if not 3 <= len(tokens) <= 4:
                     raise ValueError("'edge' takes two agents and an optional weight")
-                a, b = (number(int, t, "expected an agent number, got") for t in args[:2])
-                w = [number(float, t, "bad edge weight") for t in args[2:]]
-                add_edge(weights, n, a, b, *w)
-                edges.append((a, b, *w))
+                try:
+                    a, b = int(tokens[1]), int(tokens[2])
+                    edge = (a, b) if len(tokens) == 3 else (a, b, float(tokens[3]))
+                except ValueError:
+                    raise ValueError(_bad_number(tokens[1:], agents=2)) from None
+                add_edge(weights, n, *edge)
+                edges.append(edge)
             elif keyword == "hyper":
                 if edges:
                     raise ValueError("cannot mix 'edge' and 'hyper' lines")
-                members = [number(int, t, "expected an agent number, got") for t in args]
-                hyperedges.append(tuple(sorted(check_group(n, members))))
+                try:
+                    members = list(map(int, tokens[1:]))
+                except ValueError:
+                    raise ValueError(_bad_number(tokens[1:], agents=len(tokens))) from None
+                group = check_group(n, members)
+                groups.append(group)
+                hyperedges.append(tuple(sorted(group)))
+            elif keyword == "agents":
+                raise ValueError("'agents' may only appear once, first")
             else:
                 raise ValueError(f"unknown directive {keyword!r}")
         except ValueError as exc:
             raise NetworkSpecError(str(exc), lineno) from None
     if n is None:
         raise NetworkSpecError("empty spec: expected an 'agents N' directive")
-    return NetworkSpec(n, tuple(edges), tuple(hyperedges))
+    spec = NetworkSpec(n, tuple(edges), tuple(hyperedges))
+    object.__setattr__(spec, "_checked", groups if hyperedges else weights)
+    return spec
 
 
 def load_spec(path: str) -> NetworkSpec:
@@ -181,7 +215,9 @@ def _branches(value: str):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="eprweave",
         description="Weave GHZ states out of pre-shared EPR pairs and group states.",
@@ -234,14 +270,14 @@ def _network_summary(spec: NetworkSpec) -> dict:
         "agents": spec.n,
         "mode": spec.mode,
         "weighted": spec.weighted,
-        "edges": [list(e) for e in spec.edges],
+        "edges": list(map(list, spec.edges)),
         "hyperedges": [list(h) for h in spec.hyperedges],
     }
 
 
 def _tree_summary(tree: SpanningTree, g: EprGraph) -> dict:
     return {
-        "edges": [list(e) for e in tree.edges],
+        "edges": list(map(list, tree.edges)),
         "root_leaf": tree.root_leaf,
         "start": tree.start,
         "leaves": list(tree.leaves),
@@ -273,10 +309,58 @@ def _print_protocol(report: ProtocolReport, verbose: bool, out) -> None:
     print(f"worst-branch fidelity: {report.worst_fidelity:.12f}", file=out)
 
 
+# The C encoder in compact form; it spells every scalar as json.dumps does.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_NUMBERS = {int, float, bool, type(None)}
+_ROWS = {list, tuple}
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _compact(key)
+    return _compact(key)
+
+
+def _json_indent2(value, indent: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)`` for a value nested at
+    ``indent`` (a newline and its spaces), without its pure-Python indent
+    path: a flat list of numbers, or a list of number rows such as an edge
+    list, goes to the C encoder in compact form and is re-indented with
+    ``str.replace`` (numbers hold no comma or bracket)."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds <= _NUMBERS:
+            return "[" + inner + _compact(value)[1:-1].replace(",", "," + inner) + indent + "]"
+        if kinds <= _ROWS:
+            text = _compact(value)
+            # one bracket per row, no empty row and no string; an object in
+            # a row can only be "{}", since its keys would be strings
+            if text.count("[") == len(value) + 1 and not ("[]" in text or '"' in text):
+                cell = inner + "  "
+                body = text[2:-2].replace("],[", "\0").replace(",", "," + cell)
+                body = body.replace("\0", inner + "]," + inner + "[" + cell)
+                return "[" + inner + "[" + cell + body + inner + "]" + indent + "]"
+        items = [_json_indent2(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_json_key(k) + ": " + _json_indent2(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)  # as json spells it; NaN and Infinity go below
+    return _compact(value)
+
+
 def _write_report(document: dict, args, out) -> None:
     if getattr(args, "report", None):
-        payload = json.dumps(document, indent=2) + "\n"
-        Path(args.report).write_text(payload)
+        Path(args.report).write_text(_json_indent2(document) + "\n")
         print(f"report written to {args.report}", file=out)
 
 

@@ -306,7 +306,10 @@ class NetworkState:
 
     def distribute_ghz(self, members: Iterable[AgentId]) -> dict[AgentId, QubitId]:
         """Hand each member one qubit of a fresh group GHZ state."""
-        members = sorted(set(members))
+        given = tuple(members)
+        members = sorted(set(given))
+        if len(members) != len(given):
+            raise ValueError("repeated agent in hyperedge")
         if len(members) < 2:
             raise ValueError(f"a group state needs at least 2 agents, got {members}")
         if not self.setup_open:

@@ -31,15 +31,16 @@ def add_edge(weights: dict, n: int, a: int, b: int, weight: float = 1.0) -> None
     ``weights``, keyed ``(low, high)``; the map doubles as the duplicate
     check. This is the one edge check: ``EprGraph`` and spec parsing both
     use it."""
-    _check_agent(a, n)
-    _check_agent(b, n)
+    if not (1 <= a <= n and 1 <= b <= n):
+        _check_agent(a, n)
+        _check_agent(b, n)
     if a == b:
         raise ValueError(f"agent {a} cannot pair with itself")
     pair = (a, b) if a < b else (b, a)
     if pair in weights:
         raise ValueError(f"duplicate edge {pair[0]} {pair[1]}")
     weight = float(weight)
-    if not (math.isfinite(weight) and weight >= 0):
+    if not 0.0 <= weight < math.inf:  # refuses nan too
         raise ValueError(f"edge weights must be finite and nonnegative, got {weight}")
     weights[pair] = weight
 
@@ -105,10 +106,23 @@ class EprGraph:
             raise ValueError("need at least one agent")
         wmap: dict[tuple[int, int], float] = {}
         for item in edges:
+            if len(item) not in (2, 3):
+                raise ValueError(f"edge {tuple(item)} is not (a, b) or (a, b, weight)")
             add_edge(wmap, n, *item)
+        self._fill(n, wmap)
+
+    @classmethod
+    def from_checked(cls, n: int, weights: dict[tuple[int, int], float]) -> "EprGraph":
+        """The graph of an edge map that ``add_edge`` already built on
+        agents 1..n (n >= 1), taken over without checking it again."""
+        g = cls.__new__(cls)
+        g._fill(n, weights)
+        return g
+
+    def _fill(self, n: int, weights: dict[tuple[int, int], float]) -> None:
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(wmap))
-        self.weights = wmap
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(weights))
+        self.weights = weights
         self._adj = _adjacency(n, self.edges)
 
     def weight(self, a: int, b: int) -> float:
@@ -121,8 +135,11 @@ class EprGraph:
 
     def neighbors(self, v: int) -> list[int]:
         """Adjacent agents in increasing index order."""
-        _check_agent(v, self.n)
-        return list(self._adj[v])
+        try:
+            return list(self._adj[v])
+        except KeyError:  # the map holds exactly the agents 1..n
+            _check_agent(v, self.n)
+            raise
 
 
 @dataclass(frozen=True)
@@ -187,10 +204,22 @@ class EntangledHypergraph:
     def __init__(self, n: int, hyperedges: Iterable[Iterable[int]]):
         if n < 1:
             raise ValueError("need at least one agent")
-        cleaned = [check_group(n, members) for members in hyperedges]
-        order = sorted(range(len(cleaned)), key=lambda i: (-len(cleaned[i]), i))
+        self._fill(n, [check_group(n, members) for members in hyperedges])
+
+    @classmethod
+    def from_checked(cls, n: int, groups: Iterable[frozenset[int]]) -> "EntangledHypergraph":
+        """The hypergraph of groups that ``check_group`` already returned
+        on agents 1..n (n >= 1), taken over without checking them again."""
+        h = cls.__new__(cls)
+        h._fill(n, groups)
+        return h
+
+    def _fill(self, n: int, groups: Iterable[frozenset[int]]) -> None:
         self.n = n
-        self.hyperedges: tuple[frozenset[int], ...] = tuple(cleaned[i] for i in order)
+        # a reversed sort is still stable: equal sizes keep declaration order
+        self.hyperedges: tuple[frozenset[int], ...] = tuple(
+            sorted(groups, key=len, reverse=True)
+        )
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 """Tests for the command-line front end and the network-spec format."""
 
+import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eprweave.cli import NetworkSpec, load_spec, parse_spec, run
+from eprweave.cli import NetworkSpec, _json_indent2, load_spec, parse_spec, run
 from eprweave.errors import NetworkSpecError
 from eprweave.topology import EntangledHypergraph, EprGraph
 
@@ -128,6 +132,39 @@ def test_spec_and_api_reject_the_same_edges_and_groups(text, lineno, build):
     with pytest.raises(NetworkSpecError) as spec:
         parse_spec(text)
     assert str(spec.value) == f"line {lineno}: {api.value}"
+
+
+@pytest.mark.parametrize("edge", [(1,), (1, 2, 3, 4)], ids=["one-agent", "four-numbers"])
+def test_spec_and_api_reject_edges_of_the_wrong_length(edge):
+    with pytest.raises(ValueError, match=re.escape(f"edge {edge} is not (a, b)")):
+        EprGraph(4, [edge])
+    with pytest.raises(NetworkSpecError, match="line 2: 'edge' takes two agents"):
+        parse_spec("agents 4\nedge " + " ".join(map(str, edge)) + "\n")
+
+
+def test_hand_built_specs_are_checked_in_full():
+    with pytest.raises(ValueError, match="pair with itself"):
+        NetworkSpec(3, edges=((1, 1),)).to_graph()
+    with pytest.raises(ValueError, match="outside 1..3"):
+        NetworkSpec(3, edges=((1, 5),)).to_hypergraph()
+    with pytest.raises(ValueError, match="repeated agent"):
+        NetworkSpec(3, hyperedges=((1, 2, 2),)).to_hypergraph()
+    # an edited parsed spec is a new, unchecked spec
+    with pytest.raises(ValueError, match="outside 1..2"):
+        dataclasses.replace(parse_spec(PATH3), n=2).to_graph()
+
+
+@pytest.mark.parametrize("text", [PATH3, STAR5, GROUPS4, "agents 4\nedge 4 2 0.5\nedge 1 2\nedge 3 1 2\n"])
+def test_parsed_specs_build_the_same_topology_as_hand_built_ones(text):
+    parsed = parse_spec(text)
+    hand = NetworkSpec(parsed.n, parsed.edges, parsed.hyperedges)
+    assert parsed == hand
+    g, h = parsed.to_graph(), hand.to_graph()
+    assert (g.n, g.edges, g.weights) == (h.n, h.edges, h.weights)
+    assert all(g.neighbors(v) == h.neighbors(v) for v in range(1, g.n + 1))
+    assert parsed.to_hypergraph().hyperedges == hand.to_hypergraph().hyperedges
+    g.weights.clear()  # a graph owns its map: the spec's next graph is whole
+    assert parsed.to_graph().weights == h.weights
 
 
 def test_parse_spec_rejects_empty_input():
@@ -357,6 +394,64 @@ def test_report_structure_and_key_order(tmp_path):
     assert doc["result"]["ok"] is True
     assert doc["result"]["cbits"] == 4
     assert doc["result"]["worst_fidelity"] >= 1 - 1e-10
+
+
+NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(2**63, 2**80),
+    st.integers(-(2**80), -(2**63)),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-07, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.booleans(),
+    st.none(),
+)
+TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\n\t\u00e9\u2028\ud800\U0001f600[],{}:')),
+    max_size=8,
+)
+KEYS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+# number rows (edge lists), empty rows and empty lists among them
+ROWS = st.one_of(
+    st.lists(st.lists(NUMBERS, max_size=4), max_size=4),
+    st.lists(st.tuples(NUMBERS, NUMBERS), max_size=4),
+    st.lists(NUMBERS, max_size=4),
+)
+DOCUMENTS = st.recursive(
+    st.one_of(NUMBERS, TEXT, ROWS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCUMENTS)
+@example({"edges": [[1, 2], [2, 3, 0.5]], "leaves": [1, 3], "empty": [[], [[]]]})
+@example([[[[1, True], [-0.0, 1e-07]], [[2**64, float("nan")]]], [[1e300, float("inf")]]])
+@example({'k"\\\x01\u00e9': ["[1,2]", [False, None]], 1: {}, 2.5: (), None: True})
+def test_report_encoder_gives_the_bytes_of_json_dumps(document):
+    assert _json_indent2(document) == json.dumps(document, indent=2)
+
+
+def test_report_encoder_refuses_what_json_dumps_refuses():
+    for bad in ({(1, 2): 3}, [[1, {2}]], [object()]):
+        with pytest.raises(TypeError) as ours:
+            _json_indent2(bad)
+        with pytest.raises(TypeError) as oracle:
+            json.dumps(bad, indent=2)
+        assert str(ours.value) == str(oracle.value)
+
+
+def test_report_file_is_json_dumps_of_its_own_content(tmp_path):
+    spec = write(tmp_path, "agents 4\nedge 4 2 1e-05\nedge 1 2\nedge 3 1 2\nedge 3 4 7\n")
+    for command in ("check", "mst", "weave", "fuse"):
+        report = tmp_path / f"{command}.json"
+        assert invoke([command, spec, "--report", str(report)])[0] == 0
+        data = report.read_text()
+        assert data == json.dumps(json.loads(data), indent=2) + "\n"
 
 
 def test_report_written_even_when_check_rejects(tmp_path):

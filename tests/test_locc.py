@@ -93,16 +93,17 @@ def test_two_member_group_equals_epr_pair():
 
 
 @pytest.mark.parametrize(
-    "refused",
+    "refused, message",
     [
-        lambda net: net.distribute_epr(1, 9),
-        lambda net: net.distribute_epr(9, 1),
-        lambda net: net.distribute_ghz((1, 2, 9)),
-        lambda net: net.add_ancilla(9),
+        (lambda net: net.distribute_epr(1, 9), "unknown agent 9"),
+        (lambda net: net.distribute_epr(9, 1), "unknown agent 9"),
+        (lambda net: net.distribute_ghz((1, 2, 9)), "unknown agent 9"),
+        (lambda net: net.distribute_ghz((1, 1, 2)), "repeated agent in hyperedge"),
+        (lambda net: net.add_ancilla(9), "unknown agent 9"),
     ],
-    ids=["epr-second", "epr-first", "ghz", "ancilla"],
+    ids=["epr-second", "epr-first", "ghz", "ghz-repeated", "ancilla"],
 )
-def test_refused_setup_call_allocates_nothing(refused):
+def test_refused_setup_call_allocates_nothing(refused, message):
     def network():
         net = NetworkState(3)
         net.distribute_epr(1, 3)
@@ -110,7 +111,7 @@ def test_refused_setup_call_allocates_nothing(refused):
 
     net, fresh = network(), network()
     owner, transcript = dict(net.owner), list(net.transcript)
-    with pytest.raises(ValueError, match="unknown agent 9"):
+    with pytest.raises(ValueError, match=message):
         refused(net)
     assert net.owner == owner
     assert net.transcript == transcript

@@ -15,7 +15,9 @@ The corpus is the benchmark's four pools (``perfbench/workloads.py``, read
 only) at one seed with ``--verbose``, then hand-written specs that reach
 paths the pools do not: ``ghz3``, both step-2 circuits on small and weighted
 trees, the ``BRANCH_CAP`` fallback, contained, duplicate and EPR groups under
-``fuse``, disconnected networks under every command, and refused specs.
+``fuse``, disconnected networks under every command, refused specs, one
+malformed spec per parse error, and spec-format cases (reversed, integer,
+tiny and mixed weights, comments and blank lines) under every command.
 """
 
 from __future__ import annotations
@@ -93,6 +95,45 @@ def corpus():
     for name, text in refused.items():
         for command in COMMANDS:
             yield f"{name}-{command}", text, [command]
+
+    # one malformed spec per parse error, so stderr and its line numbers show
+    malformed = {
+        "first-directive": "edge 1 2\n",
+        "agents-twice": "agents 3\nagents 4\n",
+        "agents-arity": "agents 3 4\n",
+        "bad-agent-count": "agents two\n",
+        "no-agents": "agents 0\n",
+        "edge-arity": "agents 3\nedge 1\n",
+        "edge-out-of-range": "agents 3\nedge 1 5\n",
+        "edge-not-a-number": "agents 3\nedge 1 x\n",
+        "self-loop": "agents 3\nedge 2 2\n",
+        "duplicate-edge": "agents 3\nedge 1 2\nedge 2 1\n",
+        "bad-weight": "agents 3\nedge 1 2 heavy\n",
+        "negative-weight": "agents 3\nedge 1 2 -1\n",
+        "inf-weight": "agents 3\nedge 1 2 inf\n",
+        "lone-member": "agents 3\nhyper 1\n",
+        "member-not-a-number": "agents 3\nhyper 1 2.5\n",
+        "edge-after-hyper": "agents 3\nhyper 1 2 3\nedge 1 2\n",
+        "hyper-after-edge": "agents 3\nedge 1 2\nhyper 1 2 3\n",
+        "unknown-directive": "agents 3\nwire 1 2\n",
+        "empty": "# nothing but comments\n\n",
+    }
+    for name, text in malformed.items():
+        yield f"malformed-{name}", text, ["check"]
+
+    # spec-format cases that parse: the report's network and spec hash show
+    # how each one is read back
+    formats = {
+        "reversed-edge": _edges(5, [(1, 2), (5, 2), (3, 2), (4, 3)]),
+        "int-weight": _edges(4, [(1, 2, 3), (2, 3), (3, 4, 1)]),
+        "tiny-weight": _edges(4, [(1, 2, "1e-05"), (2, 3, "0.1"), (1, 3), (3, 4, "2")]),
+        "mixed-weights": _edges(5, [(1, 2), (2, 3, 0.5), (3, 4), (4, 5, 2), (1, 5)]),
+        "comments": "# a path of four\n\nagents 4   # count\n  edge 1 2\n\n# middle\n"
+        "edge 2 3 # trailing\n\tedge 3 4\t\n\n",
+    }
+    for name, text in formats.items():
+        for command in COMMANDS:
+            yield f"format-{name}-{command}", text, [command]
 
 
 def main(argv=None) -> int:
