@@ -1,13 +1,15 @@
 """The distributed-network model: who owns what, who knows what.
 
 A ``NetworkState`` tracks n agents, the qubits each one owns, and the
-joint quantum state. The joint state is stored as a list of independent
-factors (states over disjoint qubit sets) that are merged only when a
-gate spans them, so the largest factor ever simulated stays small even
-though the network as a whole holds many qubits. Measured qubits are
-split back out into singleton factors immediately, which keeps redundancy
-out of the working factor and makes "does this group factor out?"
-audits exact.
+joint quantum state. The joint state is stored as independent factors
+(states over disjoint qubit sets), each in a numbered slot, with a map
+from every live qubit to its factor's slot. Factors merge only when a gate
+spans them, so the largest factor ever simulated stays small even though
+the network as a whole holds many qubits; a merged factor takes its
+lowest slot, so factors keep the order in which they were made. Measured
+qubits are split back out into singleton factors immediately, which keeps
+redundancy out of the working factor and makes "does this group factor
+out?" audits exact.
 
 Factors are stabilizer tableaux (:class:`~eprweave.stabilizer.Tableau`):
 every setup state, ancilla and protocol operation is a stabilizer one.
@@ -24,14 +26,16 @@ and a broadcast costs the same as a point-to-point send.
 
 All operations, locks, pair claims and schedule checks mutate the
 NetworkState in place and append to its transcript, so a transcript is a
-complete schedule. ``NetworkState.apply`` is its one interpreter, used by
+complete schedule. Each public operation builds its record and runs it
+through the one executor for that kind of record. ``NetworkState.apply``
+runs a recorded operation through the same executor, for
 ``replay_transcript`` (which can censor messages: any operation
-conditioned on a censored bit must then fail) and by branch exploration.
+conditioned on a censored bit must then fail) and for branch exploration.
+An operation that reproduces its record appends that record itself.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -198,7 +202,11 @@ class NetworkState:
         self.setup_open = True
         self.epr_pairs: list[EprPairRecord] = []
         self.peak_factor_qubits = 0
-        self._factors: list[Factor] = []
+        self._factors: dict[int, Factor] = {}  # slot -> factor, oldest slot first
+        self._slot: dict[QubitId, int] = {}  # live qubit -> its factor's slot
+        self._next_slot = 0
+        # agent pair (low, high) -> indices into epr_pairs of its unused pairs
+        self._unclaimed: dict[tuple[AgentId, AgentId], tuple[int, ...]] = {}
         self._locked: set[QubitId] = set()
         self._labels: set[str] = set()
         self._next_qubit = 1
@@ -214,20 +222,28 @@ class NetworkState:
 
     def factor_qubits(self, q: QubitId) -> tuple[QubitId, ...]:
         """The qubit set of the factor currently containing q."""
-        return self._factors[self._factor_index(q)].qubits
+        return self._factors[self._slot_of(q)].qubits
 
     def copy(self) -> "NetworkState":
-        dup = NetworkState(self.n, self.chooser)
-        dup.owner = dict(self.owner)
-        dup.knowledge = {a: dict(k) for a, k in self.knowledge.items()}
-        dup.transcript = list(self.transcript)
+        dup = NetworkState.__new__(NetworkState)
+        dup.n = self.n
+        dup.chooser = self.chooser
+        dup.owner = self.owner.copy()
+        dup.knowledge = {a: k.copy() for a, k in self.knowledge.items()}
+        dup.transcript = self.transcript.copy()
         dup.cbit_count = self.cbit_count
         dup.setup_open = self.setup_open
-        dup.epr_pairs = [dataclasses.replace(p) for p in self.epr_pairs]
+        dup.epr_pairs = [
+            EprPairRecord(p.agent_a, p.agent_b, p.qubit_a, p.qubit_b, p.consumed)
+            for p in self.epr_pairs
+        ]
         dup.peak_factor_qubits = self.peak_factor_qubits
-        dup._factors = list(self._factors)  # factors are never mutated
-        dup._locked = set(self._locked)
-        dup._labels = set(self._labels)
+        dup._factors = self._factors.copy()  # factors are never mutated
+        dup._slot = self._slot.copy()
+        dup._next_slot = self._next_slot
+        dup._unclaimed = self._unclaimed.copy()
+        dup._locked = self._locked.copy()
+        dup._labels = self._labels.copy()
         dup._next_qubit = self._next_qubit
         return dup
 
@@ -244,31 +260,32 @@ class NetworkState:
         self.owner.update(zip(qubits, agents))
         return qubits
 
-    def _factor_index(self, q: QubitId) -> int:
-        for i, f in enumerate(self._factors):
-            if q in f.qubits:
-                return i
-        raise ValueError(f"qubit {q} is not live in this network")
+    def _slot_of(self, q: QubitId) -> int:
+        try:
+            return self._slot[q]
+        except KeyError:
+            raise ValueError(f"qubit {q} is not live in this network") from None
 
     def _store_factor(self, f: Factor) -> None:
-        if f.n == 0:
-            return  # a fully-discarded register is just a global phase
-        self._factors.append(f)
+        slot = self._next_slot
+        self._next_slot += 1
+        self._factors[slot] = f
+        for q in f.qubits:
+            self._slot[q] = slot
         self.peak_factor_qubits = max(self.peak_factor_qubits, f.n)
 
-    def _merged_factor(self, qubits: Sequence[QubitId]) -> int:
-        """Ensure all qubits share one factor; return its index."""
-        indices = sorted({self._factor_index(q) for q in qubits})
-        first = indices[0]
-        if len(indices) > 1:
-            combined = self._factors[first]
-            for i in indices[1:]:
-                combined = _merge(combined, self._factors[i])
-            for i in reversed(indices[1:]):
-                del self._factors[i]
-            self._factors[first] = combined
-            self.peak_factor_qubits = max(self.peak_factor_qubits, combined.n)
-        return first
+    def _merged_slot(self, a: int, b: int) -> int:
+        """Merge the factors in slots a and b; return the slot of the
+        result. It takes the lower slot, so it keeps that factor's place,
+        and the qubits of the other factor move to it."""
+        low, high = (a, b) if a < b else (b, a)
+        moved = self._factors.pop(high)
+        merged = _merge(self._factors[low], moved)
+        self._factors[low] = merged
+        for q in moved.qubits:
+            self._slot[q] = low
+        self.peak_factor_qubits = max(self.peak_factor_qubits, merged.n)
+        return low
 
     def _require_owner(self, actor: AgentId, qubits: Iterable[QubitId]) -> None:
         for q in qubits:
@@ -287,9 +304,6 @@ class NetworkState:
                 f"qubits {stuck} are locked until the protocol schedule releases them"
             )
 
-    def _protocol_started(self) -> None:
-        self.setup_open = False
-
     # -- setup phase -----------------------------------------------------------
 
     def distribute_epr(self, a: AgentId, b: AgentId) -> tuple[QubitId, QubitId]:
@@ -300,6 +314,8 @@ class NetworkState:
             raise SetupClosedError("EPR distribution is only allowed during setup")
         qa, qb = self._new_qubits((a, b))
         self._store_factor(Tableau.ghz((qa, qb)))
+        key = (a, b) if a < b else (b, a)
+        self._unclaimed[key] = self._unclaimed.get(key, ()) + (len(self.epr_pairs),)
         self.epr_pairs.append(EprPairRecord(a, b, qa, qb))
         self.transcript.append(SetupRecord("epr", (a, b), (qa, qb)))
         return qa, qb
@@ -323,10 +339,7 @@ class NetworkState:
 
     def add_ancilla(self, actor: AgentId) -> QubitId:
         """Fresh local |0> qubit; free, and legal at any time."""
-        (q,) = self._new_qubits((actor,))
-        self._store_factor(Tableau.zeros((q,)))
-        self.transcript.append(AncillaRecord(actor, q))
-        return q
+        return self._run_ancilla(AncillaRecord(actor, self._next_qubit), None)
 
     def prepare_local(self, actor: AgentId, q: QubitId, amps) -> None:
         """Load a dense one-qubit state into the actor's standalone qubit.
@@ -339,12 +352,12 @@ class NetworkState:
         transcript: a replay starts the qubit from |0>.
         """
         self._require_owner(actor, (q,))
-        i = self._factor_index(q)
-        if self._factors[i].qubits != (q,):
+        slot = self._slot[q]
+        if self._factors[slot].qubits != (q,):
             raise ProtocolError(
-                f"qubit {q} shares its factor with {sorted(set(self._factors[i].qubits) - {q})}"
+                f"qubit {q} shares its factor with {sorted(set(self._factors[slot].qubits) - {q})}"
             )
-        self._factors[i] = StateVector((q,), amps)
+        self._factors[slot] = StateVector((q,), amps)
 
     def local_gate(self, actor: AgentId, gate: Gate, when: str | None = None) -> bool:
         """Apply a gate to the actor's own qubits.
@@ -354,22 +367,7 @@ class NetworkState:
         is an error — that is the classical side of LOCC enforcement.
         Returns whether the gate was actually applied.
         """
-        self._protocol_started()
-        self._require_owner(actor, gate.qubits)
-        self._require_unlocked(gate.qubits)
-        applied = True
-        if when is not None:
-            if when not in self.knowledge[actor]:
-                raise ConditioningError(
-                    f"agent {actor} conditions on {when!r} without having "
-                    "measured or received it"
-                )
-            applied = self.knowledge[actor][when] == 1
-        if applied:
-            i = self._merged_factor(gate.qubits)
-            self._factors[i] = self._factors[i].apply(gate)
-        self.transcript.append(GateRecord(actor, gate, when, applied))
-        return applied
+        return self._run_gate(GateRecord(actor, gate, when, True), None)
 
     def local_measure(
         self,
@@ -384,43 +382,13 @@ class NetworkState:
         stays private until sent classically. The measured qubit collapses
         and is split into its own single-qubit factor.
         """
-        self._protocol_started()
-        self._require_owner(actor, (q,))
-        self._require_unlocked((q,))
-        if label is None:
-            label = next(f"m{k}" for k in itertools.count(1) if f"m{k}" not in self._labels)
-        if label in self._labels:
-            raise ValueError(f"measurement label {label!r} already used in this run")
-        chooser = choose if choose is not None else self.chooser
-        if chooser is None:
-            raise ValueError("no branch chooser configured for this measurement")
-        i = self._factor_index(q)
-        outcome, rest = self._factors[i].measure_out(q, chooser)
-        collapsed = Tableau.basis_state(q, outcome.bit)
-        if rest.n == 0:
-            self._factors[i] = collapsed
-        else:
-            self._factors[i] = rest
-            self._store_factor(collapsed)
-        self._labels.add(label)
-        self.knowledge[actor][label] = outcome.bit
-        self.transcript.append(
-            MeasureRecord(actor, q, label, outcome.bit, outcome.probability)
-        )
-        return outcome
+        # no recorded bit: without a chooser there is nothing to measure by
+        placeholder = MeasureRecord(actor, q, label, None, 0.0)
+        return self._run_measure(placeholder, choose if choose is not None else self.chooser)
 
     def discard_qubit(self, actor: AgentId, q: QubitId) -> None:
         """Drop a qubit that factors out (e.g. already measured); free."""
-        self._require_owner(actor, (q,))
-        i = self._factor_index(q)
-        reduced = self._factors[i].discard(q)
-        if reduced.n == 0:
-            del self._factors[i]
-        else:
-            self._factors[i] = reduced
-        del self.owner[q]
-        self._locked.discard(q)
-        self.transcript.append(DiscardRecord(actor, q))
+        self._run_discard(DiscardRecord(actor, q), None)
 
     def drop_group(self, qubits: Iterable[QubitId]) -> None:
         """Remove an entire factor wholesale (redundant group entanglement).
@@ -428,28 +396,15 @@ class NetworkState:
         Legal only when ``qubits`` is exactly one factor's qubit set, i.e.
         the group is untouched and unentangled with everything else.
         """
-        qubits = frozenset(qubits)
-        if not qubits:
-            raise ValueError("a dropped group needs at least one qubit")
-        i = self._factor_index(next(iter(qubits)))
-        if frozenset(self._factors[i].qubits) != qubits:
-            raise ProtocolError(
-                f"{sorted(qubits)} is not a standalone group; its factor spans "
-                f"{sorted(self._factors[i].qubits)}"
-            )
-        dropped = self._factors.pop(i)
-        for q in dropped.qubits:
-            del self.owner[q]
-            self._locked.discard(q)
-        self.transcript.append(DropGroupRecord(tuple(sorted(qubits))))
+        self._run_drop_group(DropGroupRecord(tuple(sorted(frozenset(qubits)))), None)
 
     # -- classical communication ---------------------------------------------
 
     def send_classical(
         self,
-        sender: AgentId,
-        receivers: AgentId | str,
-        bits: Sequence[int | str],
+        sender: AgentId | ClassicalMessage,
+        receivers: AgentId | str | None = None,
+        bits: Sequence[int | str] = (),
         purpose: str = "",
     ) -> ClassicalMessage:
         """Send classical bits to one agent or to ALL.
@@ -458,56 +413,69 @@ class NetworkState:
         sender knows; referencing an unknown label is a conditioning
         violation. Receivers learn every labeled bit. Cost: len(bits)
         cbits, regardless of how many agents listen.
+
+        ``send_classical(message)`` sends a recorded message again, as
+        :meth:`apply` does: its labeled bits take the values this network
+        knows, with every check above. Every message passes through here.
         """
-        self._protocol_started()
-        if sender not in self.agents:
+        if isinstance(sender, ClassicalMessage):
+            rec = sender
+        else:
+            bits = tuple(bits)
+            rec = ClassicalMessage(
+                sender,
+                ALL if receivers == ALL else (receivers,),
+                tuple(0 if isinstance(b, str) else int(b) if b in (0, 1) else b for b in bits),
+                tuple(b if isinstance(b, str) else None for b in bits),
+                purpose,
+            )
+        self.setup_open = False
+        sender, receivers, agents = rec.sender, rec.receivers, self.agents
+        if sender not in agents:
             raise ValueError(f"unknown agent {sender}")
-        if not bits:
+        if not rec.bits:
             raise ValueError("a classical message must carry at least one bit")
         if receivers != ALL:
-            if receivers not in self.agents:
-                raise ValueError(f"unknown receiver {receivers}")
-            if receivers == sender:
-                raise ValueError("sending a message to oneself is not communication")
+            for receiver in receivers:
+                if receiver not in agents:
+                    raise ValueError(f"unknown receiver {receiver}")
+                if receiver == sender:
+                    raise ValueError("sending a message to oneself is not communication")
+        known = self.knowledge[sender]
         values: list[int] = []
         learned: dict[str, int] = {}
-        for bit in bits:
-            if isinstance(bit, str):
-                if bit not in self.knowledge[sender]:
+        for label, value in zip(rec.labels, rec.bits):
+            if label is not None:
+                value = known.get(label)
+                if value is None:
                     raise ConditioningError(
-                        f"agent {sender} sends {bit!r} without having measured "
+                        f"agent {sender} sends {label!r} without having measured "
                         "or received it"
                     )
-                learned[bit] = self.knowledge[sender][bit]
-                values.append(learned[bit])
-            elif bit in (0, 1):
-                values.append(int(bit))
-            else:
-                raise ValueError(f"classical bits must be 0 or 1, got {bit}")
+                learned[label] = value
+            elif value not in (0, 1):
+                raise ValueError(f"classical bits must be 0 or 1, got {value}")
+            values.append(value)
+        values = tuple(values)
         if learned:  # constant bits teach nobody anything
-            for agent in self.agents if receivers == ALL else (receivers,):
+            for agent in agents if receivers == ALL else receivers:
                 if agent != sender:
                     self.knowledge[agent].update(learned)
-        labels = tuple(bit if isinstance(bit, str) else None for bit in bits)
-        record_receivers = ALL if receivers == ALL else (receivers,)
-        msg = ClassicalMessage(sender, record_receivers, tuple(values), labels, purpose)
-        self.transcript.append(msg)
+        if values != rec.bits:
+            rec = ClassicalMessage(sender, receivers, values, rec.labels, rec.purpose)
+        self.transcript.append(rec)
         self.cbit_count += len(values)
-        return msg
+        return rec
 
     # -- scheduling locks --------------------------------------------------------
 
     def lock_qubits(self, qubits: Iterable[QubitId]) -> None:
         """Freeze qubits until the protocol schedule reaches them; any
         local operation on a locked qubit is a protocol error."""
-        qubits = tuple(qubits)
-        self._locked.update(qubits)
-        self.transcript.append(LockRecord(qubits, True))
+        self._run_lock(LockRecord(tuple(qubits), True), None)
 
     def unlock_qubits(self, qubits: Iterable[QubitId]) -> None:
-        qubits = tuple(qubits)
-        self._locked.difference_update(qubits)
-        self.transcript.append(LockRecord(qubits, False))
+        self._run_lock(LockRecord(tuple(qubits), False), None)
 
     def consume_epr(self, a: AgentId, b: AgentId) -> tuple[QubitId, QubitId]:
         """Claim the first unused EPR pair between a and b, unlocking it.
@@ -515,42 +483,25 @@ class NetworkState:
         Returns (a's half, b's half) and marks the pair consumed so no
         teleportation can use it twice.
         """
-        for pair in self.epr_pairs:
-            if pair.consumed:
-                continue
-            if (pair.agent_a, pair.agent_b) == (a, b):
-                pair.consumed = True
-                halves = (pair.qubit_a, pair.qubit_b)
-            elif (pair.agent_a, pair.agent_b) == (b, a):
-                pair.consumed = True
-                halves = (pair.qubit_b, pair.qubit_a)
-            else:
-                continue
-            self._locked.difference_update(halves)
-            self.transcript.append(ConsumeRecord(a, b))
-            return halves
-        raise ProtocolError(f"no unused EPR pair between agents {a} and {b}")
+        return self._run_consume(ConsumeRecord(a, b), None)
 
-    # -- schedule checks and the record interpreter ----------------------------
+    # -- schedule checks -------------------------------------------------------
 
     def check_zero(self, actor: AgentId, q: QubitId) -> None:
         """Require the actor's qubit to be |0>, as a perfect duplicate is
         after its uncopy; anything else is an entanglement error."""
-        self._require_owner(actor, (q,))
-        stray = self._factors[self._factor_index(q)].probability_of_one(q)
-        if stray > 1e-10:
-            raise EntanglementError(
-                f"qubit {q} is not |0> after its uncopy: it was not perfectly "
-                f"correlated with its partner (P[1] = {stray:.3e})"
-            )
-        self.transcript.append(ZeroCheckRecord(actor, q))
+        self._run_zero_check(ZeroCheckRecord(actor, q), None)
 
     def check_factor_size(self, q: QubitId, size: int) -> None:
         """Require the factor holding q to span exactly ``size`` qubits."""
-        actual = len(self.factor_qubits(q))
-        if actual != size:
-            raise ProtocolError(f"merged group spans {actual} qubits, expected {size}")
-        self.transcript.append(FactorSizeRecord(q, size))
+        self._run_factor_size(FactorSizeRecord(q, size), None)
+
+    # -- the record interpreter ----------------------------------------------
+    #
+    # One executor per record kind runs the operation, with all its checks,
+    # and appends its record: the given one itself when the operation
+    # reproduces it, else a new one with this run's result. The checks are
+    # inlined; the raising helpers above run only once a check has failed.
 
     def apply(self, rec: Record, choose: BranchChooser | None = None) -> None:
         """Run the operation that made ``rec``, with all its checks.
@@ -558,43 +509,160 @@ class NetworkState:
         Conditioned gates and message bits follow this network's
         knowledge; a measurement takes ``choose``, else the recorded bit.
         """
-        match rec:
-            case SetupRecord(kind="epr", agents=(a, b)):
-                self.distribute_epr(a, b)
-            case SetupRecord():
-                self.distribute_ghz(rec.agents)
-            case AncillaRecord():
-                self.add_ancilla(rec.actor)
-            case GateRecord():
-                self.local_gate(rec.actor, rec.gate, when=rec.when)
-            case MeasureRecord():
-                self.local_measure(
-                    rec.actor, rec.qubit, label=rec.label,
-                    choose=rec.bit if choose is None else choose,
+        try:
+            run = _EXECUTORS[type(rec)]
+        except KeyError:
+            raise TypeError(f"unknown transcript record {rec!r}") from None
+        run(self, rec, choose)
+
+    def _run_setup(self, rec: SetupRecord, choose) -> None:
+        if rec.kind == "epr" and len(rec.agents) == 2:
+            self.distribute_epr(*rec.agents)
+        else:
+            self.distribute_ghz(rec.agents)
+
+    def _run_ancilla(self, rec: AncillaRecord, choose) -> QubitId:
+        (q,) = self._new_qubits((rec.actor,))
+        self._store_factor(Tableau.zeros((q,)))
+        if q != rec.qubit:
+            rec = AncillaRecord(rec.actor, q)
+        self.transcript.append(rec)
+        return q
+
+    def _run_gate(self, rec: GateRecord, choose) -> bool:
+        self.setup_open = False
+        actor, gate, when = rec.actor, rec.gate, rec.when
+        qubits = gate.qubits
+        for q in qubits:
+            if self.owner.get(q) != actor:
+                self._require_owner(actor, qubits)
+        if self._locked and not self._locked.isdisjoint(qubits):
+            self._require_unlocked(qubits)
+        applied = True
+        if when is not None:
+            known = self.knowledge[actor].get(when)
+            if known is None:
+                raise ConditioningError(
+                    f"agent {actor} conditions on {when!r} without having "
+                    "measured or received it"
                 )
-            case ClassicalMessage():
-                bits = [
-                    value if label is None else label
-                    for label, value in zip(rec.labels, rec.bits)
-                ]
-                receivers = rec.receivers if rec.receivers == ALL else rec.receivers[0]
-                self.send_classical(rec.sender, receivers, bits, rec.purpose)
-            case DiscardRecord():
-                self.discard_qubit(rec.actor, rec.qubit)
-            case DropGroupRecord():
-                self.drop_group(rec.qubits)
-            case ConsumeRecord():
-                self.consume_epr(rec.agent_a, rec.agent_b)
-            case LockRecord(locked=True):
-                self.lock_qubits(rec.qubits)
-            case LockRecord():
-                self.unlock_qubits(rec.qubits)
-            case ZeroCheckRecord():
-                self.check_zero(rec.actor, rec.qubit)
-            case FactorSizeRecord():
-                self.check_factor_size(rec.qubit, rec.size)
-            case _:  # pragma: no cover
-                raise TypeError(f"unknown transcript record {rec!r}")
+            applied = known == 1
+        if applied:
+            slot = self._slot[qubits[0]]
+            if len(qubits) == 2 and self._slot[qubits[1]] != slot:  # a CNOT across factors
+                slot = self._merged_slot(slot, self._slot[qubits[1]])
+            self._factors[slot] = self._factors[slot].apply(gate)
+        if applied != rec.applied:
+            rec = GateRecord(actor, gate, when, applied)
+        self.transcript.append(rec)
+        return applied
+
+    def _run_measure(self, rec: MeasureRecord, choose) -> MeasurementOutcome:
+        self.setup_open = False
+        actor, q, label = rec.actor, rec.qubit, rec.label
+        if self.owner.get(q) != actor:
+            self._require_owner(actor, (q,))
+        if q in self._locked:
+            self._require_unlocked((q,))
+        if label is None:
+            label = next(f"m{k}" for k in itertools.count(1) if f"m{k}" not in self._labels)
+        if label in self._labels:
+            raise ValueError(f"measurement label {label!r} already used in this run")
+        if choose is None:
+            choose = rec.bit
+            if choose is None:
+                raise ValueError("no branch chooser configured for this measurement")
+        slot = self._slot[q]
+        outcome, rest = self._factors[slot].measure_out(q, choose)
+        collapsed = Tableau.basis_state(q, outcome.bit)
+        if rest.n == 0:
+            self._factors[slot] = collapsed
+        else:
+            self._factors[slot] = rest
+            self._store_factor(collapsed)
+        self._labels.add(label)
+        self.knowledge[actor][label] = outcome.bit
+        if (label, outcome.bit, outcome.probability) != (rec.label, rec.bit, rec.probability):
+            rec = MeasureRecord(actor, q, label, outcome.bit, outcome.probability)
+        self.transcript.append(rec)
+        return outcome
+
+    def _run_message(self, rec: ClassicalMessage, choose) -> None:
+        # by name, so that whatever wraps send_classical sees replayed messages too
+        self.send_classical(rec)
+
+    def _run_discard(self, rec: DiscardRecord, choose) -> None:
+        actor, q = rec.actor, rec.qubit
+        if self.owner.get(q) != actor:
+            self._require_owner(actor, (q,))
+        slot = self._slot[q]
+        f = self._factors[slot]
+        if f.n == 1:  # a qubit alone in its factor just goes
+            del self._factors[slot]
+        else:
+            self._factors[slot] = f.discard(q)
+        del self._slot[q]
+        del self.owner[q]
+        self._locked.discard(q)
+        self.transcript.append(rec)
+
+    def _run_drop_group(self, rec: DropGroupRecord, choose) -> None:
+        if not rec.qubits:
+            raise ValueError("a dropped group needs at least one qubit")
+        slot = self._slot_of(rec.qubits[0])
+        group = self._factors[slot].qubits
+        if frozenset(group) != frozenset(rec.qubits):
+            raise ProtocolError(
+                f"{sorted(rec.qubits)} is not a standalone group; its factor spans "
+                f"{sorted(group)}"
+            )
+        del self._factors[slot]
+        for q in group:
+            del self._slot[q]
+            del self.owner[q]
+            self._locked.discard(q)
+        self.transcript.append(rec)
+
+    def _run_consume(self, rec: ConsumeRecord, choose) -> tuple[QubitId, QubitId]:
+        a, b = rec.agent_a, rec.agent_b
+        key = (a, b) if a < b else (b, a)
+        unused = self._unclaimed.get(key)
+        if not unused:
+            raise ProtocolError(f"no unused EPR pair between agents {a} and {b}")
+        self._unclaimed[key] = unused[1:]
+        pair = self.epr_pairs[unused[0]]
+        pair.consumed = True
+        halves = (pair.qubit_a, pair.qubit_b)
+        if pair.agent_a != a:
+            halves = halves[::-1]
+        self._locked.difference_update(halves)
+        self.transcript.append(rec)
+        return halves
+
+    def _run_lock(self, rec: LockRecord, choose) -> None:
+        if rec.locked:
+            self._locked.update(rec.qubits)
+        else:
+            self._locked.difference_update(rec.qubits)
+        self.transcript.append(rec)
+
+    def _run_zero_check(self, rec: ZeroCheckRecord, choose) -> None:
+        actor, q = rec.actor, rec.qubit
+        if self.owner.get(q) != actor:
+            self._require_owner(actor, (q,))
+        stray = self._factors[self._slot[q]].probability_of_one(q)
+        if stray > 1e-10:
+            raise EntanglementError(
+                f"qubit {q} is not |0> after its uncopy: it was not perfectly "
+                f"correlated with its partner (P[1] = {stray:.3e})"
+            )
+        self.transcript.append(rec)
+
+    def _run_factor_size(self, rec: FactorSizeRecord, choose) -> None:
+        actual = len(self.factor_qubits(rec.qubit))
+        if actual != rec.size:
+            raise ProtocolError(f"merged group spans {actual} qubits, expected {rec.size}")
+        self.transcript.append(rec)
 
     # -- observation ------------------------------------------------------------
 
@@ -602,8 +670,8 @@ class NetworkState:
         """The factors touching ``qubits`` (all if None), in stored order.
         Factors are immutable, so reading them changes nothing."""
         if qubits is None:
-            return list(self._factors)
-        return [self._factors[i] for i in sorted({self._factor_index(q) for q in qubits})]
+            return list(self._factors.values())
+        return [self._factors[s] for s in sorted({self._slot_of(q) for q in qubits})]
 
     def joint_state(self, qubits: Iterable[QubitId] | None = None) -> StateVector:
         """Dense merged view of the factors touching ``qubits`` (all
@@ -631,11 +699,27 @@ class NetworkState:
             raise ValueError(f"unknown agents {sorted(unknown)}")
         mine = {q for q, a in self.owner.items() if a in part}
         total = 0.0
-        for f in self._factors:
+        for f in self._factors.values():
             inside = set(f.qubits) & mine
             if inside and inside != set(f.qubits):
                 total += f.cut_entropy(inside)
         return total
+
+
+#: The executor of each record kind, for :meth:`NetworkState.apply`.
+_EXECUTORS = {
+    SetupRecord: NetworkState._run_setup,
+    AncillaRecord: NetworkState._run_ancilla,
+    GateRecord: NetworkState._run_gate,
+    MeasureRecord: NetworkState._run_measure,
+    ClassicalMessage: NetworkState._run_message,
+    DiscardRecord: NetworkState._run_discard,
+    DropGroupRecord: NetworkState._run_drop_group,
+    ConsumeRecord: NetworkState._run_consume,
+    LockRecord: NetworkState._run_lock,
+    ZeroCheckRecord: NetworkState._run_zero_check,
+    FactorSizeRecord: NetworkState._run_factor_size,
+}
 
 
 # ---------------------------------------------------------------------------

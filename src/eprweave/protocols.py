@@ -154,15 +154,17 @@ class _Fork:
         if self.at <= len(self.bits):
             return self.bits[self.at - 1]
         if self.streams is None:
-            groups = {bit: None for bit, p in enumerate((p0, p1)) if p >= PROB_FLOOR}
+            bit = 0 if p0 >= PROB_FLOOR else 1
+            if not bit and p1 >= PROB_FLOOR:
+                self.pending.append(((*self.bits, 1), None))
         else:
             groups = {}
             for rng in self.streams:
                 groups.setdefault(1 if rng.random() < p1 else 0, []).append(rng)
-        bit, *others = sorted(groups)
-        self.pending += [((*self.bits, other), groups[other]) for other in others]
+            bit, *others = sorted(groups)
+            self.pending += [((*self.bits, other), groups[other]) for other in others]
+            self.streams = groups[bit]
         self.bits.append(bit)
-        self.streams = groups[bit]
         return bit
 
 
@@ -210,8 +212,9 @@ def _explore(
         while pending:
             fork = _Fork(*pending.pop(), pending)
             run = net.copy()
+            apply = run.apply
             for rec in schedule:
-                run.apply(rec, fork)
+                apply(rec, fork)
             yield run
 
     records, transcript = [], None
@@ -262,18 +265,18 @@ def verify_ghz(
     chosen = set(designated.values())
     t00 = t11 = t01 = 1.0 + 0.0j
     for f in net.factors(chosen):
-        inside = set(f.qubits) & chosen
-        if strict and inside != set(f.qubits):
+        inside = chosen.intersection(f.qubits)
+        if strict and len(inside) != f.n:
             leak = f.cut_entropy(inside)
             if leak > 1e-10:
                 raise EntanglementError(
                     f"designated qubits remain entangled with {sorted(set(f.qubits) - inside)}"
                     f" (cut entropy {leak:.3e})"
                 )
-        block = f.ghz_block(inside)
-        t00 *= block[0, 0]
-        t11 *= block[1, 1]
-        t01 *= block[0, 1]
+        w00, w11, w01 = f.ghz_terms(inside)
+        t00 *= w00
+        t11 *= w11
+        t01 *= w01
     fid = (t00.real + t11.real + 2 * t01.real) / 2
     return min(1.0, max(0.0, float(fid)))
 

@@ -14,7 +14,7 @@ phase from ``int.bit_count``.
 
 Queries reduce rows over GF(2). A cut's entropy is the rank of the rows
 restricted to one side minus that side's size (Fattal et al.,
-arXiv:quant-ph/0406168). ``ghz_block`` reads the GHZ overlap off the
+arXiv:quant-ph/0406168). ``ghz_terms`` reads the GHZ overlap off the
 stabilizers supported on a subset, and ``to_statevector`` builds the dense
 state, which stays the oracle. Every result is exact: probabilities are 0,
 1/2 or 1, and GHZ terms are signed powers of two.
@@ -43,7 +43,8 @@ from .statevec import (
 Row = tuple[int, int, int]  # (x bits, z bits, sign bit)
 
 _IDENTITY: Row = (0, 0, 0)
-_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+_I_POWERS = (1.0, 1j, -1.0, -1j)
+_POWERS_OF_I = np.array(_I_POWERS)
 
 
 def _mul(a: Row, b: Row) -> Row:
@@ -222,12 +223,14 @@ class Tableau:
         """
         j = self.position(q)
         m = 1 << j
-        pivot = next((i for i, (x, _, _) in enumerate(self.rows) if x & m), None)
-        if pivot is None:
+        for pivot, p in enumerate(self.rows):
+            if p[0] & m:
+                break
+        else:
             one = self._z_sign(m)
             return choose_outcome(q, choose, 1.0 - one, float(one)), self.discard(q)
         outcome = choose_outcome(q, choose, 0.5, 0.5)
-        p = self.rows[pivot]
+        bit, low, j1 = outcome.bit, m - 1, j + 1
         rest = []
         for i, row in enumerate(self.rows):
             if i == pivot:
@@ -235,9 +238,12 @@ class Tableau:
             if row[0] & m:
                 row = _mul(row, p)
             x, z, r = row
-            # x has no bit j now; if z has, times (-1)^bit Z_q clears it
-            rest.append((x, z ^ m, r ^ outcome.bit) if z & m else row)
-        return outcome, self._without(j, rest)
+            # x has no bit j now; if z has, times (-1)^bit Z_q clears it.
+            # Either way bit j goes, and the bits above it move down.
+            if z & m:
+                r ^= bit
+            rest.append(((x & low) | (x >> j1) << j, (z & low) | (z >> j1) << j, r))
+        return outcome, Tableau(self.qubits[:j] + self.qubits[j1:], rest)
 
     # -- register surgery ------------------------------------------------------
 
@@ -299,18 +305,29 @@ class Tableau:
 
     def ghz_block(self, qubits: Iterable[QubitId]) -> np.ndarray:
         """The reduced density matrix of ``qubits`` on span{|0…0>, |1…1>},
-        laid out as ``StateVector.ghz_block`` lays it out.
+        laid out as ``StateVector.ghz_block`` lays it out."""
+        t00, t11, t01 = self.ghz_terms(qubits)
+        return np.array([[t00, t01], [np.conj(t01), t11]], dtype=complex)
+
+    def ghz_terms(self, qubits: Iterable[QubitId]) -> tuple[float, float, complex]:
+        """``ghz_block``'s weights of |0…0> and |1…1> and their coherence
+        ``<0…0|rho|1…1>``, as plain numbers.
 
         The reduced state is ``2^-s`` times the sum of the stabilizers
         supported on the s qubits. Those without X (a group D of size 2^d)
         weigh |0…0> and |1…1>: each gets 2^(d-s) if every generator of D
         fixes it, else 0. The coherence comes from the coset of stabilizers
         that flip every qubit, P0·D: ``<0…0|P0|1…1>`` times 2^(d-s), if D
-        fixes |1…1>.
+        fixes |1…1>. When ``qubits`` is the whole register, as for a
+        finished GHZ factor, every stabilizer is supported on it and the
+        first row reduction is skipped.
         """
         inside = sum(1 << self.position(q) for q in set(qubits))
         s = inside.bit_count()
-        _, local = _eliminate(self.rows, _on(((1 << self.n) - 1) ^ inside, self.n))
+        full = (1 << self.n) - 1
+        local = self.rows
+        if inside != full:
+            _, local = _eliminate(self.rows, _on(full ^ inside, self.n))
         flipping, diagonal = _eliminate(local, _x_part)
         weight = 2.0 ** (len(diagonal) - s)
         t00 = 0.0 if any(r for _, _, r in diagonal) else weight
@@ -319,8 +336,8 @@ class Tableau:
         p0 = _express(flipping, _x_part, inside) if t11 else None
         if p0 is not None:
             _, z0, r0 = p0
-            t01 = (-weight if r0 else weight) * _POWERS_OF_I[-z0.bit_count() & 3]
-        return np.array([[t00, t01], [np.conj(t01), t11]], dtype=complex)
+            t01 = (-weight if r0 else weight) * _I_POWERS[-z0.bit_count() & 3]
+        return t00, t11, t01
 
     def to_statevector(self) -> StateVector:
         """The dense state, up to global phase; ``ResourceError`` over

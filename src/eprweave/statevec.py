@@ -371,6 +371,11 @@ class StateVector:
         view = _split(self.amps, positions)
         return _block_density(view[(0,) * len(positions)], view[(1,) * len(positions)])
 
+    def ghz_terms(self, qubits: Iterable[QubitId]) -> tuple:
+        """``ghz_block``'s entries ``[0, 0]``, ``[1, 1]`` and ``[0, 1]``."""
+        block = self.ghz_block(qubits)
+        return block[0, 0], block[1, 1], block[0, 1]
+
     def __repr__(self):
         return f"StateVector(qubits={self.qubits}, amps={np.round(self.amps, 6)!r})"
 

@@ -173,15 +173,21 @@ class SpanningTree:
         missing = _unreached_agent(n, bfs_edges([1], g.neighbors))
         if missing is not None:
             raise ValueError(f"edge set is not connected (agent {missing} unreachable)")
-        degree_one = [v for v in range(1, n + 1) if len(g._adj[v]) == 1]
-        root_leaf = degree_one[0]
-        return cls(
-            n=n,
-            edges=g.edges,
-            root_leaf=root_leaf,
-            start=g._adj[root_leaf][0],
-            leaves=frozenset(degree_one),
-        )
+        return cls._of(n, g.edges)
+
+    @classmethod
+    def _of(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SpanningTree":
+        """The tree of ``edges``, taken over without checking them: n - 1
+        distinct ``(low, high)`` pairs that join agents 1..n, n >= 2."""
+        edges = tuple(sorted(edges))
+        degree = [0] * (n + 1)
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+        root_leaf = leaves[0]
+        start = next(b if a == root_leaf else a for a, b in edges if root_leaf in (a, b))
+        return cls(n=n, edges=edges, root_leaf=root_leaf, start=start, leaves=frozenset(leaves))
 
     def neighbors(self, v: int) -> list[int]:
         """Tree neighbors in increasing index order."""
@@ -279,7 +285,7 @@ def spanning_tree(g: EprGraph) -> SpanningTree:
         raise ValueError("a spanning tree needs at least two agents")
     chosen = bfs_edges([1], g.neighbors)
     _require_connected(g.n, chosen)
-    return SpanningTree.from_edges(g.n, chosen)
+    return SpanningTree._of(g.n, [(v, u) if v < u else (u, v) for v, u in chosen])
 
 
 def minimum_spanning_tree(g: EprGraph) -> SpanningTree:
@@ -297,12 +303,12 @@ def minimum_spanning_tree(g: EprGraph) -> SpanningTree:
         return v
 
     chosen = []
-    for a, b in sorted(g.edges, key=lambda e: (g.weight(*e), e)):
+    for _, a, b in sorted((w, a, b) for (a, b), w in g.weights.items()):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
             chosen.append((a, b))
-    return SpanningTree.from_edges(g.n, chosen)
+    return SpanningTree._of(g.n, chosen)
 
 
 def hypergraph_is_connected(h: EntangledHypergraph) -> bool:

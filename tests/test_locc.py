@@ -6,6 +6,7 @@ independent oracle for the protocol layer built on top of this module.
 """
 
 import dataclasses
+import typing
 
 import numpy as np
 import pytest
@@ -19,12 +20,21 @@ from eprweave.errors import (
     ProtocolError,
     SetupClosedError,
 )
+from eprweave import locc
 from eprweave.locc import (
     ALL,
+    AncillaRecord,
     ClassicalMessage,
+    ConsumeRecord,
+    DiscardRecord,
+    DropGroupRecord,
+    FactorSizeRecord,
+    GateRecord,
     MeasureRecord,
     NetworkState,
     RecordingChooser,
+    SetupRecord,
+    ZeroCheckRecord,
     replay_transcript,
 )
 from eprweave.protocols import disentangle_duplicate, protocol_two, setup_epr_network
@@ -492,6 +502,115 @@ def test_replay_reruns_the_release_check_on_a_changed_branch():
     ]
     with pytest.raises(EntanglementError, match="not perfectly correlated"):
         replay_transcript(1, flipped)
+
+
+def test_replay_reuses_exactly_the_records_it_reproduces():
+    tree = SpanningTree.from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
+    report = protocol_two(setup_epr_network(5, tree.edges), tree)
+    setup = sum(isinstance(rec, SetupRecord) for rec in report.transcript)
+    # the recorded bits; the live run's own branch (all 0); another branch
+    for choose in (None, 0, 1):
+        twin = setup_epr_network(5, tree.edges)
+        for rec in report.transcript[setup:]:
+            twin.apply(rec, choose)
+        pairs = list(zip(report.transcript[setup:], twin.transcript[setup:]))
+        assert len(pairs) == len(report.transcript) - setup
+        assert all((new is old) == (new == old) for old, new in pairs)
+        assert all(new is old for old, new in pairs) == (choose != 1)
+
+
+# ---------------------------------------------------------------------------
+# the record executors refuse what the public operations refuse
+
+
+def refusal_scene():
+    """Agent 1 has measured its half a1 (qubit 1) as "r" and claimed the
+    1-2 pair; agent 3's half c (qubit 4) is locked; setup is closed."""
+    net, a1, a2, b, c = hub_setup(RecordingChooser())
+    net.consume_epr(1, 2)
+    net.local_measure(1, a1, label="r", choose=0)
+    net.lock_qubits([c])
+    return net
+
+
+REFUSALS = [
+    # (public call, the record apply runs, error class, message)
+    (lambda n: n.local_gate(2, X(3)), GateRecord(2, X(3), None, True),
+     LoccViolationError, "belongs to agent 1"),
+    (lambda n: n.local_gate(2, X(9)), GateRecord(2, X(9), None, True),
+     ValueError, "not live"),
+    (lambda n: n.local_gate(3, X(4)), GateRecord(3, X(4), None, True),
+     ProtocolError, "locked"),
+    (lambda n: n.local_gate(2, X(2), when="r"), GateRecord(2, X(2), "r", True),
+     ConditioningError, "without having"),
+    (lambda n: n.local_measure(2, 3, label="s", choose=0), MeasureRecord(2, 3, "s", 0, 0.5),
+     LoccViolationError, "belongs to agent 1"),
+    (lambda n: n.local_measure(3, 4, label="s", choose=0), MeasureRecord(3, 4, "s", 0, 0.5),
+     ProtocolError, "locked"),
+    (lambda n: n.local_measure(1, 3, label="r", choose=0), MeasureRecord(1, 3, "r", 0, 0.5),
+     ValueError, "already used"),
+    (lambda n: n.send_classical(2, 3, ["r"]), ClassicalMessage(2, (3,), (0,), ("r",)),
+     ConditioningError, "without having"),
+    (lambda n: n.send_classical(2, ALL, ["r"]), ClassicalMessage(2, ALL, (0,), ("r",)),
+     ConditioningError, "without having"),
+    (lambda n: n.send_classical(1, 1, [1]), ClassicalMessage(1, (1,), (1,), (None,)),
+     ValueError, "oneself"),
+    (lambda n: n.send_classical(1, 9, [1]), ClassicalMessage(1, (9,), (1,), (None,)),
+     ValueError, "unknown receiver 9"),
+    (lambda n: n.send_classical(9, 1, [1]), ClassicalMessage(9, (1,), (1,), (None,)),
+     ValueError, "unknown agent 9"),
+    (lambda n: n.send_classical(1, 2, ["r", 2]), ClassicalMessage(1, (2,), (0, 2), ("r", None)),
+     ValueError, "must be 0 or 1"),
+    (lambda n: n.send_classical(1, 2, []), ClassicalMessage(1, (2,), (), ()),
+     ValueError, "at least one bit"),
+    (lambda n: n.discard_qubit(2, 3), DiscardRecord(2, 3),
+     LoccViolationError, "belongs to agent 1"),
+    (lambda n: n.discard_qubit(1, 3), DiscardRecord(1, 3),
+     EntanglementError, "still entangled"),
+    (lambda n: n.consume_epr(2, 3), ConsumeRecord(2, 3),
+     ProtocolError, "no unused EPR pair"),
+    (lambda n: n.consume_epr(2, 1), ConsumeRecord(2, 1),
+     ProtocolError, "no unused EPR pair"),
+    (lambda n: n.drop_group([3]), DropGroupRecord((3,)),
+     ProtocolError, "not a standalone group"),
+    (lambda n: n.drop_group([]), DropGroupRecord(()),
+     ValueError, "at least one qubit"),
+    (lambda n: n.check_zero(2, 3), ZeroCheckRecord(2, 3),
+     LoccViolationError, "belongs to agent 1"),
+    (lambda n: n.check_zero(1, 3), ZeroCheckRecord(1, 3),
+     EntanglementError, "not perfectly correlated"),
+    (lambda n: n.check_factor_size(3, 3), FactorSizeRecord(3, 3),
+     ProtocolError, "spans 2 qubits, expected 3"),
+    (lambda n: n.check_factor_size(9, 1), FactorSizeRecord(9, 1),
+     ValueError, "not live"),
+    (lambda n: n.add_ancilla(9), AncillaRecord(9, 5),
+     ValueError, "unknown agent 9"),
+    (lambda n: n.distribute_epr(2, 3), SetupRecord("epr", (2, 3), (5, 6)),
+     SetupClosedError, "only allowed during setup"),
+]
+
+
+@pytest.mark.parametrize(
+    "public, rec, error, message",
+    REFUSALS,
+    ids=[f"{type(rec).__name__}-{i}" for i, (_, rec, _, _) in enumerate(REFUSALS)],
+)
+def test_apply_refuses_a_record_as_its_public_operation_does(public, rec, error, message):
+    live, replayed = refusal_scene(), refusal_scene()
+    with pytest.raises(error, match=message) as by_call:
+        public(live)
+    with pytest.raises(error) as by_record:
+        replayed.apply(rec)
+    assert type(by_record.value) is type(by_call.value)
+    assert str(by_record.value) == str(by_call.value)
+    assert replayed.transcript == live.transcript
+    assert replayed.owner == live.owner
+
+
+def test_every_record_kind_has_an_executor():
+    kinds = set(typing.get_args(locc.Record))
+    assert kinds == set(locc._EXECUTORS)
+    assert {type(rec) for _, rec, _, _ in REFUSALS} == kinds - {locc.LockRecord}
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,35 @@ def test_from_edges_rejects_non_trees():
         SpanningTree.from_edges(4, [(1, 2), (2, 3), (1, 3)])
 
 
+UNREACHED_4 = r"^edge set is not connected \(agent 4 unreachable\)$"
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (4, [(1, 2), (2, 3), (1, 3)], UNREACHED_4),
+        (5, [(1, 2), (2, 3), (3, 1), (4, 5)], UNREACHED_4),
+        (6, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 4)], UNREACHED_4),
+        (5, [(1, 2), (2, 3), (3, 4)], r"^3 edges cannot form a tree on 5 agents$"),
+        (3, [(1, 2), (2, 3), (1, 3)], r"^3 edges cannot form a tree on 3 agents$"),
+        (1, [], r"^a spanning tree needs at least two agents$"),
+    ],
+    ids=["cycle-misses-4", "cycle-plus-edge", "two-parts", "too-few", "too-many", "one-agent"],
+)
+def test_from_edges_refuses_cyclic_disconnected_and_wrong_size_lists(n, edges, message):
+    with pytest.raises(ValueError, match=message):
+        SpanningTree.from_edges(n, edges)
+
+
+@settings(max_examples=100)
+@given(connected_graphs(max_n=8, weighted=True))
+def test_trees_of_a_checked_graph_equal_their_checked_rebuild(g):
+    for tree in (spanning_tree(g), minimum_spanning_tree(g)):
+        rebuilt = SpanningTree.from_edges(g.n, tree.edges)
+        assert tree == rebuilt
+        assert all(tree.neighbors(v) == rebuilt.neighbors(v) for v in range(1, g.n + 1))
+
+
 @settings(max_examples=100)
 @given(st.integers(2, 8), st.data())
 def test_from_edges_accepts_every_pruefer_tree(n, data):
