@@ -1,5 +1,13 @@
 """eprweave: a deterministic LOCC simulator that weaves GHZ states out of
-pre-shared EPR pairs and grows group entanglement across hypergraphs."""
+pre-shared EPR pairs and grows group entanglement across hypergraphs.
+
+Protocol runs simulate on the stabilizer tableau (:mod:`eprweave.stabilizer`)
+and import no numpy. The dense register (:mod:`eprweave.statevec`) holds
+``StateVector``, ``bell_pair`` and ``ghz_state``; importing them from this
+package loads it, and numpy, on first use. So does a sampled run
+(``branches=N`` seeds numpy streams), ``NetworkState.prepare_local``,
+``NetworkState.joint_state`` and ``Tableau.to_statevector``.
+"""
 
 __version__ = "0.1.0"
 
@@ -15,6 +23,7 @@ from .errors import (
     SetupClosedError,
     ZeroProbabilityError,
 )
+from .gates import CNOT, H, Gate, X, Z
 from .locc import ALL, NetworkState, RecordingChooser, replay_transcript
 from .protocols import (
     BranchRecord,
@@ -32,7 +41,6 @@ from .protocols import (
     verify_ghz,
 )
 from .stabilizer import Tableau
-from .statevec import CNOT, H, Gate, StateVector, X, Z, bell_pair, ghz_state
 from .topology import (
     EntangledHypergraph,
     EprGraph,
@@ -91,3 +99,12 @@ __all__ = [
     "teleport",
     "verify_ghz",
 ]
+
+
+def __getattr__(name: str):
+    """The dense names load :mod:`eprweave.statevec`, and numpy, on first use."""
+    if name in ("StateVector", "bell_pair", "ghz_state"):
+        from . import statevec
+
+        return getattr(statevec, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

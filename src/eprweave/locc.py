@@ -16,6 +16,9 @@ every setup state, ancilla and protocol operation is a stabilizer one.
 A dense :class:`~eprweave.statevec.StateVector` factor enters only
 through ``prepare_local``; a merge with a dense factor makes the merged
 factor dense, and ``joint_state`` converts to dense for snapshots.
+Those two import :mod:`eprweave.statevec`, and with it numpy, when they
+are called; the rest of this module needs only :mod:`eprweave.gates`
+and the tableau, so a network of tableaux never loads numpy.
 
 Locality is enforced at every operation: gates and measurements require
 ownership of every operand, and conditioning a gate on a measurement
@@ -38,8 +41,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+from . import stabilizer
 from .errors import (
     ConditioningError,
     EntanglementError,
@@ -47,31 +51,31 @@ from .errors import (
     ProtocolError,
     SetupClosedError,
 )
+from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId
 from .stabilizer import Tableau
-from .statevec import (
-    BranchChooser,
-    Gate,
-    MeasurementOutcome,
-    QubitId,
-    StateVector,
-)
+
+if TYPE_CHECKING:
+    from .statevec import StateVector
+
+    Factor = Tableau | StateVector
 
 AgentId = int
 
 #: Receiver sentinel: every agent except the sender.
 ALL = "all"
 
-Factor = Tableau | StateVector
-
 
 def _dense(f: Factor) -> StateVector:
-    return f if isinstance(f, StateVector) else f.to_statevector()
+    """``f`` as a dense register. A factor that is not a tableau is dense
+    already; testing for the tableau class itself (``stabilizer.Tableau``,
+    not the ``Tableau`` name factors are built through) needs no numpy."""
+    return f.to_statevector() if isinstance(f, stabilizer.Tableau) else f
 
 
 def _merge(a: Factor, b: Factor) -> Factor:
     """Tensor two factors; ``a`` keeps the low bits. A dense side makes the
     product dense."""
-    if isinstance(a, StateVector) or isinstance(b, StateVector):
+    if not (isinstance(a, stabilizer.Tableau) and isinstance(b, stabilizer.Tableau)):
         a, b = _dense(a), _dense(b)
     return a.tensor(b)
 
@@ -357,6 +361,8 @@ class NetworkState:
             raise ProtocolError(
                 f"qubit {q} shares its factor with {sorted(set(self._factors[slot].qubits) - {q})}"
             )
+        from .statevec import StateVector
+
         self._factors[slot] = StateVector((q,), amps)
 
     def local_gate(self, actor: AgentId, gate: Gate, when: str | None = None) -> bool:
@@ -677,6 +683,8 @@ class NetworkState:
         """Dense merged view of the factors touching ``qubits`` (all
         factors if None). Does not change the stored factoring; a view over
         ``DENSE_QUBIT_LIMIT`` qubits raises ``ResourceError``."""
+        from .statevec import StateVector
+
         involved = self.factors(qubits)
         if not involved:
             return StateVector.zeros(())

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EntanglementError, ProtocolError
+from .gates import CNOT, PROB_FLOOR, H, QubitId, X, Z
 from .locc import ALL, MeasureRecord, NetworkState, SetupRecord
-from .statevec import CNOT, PROB_FLOOR, H, QubitId, X, Z
 from .topology import AgentId, EntangledHypergraph, SpanningTree, bfs_edges, merge_schedule
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FIDELITY_TOL = 1e-10
 
@@ -132,6 +133,8 @@ class CorrectionRule:
 
 
 def _stream(seed: int, i: int) -> np.random.Generator:
+    import numpy as np  # only sampled runs need it
+
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
 
 

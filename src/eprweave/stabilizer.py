@@ -20,31 +20,26 @@ state, which stays the oracle. Every result is exact: probabilities are 0,
 1/2 or 1, and GHZ terms are signed powers of two.
 
 Like ``StateVector``, a ``Tableau`` is immutable: every operation returns
-a new one.
+a new one. Only ``to_statevector`` and ``ghz_block``, which return numpy
+arrays, import numpy, when they are called.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import EntanglementError
-from .statevec import (
-    BranchChooser,
-    Gate,
-    MeasurementOutcome,
-    QubitId,
-    StateVector,
-    choose_outcome,
-    require_dense,
-)
+from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId, choose_outcome, require_dense
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .statevec import StateVector
 
 Row = tuple[int, int, int]  # (x bits, z bits, sign bit)
 
 _IDENTITY: Row = (0, 0, 0)
 _I_POWERS = (1.0, 1j, -1.0, -1j)
-_POWERS_OF_I = np.array(_I_POWERS)
 
 
 def _mul(a: Row, b: Row) -> Row:
@@ -306,6 +301,8 @@ class Tableau:
     def ghz_block(self, qubits: Iterable[QubitId]) -> np.ndarray:
         """The reduced density matrix of ``qubits`` on span{|0…0>, |1…1>},
         laid out as ``StateVector.ghz_block`` lays it out."""
+        import numpy as np
+
         t00, t11, t01 = self.ghz_terms(qubits)
         return np.array([[t00, t01], [np.conj(t01), t11]], dtype=complex)
 
@@ -349,6 +346,10 @@ class Tableau:
         the group element F with X part x; F runs over products of the
         flipping generators, kept as ``i^e X^x Z^z``.
         """
+        import numpy as np
+
+        from .statevec import StateVector
+
         require_dense(self.n)
         flipping, diagonal = _eliminate(self.rows, _x_part)
         base = 0
@@ -365,7 +366,7 @@ class Tableau:
             zs = np.concatenate((zs, zs ^ np.uint64(z)))
         es += 2 * np.bitwise_count(zs & np.uint64(base))
         amps = np.zeros(2**self.n, dtype=complex)
-        amps[xs ^ np.uint64(base)] = _POWERS_OF_I[es & 3] * 2.0 ** (-len(flipping) / 2)
+        amps[xs ^ np.uint64(base)] = np.array(_I_POWERS)[es & 3] * 2.0 ** (-len(flipping) / 2)
         return StateVector(self.qubits, amps, _trusted=True)
 
     def __repr__(self):

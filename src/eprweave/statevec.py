@@ -24,34 +24,41 @@ Protocol runs keep their factors as stabilizer tableaux
 oracle the tableau is tested against. No dense register grows beyond
 ``DENSE_QUBIT_LIMIT`` qubits: building one raises ``ResourceError``
 before it is allocated.
+
+This is the one module that imports numpy at the top; the code that needs
+a dense state imports it where it is used. Gates, ``MeasurementOutcome``,
+``choose_outcome``, the tolerances and the limit live in
+:mod:`eprweave.gates`, which the tableau and the network model share, and
+are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EntanglementError, ResourceError, ZeroProbabilityError
-
-QubitId = int
-
-# Double precision leaves ample headroom over circuits of <= ~60 gates.
-NORM_TOL = 1e-12
-PROB_FLOOR = 1e-12
-PURITY_TOL = 1e-10
-
-#: The largest dense register: 2**24 complex128 amplitudes are 256 MiB a copy.
-DENSE_QUBIT_LIMIT = 24
-
-GATE_KINDS = ("X", "Z", "H", "CNOT")
+from .errors import EntanglementError, ZeroProbabilityError
+# the vocabulary both backends share, re-exported for ``from .statevec import ...``
+from .gates import (  # noqa: F401
+    CNOT,
+    DENSE_QUBIT_LIMIT,
+    GATE_KINDS,
+    NORM_TOL,
+    PROB_FLOOR,
+    PURITY_TOL,
+    BranchChooser,
+    Gate,
+    H,
+    MeasurementOutcome,
+    QubitId,
+    X,
+    Z,
+    choose_outcome,
+    require_dense,
+)
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-#: How a measurement picks its branch: a forced bit, a random generator, or
-#: a callable ``(p0, p1) -> bit``.
-BranchChooser = int | np.random.Generator | Callable[[float, float], int]
 
 
 def _split(amps: np.ndarray, positions: Sequence[int]) -> np.ndarray:
@@ -77,15 +84,6 @@ def _split(amps: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     return amps.reshape(shape).transpose(front + rest)
 
 
-def require_dense(n: int) -> None:
-    """Refuse a dense register over ``DENSE_QUBIT_LIMIT`` qubits."""
-    if n > DENSE_QUBIT_LIMIT:
-        raise ResourceError(
-            f"a dense register of {n} qubits needs {16 * 2**n / 2**20:,.0f} MiB per copy, "
-            f"over the {DENSE_QUBIT_LIMIT}-qubit limit"
-        )
-
-
 def _norm_sq(block) -> float:
     """Squared norm of an amplitude block. ``np.vdot`` is several times
     slower on a 2-D strided view than on the flattened copy."""
@@ -98,65 +96,6 @@ def _block_density(lo, hi) -> np.ndarray:
     lo, hi = lo.reshape(-1), hi.reshape(-1)
     off = np.vdot(hi, lo)
     return np.array([[np.vdot(lo, lo), off], [np.conj(off), np.vdot(hi, hi)]])
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One gate from the {X, Z, H, CNOT} set, bound to operand qubits."""
-
-    kind: str
-    qubits: tuple[QubitId, ...]
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = 2 if self.kind == "CNOT" else 1
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.kind} takes {arity} operand(s), got {len(self.qubits)}")
-        if self.kind == "CNOT" and self.qubits[0] == self.qubits[1]:
-            raise ValueError("CNOT control and target must differ")
-
-
-def X(q: QubitId) -> Gate:
-    return Gate("X", (q,))
-
-
-def Z(q: QubitId) -> Gate:
-    return Gate("Z", (q,))
-
-
-def H(q: QubitId) -> Gate:
-    return Gate("H", (q,))
-
-
-def CNOT(control: QubitId, target: QubitId) -> Gate:
-    return Gate("CNOT", (control, target))
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Result of one computational-basis measurement."""
-
-    qubit: QubitId
-    bit: int
-    probability: float
-
-
-def choose_outcome(q: QubitId, choose: BranchChooser, p0: float, p1: float) -> MeasurementOutcome:
-    """Pick the branch of measuring ``q`` whose outcomes have probabilities
-    ``p0`` and ``p1``; a forced bit below ``PROB_FLOOR`` is an error."""
-    if isinstance(choose, (int, np.integer)):
-        bit = int(choose)
-        if bit not in (0, 1):
-            raise ValueError(f"forced bit must be 0 or 1, got {choose}")
-    elif isinstance(choose, np.random.Generator):
-        bit = 1 if choose.random() < p1 else 0
-    else:
-        bit = int(choose(p0, p1))
-    prob = p1 if bit else p0
-    if prob < PROB_FLOOR:
-        raise ZeroProbabilityError(f"outcome {bit} on qubit {q} has probability {prob:.3e}")
-    return MeasurementOutcome(q, bit, prob)
 
 
 class StateVector:

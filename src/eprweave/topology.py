@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -22,7 +23,13 @@ AgentId = int
 
 
 def _check_agent(v: int, n: int) -> None:
-    if not 1 <= v <= n:
+    """Refuse an agent id that is not an integer (as ``operator.index``
+    takes it) in 1..n."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise ValueError(f"agent {v!r} is not an integer") from None
+    if not 1 <= i <= n:
         raise ValueError(f"agent {v} is outside 1..{n}")
 
 
@@ -31,7 +38,7 @@ def add_edge(weights: dict, n: int, a: int, b: int, weight: float = 1.0) -> None
     ``weights``, keyed ``(low, high)``; the map doubles as the duplicate
     check. This is the one edge check: ``EprGraph`` and spec parsing both
     use it."""
-    if not (1 <= a <= n and 1 <= b <= n):
+    if not (type(a) is int and type(b) is int and 1 <= a <= n and 1 <= b <= n):
         _check_agent(a, n)
         _check_agent(b, n)
     if a == b:

@@ -1,0 +1,112 @@
+"""What loads numpy: the tableau path does not, the dense path does.
+
+Each check runs in a fresh interpreter, since this one has numpy loaded
+already (the other tests import it).
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import eprweave
+
+SPECS = {
+    "tree": "agents 6\nedge 1 2\nedge 2 3\nedge 2 4\nedge 4 5\nedge 4 6\nedge 3 5\n",
+    "weighted": "agents 4\nedge 1 2 3\nedge 2 3 1\nedge 3 4 2\nedge 1 4 1\n",
+    "hub": "agents 3\nedge 1 2\nedge 1 3\n",
+    "groups": "agents 6\nhyper 1 2 3\nhyper 3 4\nhyper 4 5 6\nhyper 2 5\n",
+}
+
+PRELUDE = """\
+import io
+import sys
+
+import eprweave
+import eprweave.cli
+
+def cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = eprweave.cli.run(list(argv), out=out, err=err)
+    assert code == 0, (argv, code, err.getvalue())
+    return out.getvalue()
+
+assert "numpy" not in sys.modules, "importing eprweave.cli loaded numpy"
+"""
+
+
+def run_fresh(tmp_path, body: str) -> None:
+    for name, text in SPECS.items():
+        (tmp_path / f"{name}.spec").write_text(text)
+    src = str(Path(eprweave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_tableau_runs_and_topology_commands_leave_numpy_unloaded(tmp_path):
+    run_fresh(
+        tmp_path,
+        """
+        cli("check", "tree.spec")
+        cli("check", "groups.spec")
+        cli("tree", "tree.spec")
+        cli("mst", "weighted.spec")
+        assert "branches explored: 4 (all)" in cli("ghz3", "hub.spec")
+        for step2 in ("symmetric", "zeilinger"):
+            cli("weave", "tree.spec", "--branches", "all", "--step2", step2)
+        cli("fuse", "groups.spec", "--branches", "all")
+        assert "numpy" not in sys.modules, "a tableau run loaded numpy"
+        """,
+    )
+
+
+DENSE_USES = {
+    "sampled weave": """
+        out = cli("weave", "tree.spec", "--branches", "sample:2")
+        assert "branches explored: 2 (sample:2)" in out
+        """,
+    "StateVector": """
+        from eprweave import StateVector, bell_pair, ghz_state
+        assert abs(bell_pair(1, 2).fidelity(ghz_state((2, 1))) - 1.0) < 1e-12
+        assert StateVector.zeros((1,)).n == 1
+        """,
+    "prepare_local": """
+        from eprweave import NetworkState
+        net = NetworkState(1)
+        q = net.add_ancilla(1)
+        net.prepare_local(1, q, [0.6, 0.8])
+        assert type(net.factors()[0]).__name__ == "StateVector"
+        """,
+    "joint_state": """
+        from eprweave import setup_epr_network
+        state = setup_epr_network(2, [(1, 2)]).joint_state()
+        assert abs(state.probability_of_one(1) - 0.5) < 1e-12
+        """,
+    "to_statevector": """
+        from eprweave import Tableau
+        amps = Tableau.ghz((1, 2, 3)).to_statevector().amps
+        assert abs(abs(amps[0]) ** 2 - 0.5) < 1e-12 and abs(abs(amps[7]) ** 2 - 0.5) < 1e-12
+        """,
+}
+
+
+@pytest.mark.parametrize("use", sorted(DENSE_USES))
+def test_dense_uses_work_and_load_numpy(tmp_path, use):
+    run_fresh(
+        tmp_path,
+        DENSE_USES[use]
+        + """
+        assert "numpy" in sys.modules
+        """,
+    )

@@ -172,6 +172,71 @@ def test_measure_out_follows_the_chooser_contract():
     assert (out.bit, out.probability, rest.qubits) == (1, 1.0, (1,))
 
 
+def _chooser_states():
+    """p1 of qubit 2 -> the same state as a tableau and as a dense register."""
+    return {
+        0.0: (Tableau.zeros((1, 2)), new_register((1, 2))),
+        0.5: (Tableau.ghz((1, 2, 3)), ghz_state((1, 2, 3))),
+        1.0: (Tableau.zeros((1, 2)).apply(X(2)), new_register((1, 2)).apply(X(2))),
+    }
+
+
+def _measured(state, choose):
+    """``measure_out`` of qubit 2: (bit, probability, rest), or the error's
+    class and message."""
+    try:
+        out, rest = state.measure_out(2, choose)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.bit, out.probability, rest
+
+
+_NO_ZERO = (ZeroProbabilityError, "outcome 0 on qubit 2 has probability 0.000e+00")
+_NO_ONE = (ZeroProbabilityError, "outcome 1 on qubit 2 has probability 0.000e+00")
+_FORCED_ONE = {0.0: _NO_ONE, 0.5: (1, 0.5), 1.0: (1, 1.0)}
+_NOT_A_BIT = (ValueError, "forced bit must be 0 or 1, got 2")
+_NOT_A_CHOOSER = (TypeError, "'float' object is not callable")
+
+# chooser -> what measuring qubit 2 gives, by its p1
+CHOOSER_TABLE = [
+    ("0", 0, {0.0: (0, 1.0), 0.5: (0, 0.5), 1.0: _NO_ZERO}),
+    ("1", 1, _FORCED_ONE),
+    ("True", True, _FORCED_ONE),
+    ("np.int64(1)", np.int64(1), _FORCED_ONE),
+    ("2", 2, dict.fromkeys((0.0, 0.5, 1.0), _NOT_A_BIT)),
+    ("np.int64(2)", np.int64(2), dict.fromkeys((0.0, 0.5, 1.0), _NOT_A_BIT)),
+    ("callable", lambda p0, p1: int(p1 > 0.25), {0.0: (0, 1.0), 0.5: (1, 0.5), 1.0: (1, 1.0)}),
+    ("float", 0.5, dict.fromkeys((0.0, 0.5, 1.0), _NOT_A_CHOOSER)),
+]
+
+
+@pytest.mark.parametrize(
+    "choose, expected", [row[1:] for row in CHOOSER_TABLE], ids=[row[0] for row in CHOOSER_TABLE]
+)
+def test_choosers_pick_the_same_branch_on_both_backends(choose, expected):
+    for p1, (tableau, dense) in _chooser_states().items():
+        t, d = _measured(tableau, choose), _measured(dense, choose)
+        if len(expected[p1]) == 2 and isinstance(expected[p1][0], type):
+            assert t == d == expected[p1], p1
+            continue
+        assert t[:2] == expected[p1], p1
+        assert d[:2] == pytest.approx(expected[p1], abs=TOL), p1
+        assert t[2].to_statevector().fidelity(d[2]) == pytest.approx(1.0, abs=TOL)
+
+
+def test_a_seeded_generator_draws_alike_on_both_backends():
+    states = _chooser_states()
+    t_rng, d_rng, reference = (np.random.default_rng(2024) for _ in range(3))
+    for i in range(60):
+        p1 = (0.5, 0.0, 0.5, 1.0)[i % 4]
+        tableau, dense = states[p1]
+        t, _ = tableau.measure_out(2, t_rng)
+        d, _ = dense.measure_out(2, d_rng)
+        bit = 1 if reference.random() < p1 else 0
+        assert t.bit == d.bit == bit, i
+        assert t.probability == pytest.approx(d.probability, abs=TOL)
+
+
 def test_tableau_ghz_block_is_exact_on_mixed_subsets():
     t = Tableau.ghz((1, 2, 3, 4))
     # any proper subset of a GHZ state is the classical mixture of 0...0 and 1...1

@@ -11,6 +11,7 @@ import heapq
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +188,19 @@ def test_graph_rejects_out_of_range_agents():
         EprGraph(3, [(1, 4)])
     with pytest.raises(ValueError):
         EprGraph(3, [(0, 1)])
+    # an agent id is an integer: not a float that lies in range, nor a string
+    with pytest.raises(ValueError, match=r"^agent 1\.5 is not an integer$"):
+        EprGraph(3, [(1.5, 2)])
+    with pytest.raises(ValueError, match=r"^agent 2\.0 is not an integer$"):
+        EprGraph(3, [(1, 2.0)])
+    with pytest.raises(ValueError, match=r"^agent '2' is not an integer$"):
+        EprGraph(3, [(1, "2")])
+    with pytest.raises(ValueError, match=r"^agent 1\.5 is not an integer$"):
+        EprGraph(3, [(1, 2)]).neighbors(1.5)
+    # whatever operator.index takes is an integer, numpy's included
+    g = EprGraph(3, [(np.int64(1), np.int64(2)), (np.int32(3), 2)])
+    assert is_connected(g)
+    assert g.neighbors(np.int64(2)) == [1, 3]
 
 
 def test_graph_rejects_bad_weights():
@@ -394,6 +408,14 @@ def test_hypergraph_rejects_tiny_or_out_of_range_edges():
         EntangledHypergraph(3, [{1, 4}])
     with pytest.raises(ValueError, match="repeated agent"):
         EntangledHypergraph(3, [(1, 2, 2), (2, 3)])
+    # refused at construction, before connectivity or the merge schedule sees it
+    with pytest.raises(ValueError, match=r"^agent 1\.5 is not an integer$"):
+        EntangledHypergraph(3, [(1, 2, 3), (1.5, 2)])
+    with pytest.raises(ValueError, match=r"^agent None is not an integer$"):
+        EntangledHypergraph(3, [(1, None)])
+    h = EntangledHypergraph(3, [(np.int64(1), np.int64(2)), (2, 3)])
+    assert hypergraph_is_connected(h)
+    assert [step.hyperedge for step in merge_schedule(h)] == [frozenset({2, 3})]
 
 
 def test_hyperpath_example_is_connected():
