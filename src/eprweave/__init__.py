@@ -2,11 +2,10 @@
 pre-shared EPR pairs and grows group entanglement across hypergraphs.
 
 Protocol runs simulate on the stabilizer tableau (:mod:`eprweave.stabilizer`)
-and import no numpy. The dense register (:mod:`eprweave.statevec`) holds
-``StateVector``, ``bell_pair`` and ``ghz_state``; importing them from this
-package loads it, and numpy, on first use. So does a sampled run
-(``branches=N`` seeds numpy streams), ``NetworkState.prepare_local``,
-``NetworkState.joint_state`` and ``Tableau.to_statevector``.
+and import no numpy. Only a sampled run (``branches=N`` seeds numpy
+streams) and ``Tableau.to_statevector`` load it. The dense register
+(:mod:`eprweave.statevec`) is the oracle the tests check the tableau
+against; it is not part of this namespace.
 """
 
 __version__ = "0.1.0"
@@ -74,17 +73,14 @@ __all__ = [
     "ResourceError",
     "SetupClosedError",
     "SpanningTree",
-    "StateVector",
     "Tableau",
     "X",
     "Z",
     "ZeroProbabilityError",
     "__version__",
-    "bell_pair",
     "disentangle_duplicate",
     "extend_ghz",
     "fusion_step",
-    "ghz_state",
     "hypergraph_is_connected",
     "is_connected",
     "merge_schedule",
@@ -100,11 +96,3 @@ __all__ = [
     "verify_ghz",
 ]
 
-
-def __getattr__(name: str):
-    """The dense names load :mod:`eprweave.statevec`, and numpy, on first use."""
-    if name in ("StateVector", "bell_pair", "ghz_state"):
-        from . import statevec
-
-        return getattr(statevec, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

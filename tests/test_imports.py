@@ -71,27 +71,21 @@ def test_tableau_runs_and_topology_commands_leave_numpy_unloaded(tmp_path):
     )
 
 
+def test_every_public_name_resolves_without_numpy(tmp_path):
+    run_fresh(
+        tmp_path,
+        """
+        for name in eprweave.__all__:
+            getattr(eprweave, name)
+        assert "numpy" not in sys.modules, "a public name loaded numpy"
+        """,
+    )
+
+
 DENSE_USES = {
     "sampled weave": """
         out = cli("weave", "tree.spec", "--branches", "sample:2")
         assert "branches explored: 2 (sample:2)" in out
-        """,
-    "StateVector": """
-        from eprweave import StateVector, bell_pair, ghz_state
-        assert abs(bell_pair(1, 2).fidelity(ghz_state((2, 1))) - 1.0) < 1e-12
-        assert StateVector.zeros((1,)).n == 1
-        """,
-    "prepare_local": """
-        from eprweave import NetworkState
-        net = NetworkState(1)
-        q = net.add_ancilla(1)
-        net.prepare_local(1, q, [0.6, 0.8])
-        assert type(net.factors()[0]).__name__ == "StateVector"
-        """,
-    "joint_state": """
-        from eprweave import setup_epr_network
-        state = setup_epr_network(2, [(1, 2)]).joint_state()
-        assert abs(state.probability_of_one(1) - 0.5) < 1e-12
         """,
     "to_statevector": """
         from eprweave import Tableau

@@ -38,8 +38,12 @@ from eprweave.locc import (
     replay_transcript,
 )
 from eprweave.protocols import disentangle_duplicate, protocol_two, setup_epr_network
+from eprweave.stabilizer import Tableau
 from eprweave.topology import SpanningTree
 from eprweave.statevec import CNOT, H, X, Z, StateVector, bell_pair, ghz_state
+
+from dense_oracle import run_dense
+from tableau_view import dense_view
 
 
 def hub_setup(chooser=None):
@@ -58,7 +62,7 @@ def test_epr_distribution_creates_a_shared_bell_pair():
     net = NetworkState(2)
     qa, qb = net.distribute_epr(1, 2)
     assert net.owner == {qa: 1, qb: 2}
-    assert net.joint_state().fidelity(bell_pair(qa, qb)) == pytest.approx(1.0)
+    assert dense_view(net).fidelity(bell_pair(qa, qb)) == pytest.approx(1.0)
     assert net.audit_cut({1}) == pytest.approx(1.0, abs=1e-10)
     assert net.cbit_count == 0
 
@@ -91,13 +95,13 @@ def test_group_distribution_is_a_ghz_state():
     assert sorted(held) == [1, 2, 3]
     for agent in (1, 2, 3):
         assert net.audit_cut({agent}) == pytest.approx(1.0, abs=1e-10)
-    assert net.joint_state().fidelity(ghz_state(tuple(held.values()))) == pytest.approx(1.0)
+    assert dense_view(net).fidelity(ghz_state(tuple(held.values()))) == pytest.approx(1.0)
 
 
 def test_two_member_group_equals_epr_pair():
     net = NetworkState(2)
     held = net.distribute_ghz({1, 2})
-    assert net.joint_state().fidelity(bell_pair(held[1], held[2])) == pytest.approx(1.0)
+    assert dense_view(net).fidelity(bell_pair(held[1], held[2])) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         net.distribute_ghz({1})
 
@@ -191,9 +195,9 @@ def test_measurement_outcome_is_private_until_sent():
 def test_conditioned_gate_skips_on_zero_bit():
     net, a1, a2, b, c = hub_setup()
     net.local_measure(1, a2, label="flip", choose=0)
-    before = net.joint_state((a1,))
+    before = dense_view(net, (a1,))
     assert net.local_gate(1, X(a1), when="flip") is False
-    assert net.joint_state((a1,)).fidelity(before) == pytest.approx(1.0)
+    assert dense_view(net, (a1,)).fidelity(before) == pytest.approx(1.0)
 
 
 def test_measurement_labels_are_single_use():
@@ -208,18 +212,18 @@ def test_measured_qubit_splits_into_its_own_factor():
     net.local_measure(1, a1, choose=1)
     assert net.factor_qubits(a1) == (a1,)
     assert net.factor_qubits(b) == (b,)  # partner collapsed too
-    assert net.joint_state((b,)).probability_of_one(b) == pytest.approx(1.0)
+    assert dense_view(net, (b,)).probability_of_one(b) == pytest.approx(1.0)
 
 
 def test_local_measure_slices_the_qubit_out_without_discard(monkeypatch):
     discards = []
-    original = StateVector.discard
+    original = Tableau.discard
 
     def counting(self, q):
         discards.append(q)
         return original(self, q)
 
-    monkeypatch.setattr(StateVector, "discard", counting)
+    monkeypatch.setattr(Tableau, "discard", counting)
     net = NetworkState(3)
     held = net.distribute_ghz([1, 2, 3])
     a, b = net.distribute_epr(1, 2)
@@ -229,7 +233,7 @@ def test_local_measure_slices_the_qubit_out_without_discard(monkeypatch):
     ghz4 = (held[1], held[2], held[3], b)
     assert net.factor_qubits(b) == ghz4
     assert net.factor_qubits(a) == (a,)
-    assert net.joint_state((b,)).fidelity(ghz_state(ghz4).apply(X(b))) == pytest.approx(
+    assert dense_view(net, (b,)).fidelity(ghz_state(ghz4).apply(X(b))) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -324,6 +328,8 @@ def test_discard_entangled_qubit_fails():
     net, a1, a2, b, c = hub_setup()
     with pytest.raises(EntanglementError):
         net.discard_qubit(1, a1)
+    with pytest.raises(EntanglementError):  # the dense oracle refuses it too
+        run_dense(net.transcript + [DiscardRecord(1, a1)], ())
 
 
 def test_drop_group_requires_exact_factor():
@@ -332,6 +338,8 @@ def test_drop_group_requires_exact_factor():
     held_b = net.distribute_ghz({3, 4})
     with pytest.raises(ProtocolError):
         net.drop_group([held_a[1]])
+    with pytest.raises(ProtocolError):  # the dense oracle refuses it too
+        run_dense(net.transcript + [DropGroupRecord((held_a[1],))], ())
     net.drop_group(held_b.values())
     assert net.qubits_of(3) == []
     assert set(net.owner.values()) == {1, 2}
@@ -382,17 +390,15 @@ def test_local_operations_cannot_entangle_a_zero_cut():
 # hand-rolled teleportation: algebra oracle for the protocol layer
 
 
-def manual_teleport(prefix, payload_amps=None, prep=()):
+def manual_teleport(prefix, prep=()):
     """Teleport a 1-qubit state from agent 1 to agent 2, forcing the two
-    measurement outcomes from `prefix`. The payload is either loaded from
-    explicit amplitudes (test-only shortcut, invisible to the transcript)
-    or prepared by `prep` gate constructors (replayable)."""
+    measurement outcomes from `prefix`. The payload is the ancilla |0>
+    after the `prep` gate constructors; the dense oracle can start that
+    ancilla in any other state instead."""
     chooser = RecordingChooser(prefix)
     net = NetworkState(2, chooser)
     half_a, half_b = net.distribute_epr(1, 2)
     payload = net.add_ancilla(1)
-    if payload_amps is not None:
-        net.prepare_local(1, payload, payload_amps)
     for make_gate in prep:
         net.local_gate(1, make_gate(payload))
     net.local_gate(1, CNOT(payload, half_a))
@@ -409,40 +415,12 @@ def manual_teleport(prefix, payload_amps=None, prep=()):
 @pytest.mark.parametrize("prefix", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_manual_teleport_is_an_identity_channel(prefix):
     amps = np.array([0.6, 0.8j])
-    net, carrier = manual_teleport(prefix, amps)
+    net, carrier = manual_teleport(prefix)
+    (payload,) = [rec.qubit for rec in net.transcript if isinstance(rec, AncillaRecord)]
+    dense = run_dense(net.transcript, prefix, inputs={payload: amps})
     target = StateVector((carrier,), amps)
-    assert net.joint_state((carrier,)).fidelity(target) == pytest.approx(1.0, abs=1e-10)
+    assert dense.state((carrier,)).fidelity(target) == pytest.approx(1.0, abs=1e-10)
     assert net.cbit_count == 2
-
-
-def test_prepare_local_loads_a_dense_payload_off_the_transcript():
-    net = NetworkState(2)
-    half_a, half_b = net.distribute_epr(1, 2)
-    payload = net.add_ancilla(1)
-    before = list(net.transcript)
-    amps = np.array([0.6, 0.8j])
-    net.prepare_local(1, payload, amps)
-    assert net.transcript == before
-    (factor,) = net.factors((payload,))
-    assert isinstance(factor, StateVector)
-    assert net.joint_state((payload,)).fidelity(StateVector((payload,), amps)) == pytest.approx(1.0)
-    # a merge with the dense factor makes the merged factor dense
-    net.local_gate(1, CNOT(payload, half_a))
-    (merged,) = net.factors((half_b,))
-    assert isinstance(merged, StateVector)
-    assert set(merged.qubits) == {payload, half_a, half_b}
-
-
-def test_prepare_local_checks_owner_factor_and_norm():
-    net = NetworkState(2)
-    half_a, _ = net.distribute_epr(1, 2)
-    payload = net.add_ancilla(1)
-    with pytest.raises(LoccViolationError):
-        net.prepare_local(2, payload, [0.6, 0.8])
-    with pytest.raises(ProtocolError, match="shares its factor"):
-        net.prepare_local(1, half_a, [0.6, 0.8])
-    with pytest.raises(ValueError, match="not normalized"):
-        net.prepare_local(1, payload, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +433,7 @@ def test_replay_reproduces_the_transcript_exactly():
     assert twin.transcript == net.transcript
     assert twin.cbit_count == net.cbit_count
     assert twin.knowledge == net.knowledge
-    assert twin.joint_state((carrier,)).fidelity(net.joint_state((carrier,))) == pytest.approx(1.0)
+    assert dense_view(twin, (carrier,)).fidelity(dense_view(net, (carrier,))) == pytest.approx(1.0)
 
 
 def test_replay_without_trigger_message_raises_conditioning_error():
@@ -502,6 +480,9 @@ def test_replay_reruns_the_release_check_on_a_changed_branch():
     ]
     with pytest.raises(EntanglementError, match="not perfectly correlated"):
         replay_transcript(1, flipped)
+    run_dense(net.transcript, (0,))
+    with pytest.raises(EntanglementError, match=r"is not \|0>"):
+        run_dense(net.transcript, (1,))
 
 
 def test_replay_reuses_exactly_the_records_it_reproduces():

@@ -39,6 +39,7 @@ from eprweave.topology import (
     minimum_spanning_tree,
     spanning_tree,
 )
+from tableau_view import dense_view
 from weave_stages import weave_stages
 
 GOOD = 1 - 1e-10
@@ -248,7 +249,7 @@ def test_extend_ghz_adds_one_correlated_qubit_for_free():
     net = NetworkState(2)
     held = net.distribute_ghz((1, 2))
     fresh = extend_ghz(net, 1, held[1])
-    state = net.joint_state((fresh,))
+    state = dense_view(net, (fresh,))
     assert state.fidelity(ghz_state((held[1], held[2], fresh))) >= GOOD
     assert net.cbit_count == 0
 
@@ -263,7 +264,7 @@ def test_teleport_moves_an_unknown_qubit_on_every_branch():
         carrier = teleport(net, 1, payload, 2)
         assert net.owner[carrier] == 2
         expected = StateVector((carrier,), np.array([1, -1]) / math.sqrt(2))
-        assert net.joint_state((carrier,)).fidelity(expected) >= GOOD
+        assert dense_view(net, (carrier,)).fidelity(expected) >= GOOD
         assert net.cbit_count == 2
         assert all(p.consumed for p in net.epr_pairs)
 

@@ -6,24 +6,40 @@ run first, then each branch the explorer ran from the setup state through
 must give the same transcript, knowledge, cbits and factors. After every
 ``apply``, each live qubit must lie in exactly one factor, and the
 network's qubit-to-factor map must agree with a scan of its factors.
+
+A broken schedule must be refused: with any one conditioned correction
+left out, some branch fails both through ``NetworkState.apply`` and on the
+dense oracle.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from eprweave import protocols
+from eprweave.errors import EprWeaveError
 from eprweave.locc import (
     ClassicalMessage,
     GateRecord,
     MeasureRecord,
     NetworkState,
+    RecordingChooser,
     replay_transcript,
 )
-from eprweave.protocols import protocol_three, protocol_two, setup_epr_network, setup_group_network
+from eprweave.protocols import (
+    protocol_one,
+    protocol_three,
+    protocol_two,
+    setup_epr_network,
+    setup_group_network,
+    verify_ghz,
+)
 from eprweave.topology import EntangledHypergraph, SpanningTree, hypergraph_is_connected
 
-from test_acceptance import _random_connected_hypergraph
-from test_stabilizer import census_trees
+from dense_oracle import run_dense
+from test_acceptance import _random_connected_hypergraph, hub_network
+from test_stabilizer import TOL, census_trees
 
 
 def check_factor_map(net: NetworkState) -> None:
@@ -130,3 +146,57 @@ def test_sampled_branches_replay_alike(explored):
     tree = SpanningTree.from_edges(9, edges)
     report = protocol_two(setup_epr_network(9, tree.edges), tree, branches=5, seed=3)
     assert_replays_alike(report, explored)
+
+
+# ---------------------------------------------------------------------------
+# a schedule without one of its corrections is refused
+
+
+def _path_weave(step2):
+    tree = SpanningTree.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+    return protocol_two(setup_epr_network(4, tree.edges), tree, step2=step2)
+
+
+MUTATED = {
+    # schedule -> (its report, how many conditioned gates it has)
+    "ghz3": (lambda: protocol_one(hub_network()), 3),
+    "weave-symmetric": (lambda: _path_weave("symmetric"), 5),
+    "weave-zeilinger": (lambda: _path_weave("zeilinger"), 3),
+}
+
+
+def replayed_fidelity(n, schedule, designated, outcomes):
+    """The strict GHZ fidelity after running ``schedule`` on the branch
+    ``outcomes`` through ``NetworkState.apply``; None if it is refused."""
+    net, pin = NetworkState(n), RecordingChooser(outcomes)
+    try:
+        for rec in schedule:
+            net.apply(rec, pin)
+        return verify_ghz(net, designated, strict=True)
+    except EprWeaveError:
+        return None
+
+
+@pytest.mark.parametrize("schedule", sorted(MUTATED))
+def test_dropping_any_conditioned_gate_fails_a_branch_on_both_interpreters(schedule):
+    build, conditioned = MUTATED[schedule]
+    report = build()
+    designated = report.designated
+    measurements = sum(isinstance(rec, MeasureRecord) for rec in report.transcript)
+    branches = list(itertools.product((0, 1), repeat=measurements))
+    for outcomes in branches:  # the schedule itself holds on every branch
+        assert replayed_fidelity(report.n, report.transcript, designated, outcomes) == 1.0
+        dense = run_dense(report.transcript, outcomes)
+        assert dense.ghz_fidelity(designated.values()) == pytest.approx(1.0, abs=TOL)
+
+    mutants = 0
+    for i, rec in enumerate(report.transcript):
+        if not (isinstance(rec, GateRecord) and rec.when is not None):
+            continue
+        mutant = report.transcript[:i] + report.transcript[i + 1 :]
+        replayed = [replayed_fidelity(report.n, mutant, designated, b) for b in branches]
+        assert any(f is None or f < 1.0 for f in replayed), (i, rec)
+        dense = [run_dense(mutant, b).ghz_fidelity(designated.values()) for b in branches]
+        assert any(f < 1.0 - TOL for f in dense), (i, rec)
+        mutants += 1
+    assert mutants == conditioned

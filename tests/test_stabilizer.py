@@ -3,12 +3,12 @@
 The dense ``StateVector`` is the oracle. Hypothesis draws X/Z/H/CNOT and
 measurement sequences over products of Bell pairs, GHZ states and |0>
 registers, and after every operation each query of the ``Tableau`` must
-agree with the same query of the dense state. Whole protocol runs must
-agree between a network of dense factors and one of tableaux, and the
-tableau must carry the protocols to sizes no dense register reaches.
+agree with the same query of the dense state. Every branch of a whole
+protocol run must agree with the dense transcript interpreter
+(``dense_oracle``), and the tableau must carry the protocols to sizes no
+dense register reaches.
 """
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprweave import locc, protocols
+from eprweave import protocols
 from eprweave.errors import EntanglementError, EprWeaveError, ResourceError, ZeroProbabilityError
 from eprweave.locc import MeasureRecord, NetworkState
 from eprweave.protocols import (
@@ -40,6 +40,7 @@ from eprweave.statevec import (
 )
 from eprweave.topology import EntangledHypergraph, SpanningTree, hypergraph_is_connected
 
+from dense_oracle import run_dense
 from test_acceptance import _random_connected_hypergraph, prufer_tree
 
 TOL = 1e-12
@@ -101,7 +102,7 @@ def assert_agree(t: Tableau, d: StateVector, data) -> None:
             assert t_kept.qubits == d_kept.qubits
             assert t_kept.to_statevector().fidelity(d_kept) == pytest.approx(1.0, abs=TOL)
     subset = data.draw(st.lists(st.sampled_from(d.qubits), min_size=1, unique=True))
-    np.testing.assert_allclose(t.ghz_block(subset), d.ghz_block(subset), atol=TOL)
+    np.testing.assert_allclose(t.ghz_terms(subset), d.ghz_terms(subset), atol=TOL)
     if len(subset) < d.n:
         assert t.cut_entropy(subset) == pytest.approx(d.cut_entropy(subset), abs=1e-10)
 
@@ -240,69 +241,54 @@ def test_a_seeded_generator_draws_alike_on_both_backends():
 def test_tableau_ghz_block_is_exact_on_mixed_subsets():
     t = Tableau.ghz((1, 2, 3, 4))
     # any proper subset of a GHZ state is the classical mixture of 0...0 and 1...1
-    assert t.ghz_block((2, 4)).tolist() == [[0.5, 0.0], [0.0, 0.5]]
-    assert t.ghz_block((1, 2, 3, 4)).tolist() == [[0.5, 0.5], [0.5, 0.5]]
+    assert t.ghz_terms((2, 4)) == (0.5, 0.5, 0.0)
+    assert t.ghz_terms((1, 2, 3, 4)) == (0.5, 0.5, 0.5)
     assert t.cut_entropy((1, 3)) == 1.0
     with pytest.raises(EntanglementError):
         t.discard(3)
 
 
 # ---------------------------------------------------------------------------
-# protocol-level agreement: every run once on dense factors, once on tableaux
+# protocol-level agreement: every reported branch again on the dense oracle
 
 
-class DenseFactors:
-    """The factor constructors ``NetworkState`` calls, building dense states."""
+@pytest.fixture
+def leaves(monkeypatch):
+    """The network of every branch a protocol verifies: its live run, then
+    each branch the explorer ran through ``NetworkState.apply``."""
+    captured = []
+    verify = protocols.verify_ghz
 
-    zeros = staticmethod(StateVector.zeros)
-    ghz = staticmethod(ghz_state)
+    def capturing(net, designated, strict=False):
+        captured.append(net)
+        return verify(net, designated, strict)
 
-    @staticmethod
-    def basis_state(q, bit):
-        amps = np.zeros(2, dtype=complex)
-        amps[bit] = 1.0
-        return StateVector((q,), amps)
-
-
-def run_both(monkeypatch, run):
-    """``run()`` on tableaux and on dense factors, each with the
-    ``peak_factor_qubits`` and factor types of every branch, in the order
-    the branches were verified."""
-    results = []
-    for factors in (Tableau, DenseFactors):
-        leaves = []
-
-        def recording(net, designated, strict=False, _verify=protocols.verify_ghz):
-            leaves.append((net.peak_factor_qubits, {type(f) for f in net.factors()}))
-            return _verify(net, designated, strict)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(locc, "Tableau", factors)
-            patch.setattr(protocols, "verify_ghz", recording)
-            results.append((run(), leaves))
-    return results
+    monkeypatch.setattr(protocols, "verify_ghz", capturing)
+    return captured
 
 
-def assert_same_run(tableau_run, dense_run):
-    (t, t_leaves), (d, d_leaves) = tableau_run, dense_run
-    assert t.cbits == d.cbits
-    assert t.designated == d.designated
-    assert t.merge_log == d.merge_log
-    assert [b.outcomes for b in t.branches] == [b.outcomes for b in d.branches]
-    for tb, db in zip(t.branches, d.branches):
-        assert tb.probability == pytest.approx(db.probability, abs=TOL)
-        assert tb.fidelity == pytest.approx(db.fidelity, abs=TOL)
-        assert tb.fidelity == 1.0
-        assert tb.probability == 0.5 ** len(tb.outcomes)
-    assert [peak for peak, _ in t_leaves] == [peak for peak, _ in d_leaves]
-    assert all(kinds == {Tableau} for _, kinds in t_leaves)
-    assert all(kinds == {StateVector} for _, kinds in d_leaves)
-    assert len(t.transcript) == len(d.transcript)
-    for tr, dr in zip(t.transcript, d.transcript):
-        if isinstance(tr, MeasureRecord):
-            assert tr.probability == pytest.approx(dr.probability, abs=TOL)
-            tr, dr = dataclasses.replace(tr, probability=0.0), dataclasses.replace(dr, probability=0.0)
-        assert tr == dr
+def assert_dense_oracle_agrees(report, leaves):
+    """Run each reported branch of the report's schedule on the dense
+    oracle: it must give the branch's outcomes, measurement probabilities
+    and GHZ state on the designated qubits, with the peak factor size of
+    the network that ran that branch."""
+    networks = {}
+    for net in leaves:
+        measured = [rec for rec in net.transcript if isinstance(rec, MeasureRecord)]
+        networks[tuple(rec.bit for rec in measured)] = net, measured
+    assert len(networks) == len(leaves) == len(report.branches)
+    designated = tuple(report.designated.values())
+    for branch in report.branches:
+        assert branch.fidelity == 1.0
+        assert branch.probability == 0.5 ** len(branch.outcomes)
+        dense = run_dense(report.transcript, branch.outcomes)
+        assert tuple(dense.bits.values()) == branch.outcomes
+        assert dense.probability == pytest.approx(branch.probability, abs=TOL)
+        assert dense.ghz_fidelity(designated) == pytest.approx(1.0, abs=TOL)
+        net, measured = networks[branch.outcomes]
+        for rec, p in zip(measured, dense.probabilities, strict=True):
+            assert abs(rec.probability - p) <= TOL
+        assert dense.peak == net.peak_factor_qubits
 
 
 def census_trees():
@@ -311,21 +297,19 @@ def census_trees():
             yield n, prufer_tree(n, seq)
 
 
-def test_every_census_tree_weaves_alike_on_both_backends(monkeypatch):
+def test_every_census_tree_weaves_alike_on_both_backends(leaves):
     runs = 0
     for n, edges in census_trees():
         tree = SpanningTree.from_edges(n, edges)
         for step2 in ("symmetric", "zeilinger"):
-            both = run_both(
-                monkeypatch,
-                lambda: protocol_two(setup_epr_network(n, tree.edges), tree, step2=step2),
-            )
-            assert_same_run(*both)
+            leaves.clear()
+            report = protocol_two(setup_epr_network(n, tree.edges), tree, step2=step2)
+            assert_dense_oracle_agrees(report, leaves)
             runs += 1
     assert runs == 2 * (3 + 16 + 125)
 
 
-def test_acceptance_4_hypergraphs_fuse_alike_on_both_backends(monkeypatch):
+def test_acceptance_4_hypergraphs_fuse_alike_on_both_backends(leaves):
     # the hypergraphs of acceptance test 4, drawn the same way
     rng = np.random.default_rng(404)
     cases = [
@@ -337,8 +321,8 @@ def test_acceptance_4_hypergraphs_fuse_alike_on_both_backends(monkeypatch):
         if hypergraph_is_connected(h):
             cases.append(h)
     for h in cases:
-        both = run_both(monkeypatch, lambda: protocol_three(setup_group_network(h), h))
-        assert_same_run(*both)
+        leaves.clear()
+        assert_dense_oracle_agrees(protocol_three(setup_group_network(h), h), leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +356,6 @@ def test_dense_registers_over_the_limit_are_refused():
     assert issubclass(ResourceError, EprWeaveError)  # so the CLI exits 1 with a message
     net = NetworkState(30)
     held = net.distribute_ghz(net.agents)
-    with pytest.raises(ResourceError, match="30 qubits"):
-        net.joint_state()
     assert verify_ghz(net, held, strict=True) == 1.0
     big = tuple(range(DENSE_QUBIT_LIMIT + 1))
     with pytest.raises(ResourceError):

@@ -488,6 +488,22 @@ def test_measure_out_keeps_the_zero_probability_check():
         bell_pair(0, 1).measure_out(0, 2)
 
 
+def test_measure_out_slices_the_qubit_out_without_discard(monkeypatch):
+    discards = []
+    original = StateVector.discard
+
+    def counting(self, q):
+        discards.append(q)
+        return original(self, q)
+
+    monkeypatch.setattr(StateVector, "discard", counting)
+    five = ghz_state((1, 2, 3)).tensor(bell_pair(4, 5)).apply(CNOT(1, 4))
+    outcome, rest = five.measure_out(4, 1)
+    assert discards == []
+    assert (outcome.bit, rest.qubits) == (1, (1, 2, 3, 5))
+    assert rest.fidelity(ghz_state((1, 2, 3, 5)).apply(X(5))) == pytest.approx(1.0, abs=1e-12)
+
+
 def _weakly_entangled_pair(impurity):
     """sqrt(1-x)|00> + sqrt(x)|11> on qubits 1 and 2, between two random
     spectator qubits, with purity 1 - 2x(1-x) = 1 - impurity for either
@@ -516,5 +532,5 @@ def test_discard_purity_threshold_is_sharp(q):
 def test_ghz_block_matches_reduced_density_oracle(sv, data):
     keep = data.draw(st.lists(st.sampled_from(sv.qubits), min_size=1, unique=True))
     rho = reduced_density_oracle(sv, keep)
-    corners = np.array([[rho[0, 0], rho[0, -1]], [rho[-1, 0], rho[-1, -1]]])
-    assert np.allclose(sv.ghz_block(keep), corners, atol=1e-12)
+    corners = (rho[0, 0], rho[-1, -1], rho[0, -1])
+    assert np.allclose(sv.ghz_terms(keep), corners, atol=1e-12)

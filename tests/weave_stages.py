@@ -2,13 +2,15 @@
 
 A report carries its schedule, ``report.transcript``, and the outcomes of
 every branch it checked. ``weave_stages`` runs each reported branch of
-that schedule again through ``NetworkState.apply`` and snapshots the
-circuit's five qubits at the end of each of its seven stages. The roles
-and the stage ends are read from the schedule's own gate and measurement
-records, not taken from the library.
+that schedule again on the dense oracle (``dense_oracle.DenseRun``) and
+snapshots the circuit's five qubits at the end of each of its seven
+stages. The roles and the stage ends are read from the schedule's own gate
+and measurement records, not taken from the library.
 """
 
-from eprweave.locc import GateRecord, MeasureRecord, NetworkState, RecordingChooser
+from eprweave.locc import GateRecord, MeasureRecord
+
+from dense_oracle import DenseRun
 
 #: The circuit's gate and measurement records, in schedule order.
 CIRCUIT = ("CNOT", "CNOT", "measure", "H", "measure", "X", "X", "Z")
@@ -50,10 +52,10 @@ def weave_stages(report):
 
     snapshots = []
     for branch in report.branches:
-        net, pin = NetworkState(report.n), RecordingChooser(branch.outcomes)
+        dense = DenseRun(branch.outcomes)
         for i, rec in enumerate(schedule):
-            net.apply(rec, pin)
+            dense.apply(rec)
             if i in stage_at:
-                measured = branch.outcomes[: len(pin.record)]
-                snapshots.append((stage_at[i], net.joint_state(qubits), dict(roles), measured))
+                measured = branch.outcomes[: len(dense.probabilities)]
+                snapshots.append((stage_at[i], dense.state(qubits), dict(roles), measured))
     return snapshots
