@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from .errors import EntanglementError, ProtocolError
 from .gates import CNOT, PROB_FLOOR, H, QubitId, X, Z
 from .locc import ALL, MeasureRecord, NetworkState, SetupRecord
+from .stabilizer import memoized
 from .topology import AgentId, EntangledHypergraph, SpanningTree, bfs_edges, merge_schedule
 
 if TYPE_CHECKING:
@@ -33,6 +34,11 @@ FIDELITY_TOL = 1e-10
 #: Exhaustive branch walking switches to sampling beyond this many branches.
 BRANCH_CAP = 2**20
 FALLBACK_SAMPLES = 1024
+#: Branches after the live run replay memoized tableau transitions when the
+#: live run's largest factor has at most this many qubits. The memo keeps
+#: every shape the schedule passes through, k rows of 2k bits each at k
+#: qubits; on wider factors it costs more memory than it saves time.
+MEMO_MAX_QUBITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +203,10 @@ def _explore(
 
     The live run is the first branch; every other branch it left pending
     runs the schedule from the setup through :meth:`NetworkState.apply`,
-    sending every message and running every check again. ``"all"`` covers
+    sending every message and running every check again. Those runs differ
+    only in their tableaux's signs, so while they run the setup factors are
+    armed (:func:`~eprweave.stabilizer.memoized`) if the live run's largest
+    factor has at most MEMO_MAX_QUBITS qubits. ``"all"`` covers
     every live outcome vector, or FALLBACK_SAMPLES streams when the
     schedule has more than BRANCH_CAP; N covers the vectors that N seeded
     streams reach, so one stream is just the live run.
@@ -221,14 +230,16 @@ def _explore(
             yield run
 
     records, transcript = [], None
-    for leaf in executions():
-        if max_register is not None and leaf.peak_factor_qubits > max_register:
-            raise ProtocolError(f"working register grew to {leaf.peak_factor_qubits} qubits")
-        measured = [rec for rec in leaf.transcript if isinstance(rec, MeasureRecord)]
-        fidelity = verify_ghz(leaf, designated, strict=True)
-        prob = math.prod((rec.probability for rec in measured), start=1.0)
-        records.append(BranchRecord(tuple(rec.bit for rec in measured), prob, fidelity))
-        transcript = transcript or tuple(leaf.transcript)  # the lowest branch runs first
+    armed = net.factors() if pending and work.peak_factor_qubits <= MEMO_MAX_QUBITS else ()
+    with memoized(armed):
+        for leaf in executions():
+            if max_register is not None and leaf.peak_factor_qubits > max_register:
+                raise ProtocolError(f"working register grew to {leaf.peak_factor_qubits} qubits")
+            measured = [rec for rec in leaf.transcript if isinstance(rec, MeasureRecord)]
+            fidelity = verify_ghz(leaf, designated, strict=True)
+            prob = math.prod((rec.probability for rec in measured), start=1.0)
+            records.append(BranchRecord(tuple(rec.bit for rec in measured), prob, fidelity))
+            transcript = transcript or tuple(leaf.transcript)  # the lowest branch runs first
     records.sort(key=lambda rec: rec.outcomes)
     return ProtocolReport(
         protocol=protocol,

@@ -5,19 +5,43 @@ measurement is in the Z basis, so by Gottesman–Knill a stabilizer tableau
 tracks a run exactly (Aaronson–Gottesman, arXiv:quant-ph/0406196).
 
 A ``Tableau`` over k qubits holds k independent, commuting generators of
-the state's stabilizer group, row-packed as Python ints. Row ``(x, z, r)``
-is the Pauli ``(-1)^r ⊗_b i^(x_b z_b) X^(x_b) Z^(z_b)``, where bit ``b`` of
-``x`` and ``z`` acts on ``qubits[b]`` (the bit order of ``StateVector``'s
-amplitude index), so ``(1, 1)`` on a qubit is Y. A gate rewrites each row
-with a few int operations; the product of two rows is two XORs, with its
-phase from ``int.bit_count``.
+the state's stabilizer group. Row ``(x, z, r)`` is the Pauli
+``(-1)^r ⊗_b i^(x_b z_b) X^(x_b) Z^(z_b)``, where bit ``b`` of ``x`` and
+``z`` acts on ``qubits[b]`` (the bit order of ``StateVector``'s amplitude
+index), so ``(1, 1)`` on a qubit is Y. The rows are stored in two parts:
+the *shape*, the qubit order and each row's X and Z bits, and the sign
+word ``signs``, which holds row i's sign in bit i. The product of two rows
+is two XORs, with its phase from ``int.bit_count``.
 
-Queries reduce rows over GF(2). A cut's entropy is the rank of the rows
-restricted to one side minus that side's size (Fattal et al.,
-arXiv:quant-ph/0406168). ``ghz_terms`` reads the GHZ overlap off the
-stabilizers supported on a subset, and ``to_statevector`` builds the dense
-state, which stays the oracle. Every result is exact: probabilities are 0,
-1/2 or 1, and GHZ terms are signed powers of two.
+What an operation does to the X and Z bits depends on the shape alone;
+what it does to the signs is affine over GF(2) in the old signs, as for a
+Pauli frame (Gidney, arXiv:2103.02202). A gate XORs a mask into the sign
+word. A measurement or discard drops the pivot row's bit, then XORs a
+constant mask, a second mask if the pivot's sign was set, and a third if
+the outcome is 1. A certain outcome, ``probability_of_one`` and
+``ghz_terms`` are parities of the sign word under masks. So an operation
+first computes its *transition*, which depends on the shape alone, and
+then applies it to the sign word.
+
+A shape can be *armed* (:func:`memoized`). An armed shape keeps each
+transition it computes, keyed by the operation, and the shape that
+transition leads to is armed too. Any later tableau over that shape,
+whatever its signs, replays the transition with a dict lookup and a few
+int operations. The branches of one protocol schedule differ only in
+their signs, which is why the branch explorer arms the setup factors. An
+unarmed shape computes each transition and applies it at once, at the
+cost of a plain row-by-row update.
+
+Queries reduce rows over GF(2), with each sign a *form*: an int whose bit
+0 is a constant and whose bit i + 1 stands for row i's sign. Over an armed
+shape every row's sign is its own variable, so a query's forms hold for
+every sign word; otherwise they are the constant signs of the tableau at
+hand. A cut's entropy is the rank of the rows restricted to one side
+minus that side's size (Fattal et al., arXiv:quant-ph/0406168).
+``ghz_terms`` reads the GHZ overlap off the stabilizers supported on a
+subset, and ``to_statevector`` builds the dense state, which stays the
+oracle. Every result is exact: probabilities are 0, 1/2 or 1, and GHZ
+terms are signed powers of two.
 
 Like ``StateVector``, a ``Tableau`` is immutable: every operation returns
 a new one. Only ``to_statevector``, which tests compare against the dense
@@ -26,7 +50,8 @@ oracle, imports numpy, when it is called.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import EntanglementError
 from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId, choose_outcome, require_dense
@@ -34,7 +59,7 @@ from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId, choose_outc
 if TYPE_CHECKING:
     from .statevec import StateVector
 
-Row = tuple[int, int, int]  # (x bits, z bits, sign bit)
+Row = tuple[int, int, int]  # (x bits, z bits, sign): a bit, or a form over a sign word
 
 _IDENTITY: Row = (0, 0, 0)
 _I_POWERS = (1.0, 1j, -1.0, -1j)
@@ -46,6 +71,8 @@ def _mul(a: Row, b: Row) -> Row:
     With ``P(x, z) = i^|x&z| X^x Z^z``, moving ``Z^za`` past ``X^xb`` costs
     ``(-1)^|za&xb|``, so ``P(a) P(b) = i^e P(a^b)`` with ``e`` below; ``e``
     is even because commuting Hermitian Paulis have a Hermitian product.
+    The signs only add to the phase, so they may be forms: the product's
+    sign is both signs XOR the constant ``e/2 mod 2``.
     """
     ax, az, ar = a
     bx, bz, br = b
@@ -54,9 +81,14 @@ def _mul(a: Row, b: Row) -> Row:
         (ax & az).bit_count()
         + (bx & bz).bit_count()
         - (x & z).bit_count()
-        + 2 * ((az & bx).bit_count() + ar + br)
+        + 2 * (az & bx).bit_count()
     )
-    return x, z, (e & 3) >> 1
+    return x, z, ((e & 3) >> 1) ^ ar ^ br
+
+
+def _value(form: int, word: int) -> int:
+    """A form's value on the sign word s, given ``word = s << 1 | 1``."""
+    return (form & word).bit_count() & 1
 
 
 def _eliminate(rows: Iterable[Row], key: Callable[[Row], int]) -> tuple[dict[int, Row], list[Row]]:
@@ -105,18 +137,35 @@ def _express(basis: dict[int, Row], key: Callable[[Row], int], target: int) -> R
     return acc
 
 
-class Tableau:
-    """Stabilizer state over an ordered tuple of qubit ids.
+def _dropped(signs: int, pivot: int, const: int, times: int) -> int:
+    """The sign word after a measurement or discard: the pivot's bit goes,
+    the bits above it move down, ``const`` flips its rows, and ``times``
+    flips its rows if the pivot's sign was 1."""
+    word = (signs & ((1 << pivot) - 1)) | (signs >> (pivot + 1)) << pivot
+    if signs >> pivot & 1:
+        return word ^ const ^ times
+    return word ^ const
 
-    ``rows`` must be ``len(qubits)`` independent, commuting generators
-    without -I in their group; build tableaux with the constructors below.
+
+class Tableau:
+    """Stabilizer state: a shape and a sign word.
+
+    The shape is ``qubits`` and ``xz``, the rows' X and Z bits as
+    ``(x, z, 0)``; bit i of ``signs`` is row i's sign. The rows must be
+    ``len(qubits)`` independent, commuting generators, and then any sign
+    word gives a state. Every tableau over one shape shares its tuples and
+    its ``memo``: None, or once the shape is armed (:func:`memoized`), a
+    dict from each operation met on the shape to its transition. Build
+    tableaux with the constructors below.
     """
 
-    __slots__ = ("qubits", "rows")
+    __slots__ = ("qubits", "xz", "signs", "memo")
 
-    def __init__(self, qubits: Iterable[QubitId], rows: Iterable[Row]):
-        self.qubits = tuple(qubits)
-        self.rows = tuple(rows)
+    def __init__(self, qubits: tuple[QubitId, ...], xz: tuple[Row, ...], signs: int, memo=None):
+        self.qubits = qubits
+        self.xz = xz
+        self.signs = signs
+        self.memo = memo
 
     # -- constructors ------------------------------------------------------
 
@@ -124,12 +173,12 @@ class Tableau:
     def zeros(cls, qubit_ids: Iterable[QubitId]) -> "Tableau":
         """The all-|0> register, stabilized by each qubit's Z."""
         qubit_ids = _distinct(qubit_ids)
-        return cls(qubit_ids, [(0, 1 << j, 0) for j in range(len(qubit_ids))])
+        return cls(qubit_ids, tuple([(0, 1 << j, 0) for j in range(len(qubit_ids))]), 0)
 
     @classmethod
     def basis_state(cls, q: QubitId, bit: int) -> "Tableau":
         """One qubit in |bit>, stabilized by (-1)^bit Z."""
-        return cls((q,), [(0, 1, bit)])
+        return cls((q,), ((0, 1, 0),), bit)
 
     @classmethod
     def ghz(cls, qubit_ids: Iterable[QubitId]) -> "Tableau":
@@ -139,8 +188,8 @@ class Tableau:
         if not qubit_ids:
             raise ValueError("need at least one qubit")
         k = len(qubit_ids)
-        rows = [((1 << k) - 1, 0, 0)] + [(0, 3 << j, 0) for j in range(k - 1)]
-        return cls(qubit_ids, rows)
+        xz = [((1 << k) - 1, 0, 0)] + [(0, 3 << j, 0) for j in range(k - 1)]
+        return cls(qubit_ids, tuple(xz), 0)
 
     # -- basic queries ------------------------------------------------------
 
@@ -148,59 +197,38 @@ class Tableau:
     def n(self) -> int:
         return len(self.qubits)
 
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The generators as ``(x, z, sign bit)``."""
+        signs = self.signs
+        return tuple((x, z, signs >> i & 1) for i, (x, z, _) in enumerate(self.xz))
+
     def position(self, q: QubitId) -> int:
         try:
             return self.qubits.index(q)
         except ValueError:
             raise ValueError(f"qubit {q} not in register {self.qubits}") from None
 
-    def _z_sign(self, m: int) -> int:
-        """r with (-1)^r Z_q in the group, where ``m`` is q's bit and no
-        generator has X on q: Z_q then commutes with the whole group, which
-        is maximal, so it holds Z_q or -Z_q."""
-        width = self.n
-        key = _on((1 << width) - 1, width)
-        basis, _ = _eliminate(self.rows, key)
-        return _express(basis, key, m << width)[2]
-
     def probability_of_one(self, q: QubitId) -> float:
-        m = 1 << self.position(q)
-        if any(x & m for x, _, _ in self.rows):
+        if self.memo is None:
+            form = self._z_sign(q)
+        else:
+            form = self._memoized(("p1", q), Tableau._z_sign, q)
+        if form is None:
             return 0.5
-        return float(self._z_sign(m))
+        return float(_value(form, self.signs << 1 | 1))
 
     # -- unitaries -----------------------------------------------------------
 
     def apply(self, gate: Gate) -> "Tableau":
         """Conjugate every generator by the gate."""
-        j = self.position(gate.qubits[0])
-        m = 1 << j
-        rows = []
-        if gate.kind == "X":  # flips the sign of Z and Y on the qubit
-            rows = [(x, z, r ^ 1) if z & m else (x, z, r) for x, z, r in self.rows]
-        elif gate.kind == "Z":  # flips the sign of X and Y
-            rows = [(x, z, r ^ 1) if x & m else (x, z, r) for x, z, r in self.rows]
-        elif gate.kind == "H":  # swaps X and Z, and Y picks up a sign
-            for row in self.rows:
-                x, z, r = row
-                xb, zb = x & m, z & m
-                if xb != zb:
-                    row = (x ^ m, z ^ m, r)
-                elif xb:
-                    row = (x, z, r ^ 1)
-                rows.append(row)
-        else:  # CNOT: X on the control spreads to the target, Z on the target to the control
-            t = self.position(gate.qubits[1])
-            tm = 1 << t
-            for row in self.rows:
-                x, z, r = row
-                xc, zt = x & m, z & tm
-                if xc or zt:
-                    if xc and zt and not ((x >> t) ^ (z >> j)) & 1:
-                        r ^= 1
-                    row = (x ^ tm if xc else x, z ^ m if zt else z, r)
-                rows.append(row)
-        return Tableau(self.qubits, rows)
+        if self.memo is None:
+            xz, memo, flip = self._gate(gate)
+        else:
+            xz, memo, flip = self._memoized(gate, Tableau._gate, gate)
+        if xz is None:  # X or Z: the same shape
+            return Tableau(self.qubits, self.xz, self.signs ^ flip, self.memo)
+        return Tableau(self.qubits, xz, self.signs ^ flip, memo)
 
     # -- measurement -----------------------------------------------------------
 
@@ -209,97 +237,251 @@ class Tableau:
 
         ``choose`` is a forced bit, a ``numpy.random.Generator`` or a
         callable ``(p0, p1) -> bit``, as for ``StateVector.measure``. When a
-        generator anticommutes with Z_q both outcomes have probability 1/2:
-        that generator becomes (-1)^bit Z_q and clears q's X part from the
-        others, and the rows drop q. Otherwise Z_q or -Z_q is a stabilizer,
-        the outcome is certain, and q factors out.
+        generator anticommutes with Z_q both outcomes have probability 1/2;
+        otherwise the outcome is certain and q factors out
+        (``Tableau._measured``).
         """
-        j = self.position(q)
-        m = 1 << j
-        for pivot, p in enumerate(self.rows):
-            if p[0] & m:
-                break
+        if self.memo is None:
+            step = self._measured(q)
         else:
-            one = self._z_sign(m)
-            return choose_outcome(q, choose, 1.0 - one, float(one)), self.discard(q)
-        outcome = choose_outcome(q, choose, 0.5, 0.5)
-        bit, low, j1 = outcome.bit, m - 1, j + 1
-        rest = []
-        for i, row in enumerate(self.rows):
-            if i == pivot:
-                continue
-            if row[0] & m:
-                row = _mul(row, p)
-            x, z, r = row
-            # x has no bit j now; if z has, times (-1)^bit Z_q clears it.
-            # Either way bit j goes, and the bits above it move down.
-            if z & m:
-                r ^= bit
-            rest.append(((x & low) | (x >> j1) << j, (z & low) | (z >> j1) << j, r))
-        return outcome, Tableau(self.qubits[:j] + self.qubits[j1:], rest)
+            step = self._memoized(("measure", q), Tableau._measured, q)
+        form, qubits, xz, memo, pivot, const, times, flip = step
+        signs = self.signs
+        if form is None:
+            outcome = choose_outcome(q, choose, 0.5, 0.5)
+        else:
+            one = _value(form, signs << 1 | 1)
+            outcome = choose_outcome(q, choose, 1.0 - one, float(one))
+        word = _dropped(signs, pivot, const, times)
+        if outcome.bit:
+            word ^= flip
+        return outcome, Tableau(qubits, xz, word, memo)
 
     # -- register surgery ------------------------------------------------------
 
     def discard(self, q: QubitId) -> "Tableau":
-        """Drop a qubit that is in a product state with the rest.
-
-        q factors out iff the generators' parts on q span one Pauli (its
-        one-qubit entropy, a GF(2) rank minus 1, is 0); otherwise
-        ``EntanglementError``. The first generator acting on q clears q
-        from the others and is dropped; the rest generate the remainder.
-        """
-        j = self.position(q)
-        pivot, part, rest = None, 0, []
-        for row in self.rows:
-            x, z, _ = row
-            on_q = (x >> j & 1) | (z >> j & 1) << 1
-            if on_q:
-                if pivot is None:
-                    pivot, part = row, on_q
-                    continue
-                if on_q != part:
-                    raise EntanglementError(
-                        f"qubit {q} is still entangled with the rest (purity {0.5:.12f})"
-                    )
-                row = _mul(row, pivot)
-            rest.append(row)
-        return self._without(j, rest)
-
-    def _without(self, j: int, rows: Iterable[Row]) -> "Tableau":
-        """The tableau over every qubit but the one at position ``j``, from
-        ``rows`` that no longer act on it: the bits above ``j`` move down."""
-        low, j1 = (1 << j) - 1, j + 1
-        rows = [((x & low) | (x >> j1) << j, (z & low) | (z >> j1) << j, r) for x, z, r in rows]
-        return Tableau(self.qubits[:j] + self.qubits[j1:], rows)
+        """Drop a qubit that is in a product state with the rest;
+        ``EntanglementError`` if it is not (``Tableau._discarded``)."""
+        if self.memo is None:
+            step = self._discarded(q)
+        else:
+            step = self._memoized(("discard", q), Tableau._discarded, q)
+        if isinstance(step, str):
+            raise EntanglementError(step)
+        qubits, xz, memo, pivot, const, times = step
+        return Tableau(qubits, xz, _dropped(self.signs, pivot, const, times), memo)
 
     def tensor(self, other: "Tableau") -> "Tableau":
-        """Tensor product; ``self`` keeps the low bits."""
-        overlap = set(self.qubits) & set(other.qubits)
-        if overlap:
-            raise ValueError(f"registers share qubits {sorted(overlap)}")
-        k = self.n
-        rows = self.rows + tuple((x << k, z << k, r) for x, z, r in other.rows)
-        return Tableau(self.qubits + other.qubits, rows)
+        """Tensor product; ``self`` keeps the low bits. An armed shape
+        keys the transition by the other factor's qubits and rows, since a
+        fresh ancilla or collapsed qubit is a new shape on every branch."""
+        if self.memo is None:
+            qubits, xz, memo = self._tensored(other)
+        else:
+            key = ("tensor", other.qubits, other.xz)
+            qubits, xz, memo = self._memoized(key, Tableau._tensored, other)
+        return Tableau(qubits, xz, self.signs | other.signs << len(self.qubits), memo)
 
     # -- comparisons and audits ----------------------------------------------
 
     def cut_entropy(self, subset: Iterable[QubitId]) -> float:
         """Entanglement entropy (bits) across the cut around ``subset``:
         the GF(2) rank of the generators restricted to it, minus its size."""
-        subset = set(subset)
-        if not subset or subset == set(self.qubits):
-            raise ValueError("subset must be a nonempty proper subset of the register")
-        unknown = subset - set(self.qubits)
-        if unknown:
-            raise ValueError(f"qubits {sorted(unknown)} not in register")
-        mask = sum(1 << self.position(q) for q in subset)
-        basis, _ = _eliminate(self.rows, _on(mask, self.n))
-        return float(len(basis) - len(subset))
+        subset = frozenset(subset)
+        if self.memo is None:
+            return self._cut(subset)
+        return self._memoized(("cut", subset), Tableau._cut, subset)
 
     def ghz_terms(self, qubits: Iterable[QubitId]) -> tuple[float, float, complex]:
         """The reduced density matrix of ``qubits`` on span{|0…0>, |1…1>}:
         the weights of |0…0> and |1…1> and their coherence
-        ``<0…0|rho|1…1>``, as plain numbers.
+        ``<0…0|rho|1…1>``, as plain numbers (``Tableau._ghz_forms``)."""
+        qubits = frozenset(qubits)
+        if self.memo is None:
+            forms = self._ghz_forms(qubits)
+        else:
+            forms = self._memoized(("ghz", qubits), Tableau._ghz_forms, qubits)
+        weight, zero, one, coherence = forms
+        word = self.signs << 1 | 1
+        t00 = 0.0 if any((f & word).bit_count() & 1 for f in zero) else weight
+        t11 = 0.0 if any((f & word).bit_count() & 1 for f in one) else weight
+        t01 = 0.0
+        if t11 and coherence is not None:
+            r0, phase = coherence
+            t01 = (-weight if _value(r0, word) else weight) * phase
+        return t00, t11, t01
+
+    # -- transitions -------------------------------------------------------------
+    #
+    # Each depends on the shape alone: the qubits, the X and Z bits, and
+    # whether the shape is armed, so that its memo can keep the result.
+
+    def _memoized(self, key, compute: Callable, *args):
+        """``compute(self, *args)`` over an armed shape: computed and kept
+        the first time ``key`` comes, looked up after that."""
+        memo = self.memo
+        try:
+            return memo[key]
+        except KeyError:
+            found = memo[key] = compute(self, *args)
+            return found
+
+    def _signed(self) -> Iterable[Row]:
+        """The rows with a form for each sign: row i's own variable if the
+        shape is armed, so what a query finds holds for every sign word;
+        otherwise the constant bit i of this tableau's signs."""
+        if self.memo is not None:
+            return [(x, z, 2 << i) for i, (x, z, _) in enumerate(self.xz)]
+        signs = self.signs
+        if not signs:
+            return self.xz
+        return [(x, z, signs >> i & 1) for i, (x, z, _) in enumerate(self.xz)]
+
+    def _gate(self, gate: Gate) -> tuple[tuple[Row, ...] | None, dict | None, int]:
+        """Conjugate every row by the gate: the new rows and memo, or None
+        for X and Z, which change signs only, and the mask of the rows
+        whose sign flips. So a Pauli correction that runs on some branches
+        and not on others leaves them all on one shape."""
+        j = self.position(gate.qubits[0])
+        m = 1 << j
+        kind, xz = gate.kind, self.xz
+        flip = 0
+        if kind in ("X", "Z"):  # X flips the rows with Z or Y on the qubit, Z those with X or Y
+            part = 1 if kind == "X" else 0
+            for i, row in enumerate(xz):
+                if row[part] & m:
+                    flip |= 1 << i
+            return None, None, flip
+        rows = []
+        if kind == "H":  # swaps X and Z, and Y picks up a sign
+            for row in xz:
+                x, z, _ = row
+                xb, zb = x & m, z & m
+                if xb != zb:
+                    row = (x ^ m, z ^ m, 0)
+                elif xb:
+                    flip |= 1 << len(rows)
+                rows.append(row)
+        else:  # CNOT: X on the control spreads to the target, Z on the target to the control
+            t = self.position(gate.qubits[1])
+            tm = 1 << t
+            for row in xz:
+                x, z, _ = row
+                xc, zt = x & m, z & tm
+                if xc or zt:
+                    if xc and zt and not ((x >> t) ^ (z >> j)) & 1:
+                        flip |= 1 << len(rows)
+                    row = (x ^ tm if xc else x, z ^ m if zt else z, 0)
+                rows.append(row)
+        return tuple(rows), None if self.memo is None else {}, flip
+
+    def _measured(self, q: QubitId):
+        """Measuring q in the Z basis: the form of the outcome if it is
+        certain (else None), the next shape ``(qubits, xz, memo)``, the
+        pivot row, and the masks of the rows whose sign flips always, if
+        the pivot's sign is 1, and if the outcome is 1.
+
+        When a row anticommutes with Z_q, the first such row (the pivot)
+        becomes (-1)^bit Z_q: it clears q's X part from the others and is
+        dropped, and each row left with Z on q takes the outcome into its
+        sign. Otherwise Z_q or -Z_q is a stabilizer and q is discarded.
+        """
+        j = self.position(q)
+        m = 1 << j
+        xz = self.xz
+        for pivot, p in enumerate(xz):
+            if p[0] & m:
+                break
+        else:
+            return (self._z_form(m), *self._discarded(q), 0)
+        low, j1 = m - 1, j + 1
+        rest, const, times, flip = [], 0, 0, 0
+        for i, row in enumerate(xz):
+            if i == pivot:
+                continue
+            x, z, _ = row
+            if x & m:
+                x, z, c = _mul(row, p)
+                times |= 1 << len(rest)
+                const |= c << len(rest)
+            if z & m:  # times (-1)^bit Z_q clears it
+                flip |= 1 << len(rest)
+            rest.append(((x & low) | (x >> j1) << j, (z & low) | (z >> j1) << j, 0))
+        qubits, memo = self.qubits[:j] + self.qubits[j1:], None if self.memo is None else {}
+        return None, qubits, tuple(rest), memo, pivot, const, times, flip
+
+    def _discarded(self, q: QubitId):
+        """Dropping q: the next shape ``(qubits, xz, memo)``, the pivot row,
+        and the masks of the rows whose sign flips always and if the
+        pivot's sign is 1; or, if q is entangled with the rest, the
+        refusal's message.
+
+        q factors out iff the rows' parts on q span one Pauli (its
+        one-qubit entropy, a GF(2) rank minus 1, is 0). The first row
+        acting on q clears q from the others and is dropped; the rest
+        generate the remainder, and the bits above q move down.
+        """
+        j = self.position(q)
+        low, j1 = (1 << j) - 1, j + 1
+        pivot = p = None
+        rest, const, times = [], 0, 0
+        for row in self.xz:
+            x, z, _ = row
+            on_q = (x >> j & 1) | (z >> j & 1) << 1
+            if on_q:
+                if pivot is None:
+                    pivot, part, p = len(rest), on_q, row
+                    continue
+                if on_q != part:
+                    return f"qubit {q} is still entangled with the rest (purity {0.5:.12f})"
+                x, z, c = _mul(row, p)
+                times |= 1 << len(rest)
+                const |= c << len(rest)
+            rest.append(((x & low) | (x >> j1) << j, (z & low) | (z >> j1) << j, 0))
+        qubits, memo = self.qubits[:j] + self.qubits[j1:], None if self.memo is None else {}
+        return qubits, tuple(rest), memo, pivot, const, times
+
+    def _tensored(self, other: "Tableau"):
+        """The shape ``(qubits, xz, memo)`` of the tensor product."""
+        overlap = set(self.qubits) & set(other.qubits)
+        if overlap:
+            raise ValueError(f"registers share qubits {sorted(overlap)}")
+        k = len(self.qubits)
+        xz = self.xz + tuple([(x << k, z << k, 0) for x, z, _ in other.xz])
+        return self.qubits + other.qubits, xz, None if self.memo is None else {}
+
+    def _z_form(self, m: int) -> int:
+        """The form of r with (-1)^r Z_q in the group, where ``m`` is q's
+        bit and no row has X on q: Z_q then commutes with the whole group,
+        which is maximal, so it holds Z_q or -Z_q."""
+        width = len(self.qubits)
+        key = _on((1 << width) - 1, width)
+        basis, _ = _eliminate(self._signed(), key)
+        return _express(basis, key, m << width)[2]
+
+    def _z_sign(self, q: QubitId) -> int | None:
+        """The form of Z_q's certain outcome, or None if it is random."""
+        m = 1 << self.position(q)
+        if any(row[0] & m for row in self.xz):
+            return None
+        return self._z_form(m)
+
+    def _cut(self, subset: frozenset) -> float:
+        qubits = set(self.qubits)
+        if not subset or subset == qubits:
+            raise ValueError("subset must be a nonempty proper subset of the register")
+        unknown = subset - qubits
+        if unknown:
+            raise ValueError(f"qubits {sorted(unknown)} not in register")
+        mask = sum(1 << self.position(q) for q in subset)
+        basis, _ = _eliminate(self.xz, _on(mask, len(self.qubits)))  # the rank ignores signs
+        return float(len(basis) - len(subset))
+
+    def _ghz_forms(self, qubits: frozenset):
+        """``(weight, zero, one, coherence)`` for ``ghz_terms``: |0…0> and
+        |1…1> weigh ``weight`` each if every form in ``zero``, respectively
+        ``one``, is 0; ``coherence`` is None or the form and phase of the
+        stabilizer that flips every qubit.
 
         The reduced state is ``2^-s`` times the sum of the stabilizers
         supported on the s qubits. Those without X (a group D of size 2^d)
@@ -310,22 +492,19 @@ class Tableau:
         finished GHZ factor, every stabilizer is supported on it and the
         first row reduction is skipped.
         """
-        inside = sum(1 << self.position(q) for q in set(qubits))
-        s = inside.bit_count()
-        full = (1 << self.n) - 1
-        local = self.rows
+        inside = sum(1 << self.position(q) for q in qubits)
+        width = len(self.qubits)
+        full = (1 << width) - 1
+        local = self._signed()
         if inside != full:
-            _, local = _eliminate(self.rows, _on(full ^ inside, self.n))
+            _, local = _eliminate(local, _on(full ^ inside, width))
         flipping, diagonal = _eliminate(local, _x_part)
-        weight = 2.0 ** (len(diagonal) - s)
-        t00 = 0.0 if any(r for _, _, r in diagonal) else weight
-        t11 = 0.0 if any((r ^ z.bit_count()) & 1 for _, z, r in diagonal) else weight
-        t01 = 0.0
-        p0 = _express(flipping, _x_part, inside) if t11 else None
-        if p0 is not None:
-            _, z0, r0 = p0
-            t01 = (-weight if r0 else weight) * _I_POWERS[-z0.bit_count() & 3]
-        return t00, t11, t01
+        weight = 2.0 ** (len(diagonal) - inside.bit_count())
+        zero = tuple(r for _, _, r in diagonal)
+        one = tuple(r ^ (z.bit_count() & 1) for _, z, r in diagonal)
+        p0 = _express(flipping, _x_part, inside)
+        coherence = None if p0 is None else (p0[2], _I_POWERS[-p0[1].bit_count() & 3])
+        return weight, zero, one, coherence
 
     def to_statevector(self) -> StateVector:
         """The dense state, up to global phase; ``ResourceError`` over
@@ -362,6 +541,26 @@ class Tableau:
 
     def __repr__(self):
         return f"Tableau(qubits={self.qubits}, rows={self.rows})"
+
+
+@contextmanager
+def memoized(tableaux: Iterable[Tableau]) -> Iterator[None]:
+    """Arm the shapes of ``tableaux`` while the block runs.
+
+    Each transition from an armed shape is computed once and kept, with
+    the shape it leads to, armed too; every tableau over one of these
+    shapes, whatever its signs, replays the transition with a lookup. When
+    the block ends the memos are dropped, so they are freed with the
+    networks that ran in it.
+    """
+    tableaux = list(tableaux)
+    for t in tableaux:
+        t.memo = {}
+    try:
+        yield
+    finally:
+        for t in tableaux:
+            t.memo = None
 
 
 def _distinct(qubit_ids: Iterable[QubitId]) -> tuple[QubitId, ...]:

@@ -44,6 +44,7 @@ from eprweave.protocols import (
     setup_group_network,
     teleport,
 )
+from eprweave.stabilizer import Tableau
 from eprweave.statevec import CNOT, H, StateVector, X, Z, ghz_state
 from eprweave.topology import (
     EntangledHypergraph,
@@ -54,6 +55,7 @@ from eprweave.topology import (
     spanning_tree,
 )
 from dense_oracle import run_dense
+from tableau_view import assert_stabilizer_generators
 from weave_stages import weave_stages
 
 GOOD = 1 - 1e-10
@@ -478,11 +480,13 @@ def test_acceptance_6_simulator_core_guarantees():
             received = run_dense(net.transcript, prefix, inputs={payload: amps}).state((carrier,))
             assert received.fidelity(StateVector((carrier,), amps)) >= GOOD
 
-    # norm preserved within 1e-12 by every gate application
+    # norm preserved within 1e-12 by every gate application; the same gates
+    # keep a tableau's rows n independent, commuting generators
     for _ in range(60):
         n = int(rng.integers(1, 6))
         raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = StateVector(tuple(range(n)), raw / np.linalg.norm(raw))
+        tableau = Tableau.zeros(tuple(range(n)))
         for _ in range(12):
             q = int(rng.integers(n))
             if n >= 2 and rng.random() < 0.4:
@@ -492,16 +496,22 @@ def test_acceptance_6_simulator_core_guarantees():
                 gate = rng.choice([X, Z, H])(q)
             state = state.apply(gate)
             assert abs(state.norm_squared() - 1.0) <= 1e-12
+            tableau = tableau.apply(gate)
+            assert_stabilizer_generators(tableau)
 
-    # GHZ_n: every single-qubit reduced state is the maximally mixed one
+    # GHZ_n: every single-qubit reduced state is the maximally mixed one,
+    # and every single qubit of the tableau's GHZ_n carries one bit of entropy
     for n in range(2, 9):
-        state = ghz_state(tuple(range(1, n + 1)))
-        for q in range(1, n + 1):
+        qubits = tuple(range(1, n + 1))
+        state, tableau = ghz_state(qubits), Tableau.ghz(qubits)
+        for q in qubits:
             rho = state.reduced_density(q)
             assert np.max(np.abs(rho - np.eye(2) / 2)) <= 1e-10
+            assert tableau.cut_entropy({q}) == 1.0
     print(
-        "PASS 6: 100 teleports exact on all 4 branches; norms within 1e-12 "
-        "over 720 gates; GHZ reduced states I/2 within 1e-10 up to n=8"
+        "PASS 6: 100 teleports exact on all 4 branches; norms within 1e-12 and "
+        "tableau generators valid over 720 gates; GHZ reduced states I/2 within "
+        "1e-10 and tableau single-qubit entropy 1 up to n=8"
     )
 
 

@@ -9,10 +9,12 @@ network's qubit-to-factor map must agree with a scan of its factors.
 
 A broken schedule must be refused: with any one conditioned correction
 left out, some branch fails both through ``NetworkState.apply`` and on the
-dense oracle.
+dense oracle. With the explorer's memoized transitions, the branches that
+fail are exactly those where the left-out correction's bit is 1.
 """
 
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -72,10 +74,10 @@ def factor_view(net: NetworkState):
     return [(f.qubits, f.rows) for f in net.factors()]
 
 
-@pytest.fixture
-def explored(monkeypatch):
-    """Checks the factor map after every ``apply``, and returns the list
-    that each verified branch's network is added to."""
+@contextmanager
+def capture_branches():
+    """Checks the factor map after every ``apply`` while the block runs,
+    and yields the list that each verified branch's network is added to."""
     leaves = []
     original_apply, original_verify = NetworkState.apply, protocols.verify_ghz
 
@@ -87,9 +89,30 @@ def explored(monkeypatch):
         leaves.append(net)
         return original_verify(net, designated, strict)
 
-    monkeypatch.setattr(NetworkState, "apply", checked_apply)
-    monkeypatch.setattr(protocols, "verify_ghz", capturing_verify)
-    return leaves
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NetworkState, "apply", checked_apply)
+        patch.setattr(protocols, "verify_ghz", capturing_verify)
+        yield leaves
+
+
+def capture_census_weaves():
+    """``[(report, leaves), ...]``: ``protocol_two`` on every census tree
+    under both step-2 circuits, each with the networks of the branches it
+    verified, captured as by ``capture_branches``."""
+    weaves = []
+    for n, edges in census_trees():
+        tree = SpanningTree.from_edges(n, edges)
+        for step2 in ("symmetric", "zeilinger"):
+            with capture_branches() as leaves:
+                report = protocol_two(setup_epr_network(n, tree.edges), tree, step2=step2)
+            weaves.append((report, leaves))
+    return weaves
+
+
+@pytest.fixture
+def explored():
+    with capture_branches() as leaves:
+        yield leaves
 
 
 def assert_replays_alike(report, leaves):
@@ -122,15 +145,11 @@ def acceptance_4_hypergraphs():
     return cases
 
 
-def test_every_census_weave_replays_alike_on_every_branch(explored):
+def test_every_census_weave_replays_alike_on_every_branch(census_weaves):
     runs = 0
-    for n, edges in census_trees():
-        tree = SpanningTree.from_edges(n, edges)
-        for step2 in ("symmetric", "zeilinger"):
-            explored.clear()
-            report = protocol_two(setup_epr_network(n, tree.edges), tree, step2=step2)
-            assert_replays_alike(report, explored)
-            runs += 1
+    for report, leaves in census_weaves:
+        assert_replays_alike(report, leaves)
+        runs += 1
     assert runs == 2 * (3 + 16 + 125)
 
 
@@ -200,3 +219,85 @@ def test_dropping_any_conditioned_gate_fails_a_branch_on_both_interpreters(sched
         assert any(f < 1.0 - TOL for f in dense), (i, rec)
         mutants += 1
     assert mutants == conditioned
+
+
+# ---------------------------------------------------------------------------
+# the memoized explorer tells branches apart
+
+
+def _path_schedule():
+    tree = SpanningTree.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    return lambda: protocol_two(setup_epr_network(5, tree.edges), tree)
+
+
+def _chain_fusion():
+    h = EntangledHypergraph(7, [(1, 2, 3), (3, 4, 5), (5, 6, 7)])
+    return lambda: protocol_three(setup_group_network(h), h)
+
+
+def _teleport_z_fix(transcript):
+    """The label of the first teleport's Z fix, and no actor: every gate
+    conditioned on it."""
+    message = next(
+        rec
+        for rec in transcript
+        if isinstance(rec, ClassicalMessage) and rec.purpose == "teleport Z fix"
+    )
+    return message.labels[0], None
+
+
+def _holder_x_fix(transcript):
+    """The label and actor of the first fusion's first X fix: one holder's
+    correction, the other holders keep theirs."""
+    gate = next(
+        rec
+        for rec in transcript
+        if isinstance(rec, GateRecord) and rec.gate.kind == "X" and rec.when.startswith("fuse#")
+    )
+    return gate.when, gate.actor
+
+
+DROPPED_FIX = {
+    # schedule -> (its run, which correction the live run leaves out)
+    "protocol-two-teleport-z": (_path_schedule(), _teleport_z_fix),
+    "protocol-three-holder-x": (_chain_fusion(), _holder_x_fix),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DROPPED_FIX))
+def test_a_dropped_correction_fails_exactly_the_branches_where_its_bit_is_1(case, monkeypatch):
+    run, pick = DROPPED_FIX[case]
+    label, actor = pick(run().transcript)
+
+    original_gate = NetworkState.local_gate
+
+    def leaving_out(self, who, gate, when=None):
+        if when == label and actor in (None, who):
+            return False  # the live run, and so the schedule, lacks this gate
+        return original_gate(self, who, gate, when)
+
+    armed = []
+    original_memoized = protocols.memoized
+
+    def spying(tableaux):
+        tableaux = list(tableaux)
+        armed.append(len(tableaux))
+        return original_memoized(tableaux)
+
+    monkeypatch.setattr(NetworkState, "local_gate", leaving_out)
+    monkeypatch.setattr(protocols, "memoized", spying)
+    report = run()
+
+    assert armed and armed[0] > 0  # the branches ran on memoized transitions
+    kept = [
+        rec
+        for rec in report.transcript
+        if isinstance(rec, GateRecord) and rec.when == label and actor in (None, rec.actor)
+    ]
+    assert not kept
+    labels = [rec.label for rec in report.transcript if isinstance(rec, MeasureRecord)]
+    at = labels.index(label)
+    assert len(report.branches) == 2 ** len(labels)
+    failed = {b.outcomes for b in report.branches if b.fidelity < 1.0}
+    assert failed == {b.outcomes for b in report.branches if b.outcomes[at] == 1}
+    assert all(b.fidelity == 1.0 for b in report.branches if b.outcomes not in failed)

@@ -3,10 +3,11 @@
 The dense ``StateVector`` is the oracle. Hypothesis draws X/Z/H/CNOT and
 measurement sequences over products of Bell pairs, GHZ states and |0>
 registers, and after every operation each query of the ``Tableau`` must
-agree with the same query of the dense state. Every branch of a whole
-protocol run must agree with the dense transcript interpreter
-(``dense_oracle``), and the tableau must carry the protocols to sizes no
-dense register reaches.
+agree with the same query of the dense state. A tableau over an armed
+shape must give, on every sign word, exactly what the unarmed computation
+gives. Every branch of a whole protocol run must agree with the dense
+transcript interpreter (``dense_oracle``), and the tableau must carry the
+protocols to sizes no dense register reaches.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from eprweave.protocols import (
     setup_group_network,
     verify_ghz,
 )
-from eprweave.stabilizer import Tableau
+from eprweave.stabilizer import Tableau, _mul, memoized
 from eprweave.statevec import (
     CNOT,
     DENSE_QUBIT_LIMIT,
@@ -249,6 +250,138 @@ def test_tableau_ghz_block_is_exact_on_mixed_subsets():
 
 
 # ---------------------------------------------------------------------------
+# memoized transitions: an armed shape replays what an unarmed one computes
+
+# H and CNOT twice as often, so that rows pick up Y parts and products phases
+MEMO_OPS = ("X", "Z", "H", "H", "CNOT", "CNOT", "measure", "discard", "tensor", "p1", "ghz", "cut")
+FRESH = ("zeros", "ghz", "one")
+
+
+def fresh_tableau(made, ids):
+    if made == "zeros":
+        return Tableau.zeros(ids)
+    return Tableau.ghz(ids) if made == "ghz" else Tableau.basis_state(ids[0], 1)
+
+
+def fresh_dense(made, ids):
+    if made == "zeros":
+        return new_register(ids)
+    return ghz_state(ids) if made == "ghz" else new_register(ids).apply(X(ids[0]))
+
+
+def run_ops(state, ops, fresh):
+    """Apply ``ops`` to ``state`` in turn; ``[(value, state after), ...]``.
+
+    Each op is ``(kind, a, b)``: ``a`` picks the qubit and ``b`` the second
+    operand, the forced bit, the subset (as a bit mask over the register)
+    or the made state. A query asks about the qubit and the subset alike.
+    A refused op leaves the state as it was and its value is
+    ``("error", type, message)``. A measurement whose forced bit has
+    probability 0 takes the other bit, so every run drops the same qubits.
+    ``tensor`` adds a fresh state over new qubit ids while the register is
+    small enough for the dense oracle. Runs on a ``Tableau`` and on a
+    ``StateVector`` alike, given the matching ``fresh``.
+    """
+    results, next_id = [], 100
+    for kind, a, b in ops:
+        qubits = state.qubits
+        if kind == "tensor":
+            if len(qubits) > 8:
+                continue
+            made = FRESH[b % 3]
+            ids = tuple(range(next_id, next_id + (2 if made == "ghz" else 1)))
+            next_id += len(ids)
+            state = state.tensor(fresh(made, ids))
+            results.append((("tensor",), state))
+            continue
+        if not qubits or (kind == "CNOT" and len(qubits) < 2):
+            continue
+        q = qubits[a % len(qubits)]
+        subset = [v for i, v in enumerate(qubits) if b >> i & 1] or [q]
+        try:
+            if kind == "CNOT":
+                others = [v for v in qubits if v != q]
+                state = state.apply(CNOT(q, others[b % len(others)]))
+                value = ("gate",)
+            elif kind in ("X", "Z", "H"):
+                state = state.apply({"X": X, "Z": Z, "H": H}[kind](q))
+                value = ("gate",)
+            elif kind == "measure":
+                refused = None
+                try:
+                    outcome, state = state.measure_out(q, b % 2)
+                except ZeroProbabilityError as exc:
+                    refused = (type(exc), str(exc))
+                    outcome, state = state.measure_out(q, 1 - b % 2)
+                value = ("measure", refused, outcome.bit, outcome.probability)
+            elif kind == "discard":
+                state = state.discard(q)
+                value = ("discard",)
+            elif kind == "p1":  # two queries on one state: two keys on one shape
+                value = ("p1", state.probability_of_one(q), state.probability_of_one(subset[-1]))
+            elif kind == "ghz":
+                value = ("ghz", *state.ghz_terms(subset), *state.ghz_terms([q]))
+            else:
+                value = ("cut", state.cut_entropy([q]), state.cut_entropy(subset))
+        except (EprWeaveError, ValueError) as exc:
+            value = ("error", type(exc), str(exc))
+        results.append((value, state))
+    return results
+
+
+def assert_dense_run_agrees(tableau_run, dense_run):
+    """The tableau run's values and states are the dense run's, up to
+    rounding; a refusal is refused alike."""
+    assert len(tableau_run) == len(dense_run)
+    for (value, t), (dense_value, d) in zip(tableau_run, dense_run):
+        assert t.qubits == d.qubits
+        assert t.to_statevector().fidelity(d) == pytest.approx(1.0, abs=TOL)
+        assert value[0] == dense_value[0]
+        if value[0] == "error":
+            assert value[1] is dense_value[1]
+        elif value[0] == "measure":
+            assert (value[1] is None) == (dense_value[1] is None)
+            assert value[2] == dense_value[2]
+            assert value[3] == pytest.approx(dense_value[3], abs=TOL)
+        else:
+            np.testing.assert_allclose(value[1:], dense_value[1:], atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_states(), st.data())
+def test_an_armed_shape_replays_exactly_what_an_unarmed_one_computes(start, data):
+    t, _ = start
+    # another generating set of the same group: products give rows Y parts,
+    # whose own products carry phases
+    rows = list(t.rows)
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=6)):
+        if a % t.n != b % t.n:
+            rows[a % t.n] = _mul(rows[a % t.n], rows[b % t.n])
+    qubits, xz = t.qubits, tuple((x, z, 0) for x, z, _ in rows)
+    ops = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(MEMO_OPS), st.integers(0, 255), st.integers(0, 255)),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    # two sign words over one shape: two branches of one schedule
+    first = data.draw(st.integers(0, 2**t.n - 1))
+    second = first ^ data.draw(st.integers(1, 2**t.n - 1))
+    armed = Tableau(qubits, xz, first)
+    with memoized([armed]):
+        for word in (first, second):
+            unarmed = run_ops(Tableau(qubits, xz, word), ops, fresh_tableau)
+            replayed = run_ops(Tableau(qubits, xz, word, armed.memo), ops, fresh_tableau)
+            assert [(v, s.qubits, s.rows) for v, s in replayed] == [
+                (v, s.qubits, s.rows) for v, s in unarmed
+            ]
+            dense = run_ops(Tableau(qubits, xz, word).to_statevector(), ops, fresh_dense)
+            assert_dense_run_agrees(unarmed, dense)
+    assert armed.memo is None  # the memo goes with the block
+
+
+# ---------------------------------------------------------------------------
 # protocol-level agreement: every reported branch again on the dense oracle
 
 
@@ -297,15 +430,11 @@ def census_trees():
             yield n, prufer_tree(n, seq)
 
 
-def test_every_census_tree_weaves_alike_on_both_backends(leaves):
+def test_every_census_tree_weaves_alike_on_both_backends(census_weaves):
     runs = 0
-    for n, edges in census_trees():
-        tree = SpanningTree.from_edges(n, edges)
-        for step2 in ("symmetric", "zeilinger"):
-            leaves.clear()
-            report = protocol_two(setup_epr_network(n, tree.edges), tree, step2=step2)
-            assert_dense_oracle_agrees(report, leaves)
-            runs += 1
+    for report, leaves in census_weaves:
+        assert_dense_oracle_agrees(report, leaves)
+        runs += 1
     assert runs == 2 * (3 + 16 + 125)
 
 

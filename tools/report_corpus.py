@@ -15,9 +15,11 @@ The corpus is the benchmark's four pools (``perfbench/workloads.py``, read
 only) at one seed with ``--verbose``, then hand-written specs that reach
 paths the pools do not: ``ghz3``, both step-2 circuits on small and weighted
 trees, the ``BRANCH_CAP`` fallback, contained, duplicate and EPR groups under
-``fuse``, disconnected networks under every command, refused specs, one
-malformed spec per parse error, and spec-format cases (reversed, integer,
-tiny and mixed weights, comments and blank lines) under every command.
+``fuse``, runs on both sides of the branch explorer's memo bound (an 80-qubit
+``fuse`` staircase and a sampled 30-agent weave), disconnected networks under
+every command, refused specs, one malformed spec per parse error, and
+spec-format cases (reversed, integer, tiny and mixed weights, comments and
+blank lines) under every command.
 """
 
 from __future__ import annotations
@@ -85,6 +87,14 @@ def corpus():
     }
     for name, text in fused.items():
         yield f"fuse-{name}", text, ["fuse", "--verbose"]
+
+    # both sides of the explorer's memo bound (MEMO_MAX_QUBITS = 64): a staircase
+    # whose merged factor reaches 80 qubits runs its 4 branches unarmed, and
+    # 8 sample streams over a 30-agent path (32 qubits at most) run armed
+    staircase = _groups(80, [range(1, 41), range(21, 61), range(41, 81)])
+    yield "fuse-staircase-80", staircase, ["fuse", "--verbose"]
+    path30 = _edges(30, [(v, v + 1) for v in range(1, 30)])
+    yield "weave-path-30-sample-8", path30, ["weave", "--branches", "sample:8", "--verbose"]
 
     refused = {
         "disconnected-edges": _edges(5, [(1, 2), (2, 3), (4, 5)]),
