@@ -21,7 +21,10 @@ ownership of every operand, and conditioning a gate on a measurement
 result requires the actor to actually know that bit — either by having
 measured it or by having received it in a classical message. Classical
 messages are transcribed and priced: a message of b bits costs b cbits,
-and a broadcast costs the same as a point-to-point send.
+and a broadcast costs the same as a point-to-point send. What an agent
+knows is its own record of measured and received labels plus the one
+record, shared by all agents, of the labels broadcast to ``ALL``; so a
+broadcast is written once, however many agents hear it.
 
 All operations, locks, pair claims and schedule checks mutate the
 NetworkState in place and append to its transcript, so a transcript is a
@@ -29,15 +32,18 @@ complete schedule. Each public operation builds its record and runs it
 through the one executor for that kind of record. ``NetworkState.apply``
 runs a recorded operation through the same executor, for
 ``replay_transcript`` (which can censor messages: any operation
-conditioned on a censored bit must then fail) and for branch exploration.
-An operation that reproduces its record appends that record itself.
+conditioned on a censored bit must then fail); branch exploration looks
+each record's executor up once with ``prepare`` and runs the pairs on
+every branch. An operation that reproduces its record appends that
+record itself.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ConditioningError,
@@ -175,7 +181,8 @@ class NetworkState:
         self.n = n
         self.chooser = chooser
         self.owner: dict[QubitId, AgentId] = {}
-        self.knowledge: dict[AgentId, dict[str, int]] = {a: {} for a in self.agents}
+        self._known: dict[AgentId, dict[str, int]] = {a: {} for a in self.agents}
+        self._broadcast: dict[str, int] = {}  # labels sent to ALL: every agent knows them
         self.transcript: list[Record] = []
         self.cbit_count = 0
         self.setup_open = True
@@ -196,6 +203,13 @@ class NetworkState:
     def agents(self) -> range:
         return range(1, self.n + 1)
 
+    @property
+    def knowledge(self) -> Mapping[AgentId, dict[str, int]]:
+        """What each agent knows, label to bit: ``knowledge[a]`` is a new
+        dict of a's own labels (measured or received point to point) and
+        every label broadcast to ``ALL``. A read view; it changes nothing."""
+        return _Knowledge(self._known, self._broadcast)
+
     def qubits_of(self, agent: AgentId) -> list[QubitId]:
         return sorted(q for q, a in self.owner.items() if a == agent)
 
@@ -208,7 +222,8 @@ class NetworkState:
         dup.n = self.n
         dup.chooser = self.chooser
         dup.owner = self.owner.copy()
-        dup.knowledge = {a: k.copy() for a, k in self.knowledge.items()}
+        dup._known = {a: k.copy() for a, k in self._known.items()}
+        dup._broadcast = self._broadcast.copy()
         dup.transcript = self.transcript.copy()
         dup.cbit_count = self.cbit_count
         dup.setup_open = self.setup_open
@@ -251,7 +266,8 @@ class NetworkState:
         self._factors[slot] = f
         for q in f.qubits:
             self._slot[q] = slot
-        self.peak_factor_qubits = max(self.peak_factor_qubits, f.n)
+        if len(f.qubits) > self.peak_factor_qubits:
+            self.peak_factor_qubits = len(f.qubits)
 
     def _merged_slot(self, a: int, b: int) -> int:
         """Merge the factors in slots a and b; return the slot of the
@@ -263,7 +279,8 @@ class NetworkState:
         self._factors[low] = merged
         for q in moved.qubits:
             self._slot[q] = low
-        self.peak_factor_qubits = max(self.peak_factor_qubits, merged.n)
+        if len(merged.qubits) > self.peak_factor_qubits:
+            self.peak_factor_qubits = len(merged.qubits)
         return low
 
     def _require_owner(self, actor: AgentId, qubits: Iterable[QubitId]) -> None:
@@ -402,26 +419,30 @@ class NetworkState:
                     raise ValueError(f"unknown receiver {receiver}")
                 if receiver == sender:
                     raise ValueError("sending a message to oneself is not communication")
-        known = self.knowledge[sender]
+        known, shared = self._known[sender], self._broadcast
         values: list[int] = []
         learned: dict[str, int] = {}
         for label, value in zip(rec.labels, rec.bits):
             if label is not None:
                 value = known.get(label)
                 if value is None:
-                    raise ConditioningError(
-                        f"agent {sender} sends {label!r} without having measured "
-                        "or received it"
-                    )
+                    value = shared.get(label)
+                    if value is None:
+                        raise ConditioningError(
+                            f"agent {sender} sends {label!r} without having measured "
+                            "or received it"
+                        )
                 learned[label] = value
             elif value not in (0, 1):
                 raise ValueError(f"classical bits must be 0 or 1, got {value}")
             values.append(value)
         values = tuple(values)
         if learned:  # constant bits teach nobody anything
-            for agent in agents if receivers == ALL else receivers:
-                if agent != sender:
-                    self.knowledge[agent].update(learned)
+            if receivers == ALL:  # the sender knew these already
+                shared.update(learned)
+            else:
+                for agent in receivers:
+                    self._known[agent].update(learned)
         if values != rec.bits:
             rec = ClassicalMessage(sender, receivers, values, rec.labels, rec.purpose)
         self.transcript.append(rec)
@@ -470,11 +491,7 @@ class NetworkState:
         Conditioned gates and message bits follow this network's
         knowledge; a measurement takes ``choose``, else the recorded bit.
         """
-        try:
-            run = _EXECUTORS[type(rec)]
-        except KeyError:
-            raise TypeError(f"unknown transcript record {rec!r}") from None
-        run(self, rec, choose)
+        _executor(rec)(self, rec, choose)
 
     def _run_setup(self, rec: SetupRecord, choose) -> None:
         if rec.kind == "epr" and len(rec.agents) == 2:
@@ -484,7 +501,7 @@ class NetworkState:
 
     def _run_ancilla(self, rec: AncillaRecord, choose) -> QubitId:
         (q,) = self._new_qubits((rec.actor,))
-        self._store_factor(Tableau.zeros((q,)))
+        self._store_factor(Tableau.basis_state(q, 0))
         if q != rec.qubit:
             rec = AncillaRecord(rec.actor, q)
         self.transcript.append(rec)
@@ -501,12 +518,14 @@ class NetworkState:
             self._require_unlocked(qubits)
         applied = True
         if when is not None:
-            known = self.knowledge[actor].get(when)
+            known = self._known[actor].get(when)
             if known is None:
-                raise ConditioningError(
-                    f"agent {actor} conditions on {when!r} without having "
-                    "measured or received it"
-                )
+                known = self._broadcast.get(when)
+                if known is None:
+                    raise ConditioningError(
+                        f"agent {actor} conditions on {when!r} without having "
+                        "measured or received it"
+                    )
             applied = known == 1
         if applied:
             slot = self._slot[qubits[0]]
@@ -536,15 +555,16 @@ class NetworkState:
         slot = self._slot[q]
         outcome, rest = self._factors[slot].measure_out(q, choose)
         collapsed = Tableau.basis_state(q, outcome.bit)
-        if rest.n == 0:
+        if not rest.qubits:
             self._factors[slot] = collapsed
         else:
             self._factors[slot] = rest
             self._store_factor(collapsed)
         self._labels.add(label)
-        self.knowledge[actor][label] = outcome.bit
-        if (label, outcome.bit, outcome.probability) != (rec.label, rec.bit, rec.probability):
-            rec = MeasureRecord(actor, q, label, outcome.bit, outcome.probability)
+        self._known[actor][label] = outcome.bit
+        bit, probability = outcome.bit, outcome.probability
+        if bit != rec.bit or probability != rec.probability or label != rec.label:
+            rec = MeasureRecord(actor, q, label, bit, probability)
         self.transcript.append(rec)
         return outcome
 
@@ -558,7 +578,7 @@ class NetworkState:
             self._require_owner(actor, (q,))
         slot = self._slot[q]
         f = self._factors[slot]
-        if f.n == 1:  # a qubit alone in its factor just goes
+        if len(f.qubits) == 1:  # a qubit alone in its factor just goes
             del self._factors[slot]
         else:
             self._factors[slot] = f.discard(q)
@@ -620,7 +640,7 @@ class NetworkState:
         self.transcript.append(rec)
 
     def _run_factor_size(self, rec: FactorSizeRecord, choose) -> None:
-        actual = len(self.factor_qubits(rec.qubit))
+        actual = len(self._factors[self._slot_of(rec.qubit)].qubits)
         if actual != rec.size:
             raise ProtocolError(f"merged group spans {actual} qubits, expected {rec.size}")
         self.transcript.append(rec)
@@ -655,6 +675,24 @@ class NetworkState:
         return total
 
 
+class _Knowledge(Mapping):
+    """:attr:`NetworkState.knowledge`: agent to the labels it knows."""
+
+    __slots__ = ("_known", "_broadcast")
+
+    def __init__(self, known: dict[AgentId, dict[str, int]], broadcast: dict[str, int]):
+        self._known, self._broadcast = known, broadcast
+
+    def __getitem__(self, agent: AgentId) -> dict[str, int]:
+        return {**self._broadcast, **self._known[agent]}
+
+    def __iter__(self) -> Iterator[AgentId]:
+        return iter(self._known)
+
+    def __len__(self) -> int:
+        return len(self._known)
+
+
 #: The executor of each record kind, for :meth:`NetworkState.apply`.
 _EXECUTORS = {
     SetupRecord: NetworkState._run_setup,
@@ -669,6 +707,21 @@ _EXECUTORS = {
     ZeroCheckRecord: NetworkState._run_zero_check,
     FactorSizeRecord: NetworkState._run_factor_size,
 }
+
+
+def _executor(rec: Record):
+    try:
+        return _EXECUTORS[type(rec)]
+    except KeyError:
+        raise TypeError(f"unknown transcript record {rec!r}") from None
+
+
+def prepare(records: Iterable[Record]) -> list[tuple[Callable, Record]]:
+    """Each record with its executor, looked up once: running
+    ``execute(net, rec, choose)`` for every pair does what
+    ``net.apply(rec, choose)`` for every record does, so a schedule that
+    runs on many branches is dispatched once."""
+    return [(_executor(rec), rec) for rec in records]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import EntanglementError, ProtocolError
+from .errors import EntanglementError, ProtocolError, ResourceError
 from .gates import CNOT, PROB_FLOOR, H, QubitId, X, Z
-from .locc import ALL, MeasureRecord, NetworkState, SetupRecord
+from .locc import ALL, MeasureRecord, NetworkState, SetupRecord, prepare
 from .stabilizer import memoized
 from .topology import AgentId, EntangledHypergraph, SpanningTree, bfs_edges, merge_schedule
 
@@ -34,6 +34,9 @@ FIDELITY_TOL = 1e-10
 #: Exhaustive branch walking switches to sampling beyond this many branches.
 BRANCH_CAP = 2**20
 FALLBACK_SAMPLES = 1024
+#: The most sample streams a run takes. They are all built before the
+#: first measurement, at about 1.3 KiB each: 2^16 streams are about 85 MiB.
+SAMPLE_CAP = 2**16
 #: Branches after the live run replay memoized tableau transitions when the
 #: live run's largest factor has at most this many qubits. The memo keeps
 #: every shape the schedule passes through, k rows of 2k bits each at k
@@ -180,7 +183,13 @@ class _Fork:
 def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
     """The copy of ``net`` a protocol body runs on, once: it takes the
     lowest live branch for ``"all"``, else the lowest that N sample streams
-    reach, and leaves the other branches to :func:`_explore`."""
+    reach, and leaves the other branches to :func:`_explore`. More than
+    SAMPLE_CAP streams are refused before any is built."""
+    if branches != "all" and branches > SAMPLE_CAP:
+        raise ResourceError(
+            f"sample:{branches} needs {branches:,} sample streams of about 1.3 KiB each, "
+            f"over the limit of {SAMPLE_CAP:,}"
+        )
     work = net.copy()
     streams = None if branches == "all" else [_stream(seed, i) for i in range(branches)]
     work.chooser = _Fork((), streams, [])
@@ -202,31 +211,35 @@ def _explore(
     on ``designated`` with no register over ``max_register`` qubits.
 
     The live run is the first branch; every other branch it left pending
-    runs the schedule from the setup through :meth:`NetworkState.apply`,
-    sending every message and running every check again. Those runs differ
-    only in their tableaux's signs, so while they run the setup factors are
-    armed (:func:`~eprweave.stabilizer.memoized`) if the live run's largest
-    factor has at most MEMO_MAX_QUBITS qubits. ``"all"`` covers
-    every live outcome vector, or FALLBACK_SAMPLES streams when the
-    schedule has more than BRANCH_CAP; N covers the vectors that N seeded
-    streams reach, so one stream is just the live run.
+    runs the schedule from a copy of the setup, each record through its
+    executor (looked up once, by :func:`~eprweave.locc.prepare`), sending
+    every message and running every check again. A branch's outcomes and
+    probabilities are read off its transcript where the schedule measures.
+    Those runs differ only in their tableaux's signs, so while they run
+    the setup factors are armed (:func:`~eprweave.stabilizer.memoized`) if
+    the live run's largest factor has at most MEMO_MAX_QUBITS qubits.
+    ``"all"`` covers every live outcome vector, or FALLBACK_SAMPLES streams
+    when the schedule has more than BRANCH_CAP; N covers the vectors that
+    N seeded streams reach, so one stream is just the live run.
     """
-    schedule = work.transcript[len(net.transcript) :]
+    start = len(net.transcript)
+    schedule = work.transcript[start:]
+    # every executor appends one record, so each branch measures at these positions
+    measured_at = [start + i for i, rec in enumerate(schedule) if isinstance(rec, MeasureRecord)]
     pending, executed = work.chooser.pending, [work]
-    measurements = sum(isinstance(rec, MeasureRecord) for rec in schedule)
-    if branches == "all" and 2**measurements > BRANCH_CAP:
+    if branches == "all" and 2 ** len(measured_at) > BRANCH_CAP:
         branches = FALLBACK_SAMPLES
         pending[:] = [((), [_stream(seed, i) for i in range(branches)])]
         executed = []
+    steps = prepare(schedule) if pending else ()  # nothing left to run after the live run
 
     def executions() -> Iterable[NetworkState]:
         yield from executed
         while pending:
             fork = _Fork(*pending.pop(), pending)
             run = net.copy()
-            apply = run.apply
-            for rec in schedule:
-                apply(rec, fork)
+            for execute, rec in steps:
+                execute(run, rec, fork)
             yield run
 
     records, transcript = [], None
@@ -235,11 +248,12 @@ def _explore(
         for leaf in executions():
             if max_register is not None and leaf.peak_factor_qubits > max_register:
                 raise ProtocolError(f"working register grew to {leaf.peak_factor_qubits} qubits")
-            measured = [rec for rec in leaf.transcript if isinstance(rec, MeasureRecord)]
+            done = leaf.transcript
+            measured = [done[i] for i in measured_at]
             fidelity = verify_ghz(leaf, designated, strict=True)
             prob = math.prod((rec.probability for rec in measured), start=1.0)
             records.append(BranchRecord(tuple(rec.bit for rec in measured), prob, fidelity))
-            transcript = transcript or tuple(leaf.transcript)  # the lowest branch runs first
+            transcript = transcript or tuple(done)  # the lowest branch runs first
     records.sort(key=lambda rec: rec.outcomes)
     return ProtocolReport(
         protocol=protocol,
@@ -271,7 +285,8 @@ def verify_ghz(
     (possibly mixed) reduced state is simply reported, so an untouched
     setup yields a value below 1 rather than an exception.
     """
-    if set(designated) != set(net.agents):
+    agents = net.agents
+    if len(designated) != len(agents) or not all(map(agents.__contains__, designated)):
         raise ValueError("exactly one designated qubit per agent is required")
     for agent, q in designated.items():
         if net.owner.get(q) != agent:
@@ -280,7 +295,7 @@ def verify_ghz(
     t00 = t11 = t01 = 1.0 + 0.0j
     for f in net.factors(chosen):
         inside = chosen.intersection(f.qubits)
-        if strict and len(inside) != f.n:
+        if strict and len(inside) != len(f.qubits):
             leak = f.cut_entropy(inside)
             if leak > 1e-10:
                 raise EntanglementError(
@@ -338,36 +353,35 @@ def teleport(
 
 def fusion_step(
     net: NetworkState,
-    f_qubits: Iterable[QubitId],
-    e_qubits: Iterable[QubitId],
+    f_group: Mapping[AgentId, QubitId],
+    e_group: Mapping[AgentId, QubitId],
     junction: AgentId,
     label: str | None = None,
-) -> set[QubitId]:
+) -> None:
     """Fuse two GHZ-form groups at their common agent.
 
-    The junction CNOTs its group-F qubit into its group-E qubit, measures
-    the latter, and broadcasts the outcome (1 cbit, spent on either
-    outcome); on 1, every other E-group holder flips. N-partite and
-    M-partite in, (N+M-1)-partite out. Returns the surviving qubit set.
+    Each group maps its holders to their qubits. The junction CNOTs its
+    group-F qubit into its group-E qubit, measures the latter, and
+    broadcasts the outcome (1 cbit, spent on either outcome); on 1, every
+    other E-group holder flips, in agent order. N-partite and M-partite
+    in, (N+M-1)-partite out: F's qubits and E's other qubits. Only the
+    E group is walked, so the step's cost does not grow with F.
     """
-    f_qubits, e_qubits = set(f_qubits), set(e_qubits)
-    mine_f = [q for q in sorted(f_qubits) if net.owner.get(q) == junction]
-    mine_e = [q for q in sorted(e_qubits) if net.owner.get(q) == junction]
-    if len(mine_f) != 1 or len(mine_e) != 1:
+    q_f, q_e = f_group.get(junction), e_group.get(junction)
+    if q_f is None or q_e is None:
         raise ProtocolError(
             f"agent {junction} must hold exactly one qubit in each group to fuse "
-            f"(has {mine_f} and {mine_e})"
+            f"(has {[] if q_f is None else [q_f]} and {[] if q_e is None else [q_e]})"
         )
-    q_f, q_e = mine_f[0], mine_e[0]
     if label is None:
         label = f"fuse#{q_e}"
     net.local_gate(junction, CNOT(q_f, q_e))
     net.local_measure(junction, q_e, label=label)
     net.send_classical(junction, ALL, [label], purpose="fusion outcome")
-    for q in sorted(e_qubits - {q_e}, key=lambda q: (net.owner[q], q)):
-        net.local_gate(net.owner[q], X(q), when=label)
+    for agent, q in sorted(e_group.items()):
+        if agent != junction:
+            net.local_gate(agent, X(q), when=label)
     net.discard_qubit(junction, q_e)
-    return (f_qubits | e_qubits) - {q_e}
 
 
 def disentangle_duplicate(
@@ -568,7 +582,10 @@ def protocol_two(
                 work, start, keep, root_leaf, x_qubit, channel, third, z_qubit
             )
         else:
-            fusion_step(work, {keep, x_qubit}, {channel, z_qubit}, start, label="step2")
+            fusion_step(
+                work, {start: keep, root_leaf: x_qubit}, {start: channel, third: z_qubit},
+                start, label="step2",
+            )
             designated = {start: keep, root_leaf: x_qubit, third: z_qubit}
         if third in tree.leaves:
             work.send_classical(third, ALL, [1], purpose="leaf done")
@@ -639,13 +656,7 @@ def protocol_three(
     merge_log = []
     for step in schedule:
         incoming = groups[step.index]
-        fusion_step(
-            work,
-            set(holder.values()),
-            set(incoming.values()),
-            step.junction,
-            label=f"fuse#{step.index}",
-        )
+        fusion_step(work, holder, incoming, step.junction, label=f"fuse#{step.index}")
         fused_in.add(step.index)
         for agent in sorted(step.overlap - {step.junction}):
             disentangle_duplicate(work, agent, holder[agent], incoming[agent])

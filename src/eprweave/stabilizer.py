@@ -225,7 +225,8 @@ class Tableau:
         if self.memo is None:
             xz, memo, flip = self._gate(gate)
         else:
-            xz, memo, flip = self._memoized(gate, Tableau._gate, gate)
+            # keyed by plain values: Gate's dataclass __hash__ is a Python call
+            xz, memo, flip = self._memoized((gate.kind, gate.qubits), Tableau._gate, gate)
         if xz is None:  # X or Z: the same shape
             return Tableau(self.qubits, self.xz, self.signs ^ flip, self.memo)
         return Tableau(self.qubits, xz, self.signs ^ flip, memo)

@@ -476,3 +476,20 @@ def test_seed_changes_sampled_reports_but_not_validity(tmp_path):
 def test_branches_flag_validation():
     with pytest.raises(SystemExit):
         run(["weave", "whatever.spec", "--branches", "sample:-3"])
+
+
+def test_too_many_sample_streams_exit_1_before_any_is_built(tmp_path, monkeypatch):
+    from eprweave import protocols
+
+    def spy(seed, i):
+        raise AssertionError("a sample stream was built")
+
+    monkeypatch.setattr(protocols, "_stream", spy)
+    too_many = f"sample:{protocols.SAMPLE_CAP + 1}"
+    for command, text in (("ghz3", HUB3), ("weave", STAR5), ("fuse", GROUPS4)):
+        code, out, err = invoke([command, write(tmp_path, text), "--branches", too_many])
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: {too_many} needs 65,537 sample streams of about 1.3 KiB each, "
+            "over the limit of 65,536\n"
+        )

@@ -16,6 +16,7 @@ from eprweave.errors import (
     ConnectivityError,
     EntanglementError,
     ProtocolError,
+    ResourceError,
 )
 from eprweave import protocols
 from eprweave.locc import ALL, DropGroupRecord, MeasureRecord, NetworkState, RecordingChooser
@@ -285,8 +286,8 @@ def test_fusion_step_merges_two_groups_at_the_junction():
         net = NetworkState(4, chooser=RecordingChooser(prefix))
         big = net.distribute_ghz((1, 2, 3))
         small = net.distribute_ghz((3, 4))
-        survivors = fusion_step(net, set(big.values()), set(small.values()), 3)
-        assert survivors == {big[1], big[2], big[3], small[4]}
+        fusion_step(net, big, small, 3)
+        assert set(net.owner) == {big[1], big[2], big[3], small[4]}
         assert net.cbit_count == 1
         designated = {1: big[1], 2: big[2], 3: big[3], 4: small[4]}
         assert verify_ghz(net, designated, strict=True) >= GOOD
@@ -297,7 +298,7 @@ def test_fusion_step_outcomes_are_equally_likely():
     net = NetworkState(4, chooser=chooser)
     big = net.distribute_ghz((1, 2, 3))
     small = net.distribute_ghz((3, 4))
-    fusion_step(net, set(big.values()), set(small.values()), 3)
+    fusion_step(net, big, small, 3)
     (_, p0, p1), = chooser.record
     assert p0 == pytest.approx(0.5, abs=1e-12)
     assert p1 == pytest.approx(0.5, abs=1e-12)
@@ -308,7 +309,98 @@ def test_fusion_step_requires_one_qubit_per_group_at_the_junction():
     big = net.distribute_ghz((1, 2, 3))
     small = net.distribute_ghz((3, 4))
     with pytest.raises(ProtocolError, match="exactly one qubit"):
-        fusion_step(net, set(big.values()), set(small.values()), 2)
+        fusion_step(net, big, small, 2)
+
+
+def scanning_fusion_step(net, f_group, e_group, junction, label=None):
+    """``fusion_step`` as first written: it finds the junction's qubits by
+    scanning both groups for their owner, and corrects E's other qubits in
+    order of owner, then qubit."""
+    f_qubits, e_qubits = set(f_group.values()), set(e_group.values())
+    mine_f = [q for q in sorted(f_qubits) if net.owner.get(q) == junction]
+    mine_e = [q for q in sorted(e_qubits) if net.owner.get(q) == junction]
+    if len(mine_f) != 1 or len(mine_e) != 1:
+        raise ProtocolError(
+            f"agent {junction} must hold exactly one qubit in each group to fuse "
+            f"(has {mine_f} and {mine_e})"
+        )
+    q_f, q_e = mine_f[0], mine_e[0]
+    if label is None:
+        label = f"fuse#{q_e}"
+    net.local_gate(junction, CNOT(q_f, q_e))
+    net.local_measure(junction, q_e, label=label)
+    net.send_classical(junction, ALL, [label], purpose="fusion outcome")
+    for q in sorted(e_qubits - {q_e}, key=lambda q: (net.owner[q], q)):
+        net.local_gate(net.owner[q], X(q), when=label)
+    net.discard_qubit(junction, q_e)
+
+
+def out_of_qubit_order(group):
+    return [group[a] for a in sorted(group)] != sorted(group.values())
+
+
+def test_fusion_step_finds_by_owner_what_a_scan_of_both_groups_finds():
+    # a merged E group whose owners and qubit ids run in opposite orders
+    net = NetworkState(5, chooser=1)  # every outcome 1: every correction runs
+    f = net.distribute_ghz((2, 4))
+    e = net.distribute_ghz((3, 4))
+    first = net.distribute_ghz((1, 4))
+    fusion_step(net, e, first, 4)
+    e = {1: first[1], 3: e[3], 4: e[4]}
+    assert out_of_qubit_order({a: q for a, q in e.items() if a != 4})
+    twin = net.copy()
+    fusion_step(net, f, e, 4, label="x")
+    scanning_fusion_step(twin, f, e, 4, label="x")
+    assert net.transcript == twin.transcript
+    corrected = [rec.gate.qubits[0] for rec in net.transcript[-3:-1]]
+    assert corrected == [first[1], e[3]]  # agent 1 first, though its qubit is newer
+    with pytest.raises(ProtocolError) as found:
+        fusion_step(net.copy(), f, e, 3)
+    with pytest.raises(ProtocolError) as scanned:
+        scanning_fusion_step(net.copy(), f, e, 3)
+    assert str(found.value) == str(scanned.value)
+
+
+def test_group_fusion_transcript_is_that_of_the_owner_scan(monkeypatch):
+    # agents 3 to 6 hold the oldest qubits, so the fused group's owner order and
+    # qubit order disagree
+    h = EntangledHypergraph(7, [(3, 4, 5, 6), (1, 3), (1, 2, 6), (5, 7)])
+    report = protocol_three(setup_group_network(h), h)
+    assert out_of_qubit_order(report.designated)
+    monkeypatch.setattr(protocols, "fusion_step", scanning_fusion_step)
+    scanned = protocol_three(setup_group_network(h), h)
+    assert report.transcript == scanned.transcript
+    assert report.to_dict() == scanned.to_dict()
+
+
+def test_sample_streams_over_the_cap_are_refused_before_any_is_built(monkeypatch):
+    built = []
+
+    def spy(seed, i):
+        built.append(i)
+        raise AssertionError("a sample stream was built")
+
+    monkeypatch.setattr(protocols, "_stream", spy)
+    too_many = protocols.SAMPLE_CAP + 1
+    h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])
+    tree = SpanningTree.from_edges(3, [(1, 2), (1, 3)])
+    runs = [
+        lambda: protocol_one(setup_epr_network(3, tree.edges), branches=too_many),
+        lambda: protocol_two(setup_epr_network(3, tree.edges), tree, branches=too_many),
+        lambda: protocol_three(setup_group_network(h), h, branches=too_many),
+    ]
+    for run in runs:
+        with pytest.raises(ResourceError, match=f"sample:{too_many} needs 65,537 sample streams"):
+            run()
+    assert built == []
+
+
+def test_sample_cap_admits_exactly_its_own_count(monkeypatch):
+    monkeypatch.setattr(protocols, "SAMPLE_CAP", 4)
+    h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])
+    assert protocol_three(setup_group_network(h), h, branches=4).branch_mode == "sample:4"
+    with pytest.raises(ResourceError, match="over the limit of 4"):
+        protocol_three(setup_group_network(h), h, branches=5)
 
 
 def test_disentangle_duplicate_releases_a_copied_qubit():

@@ -16,7 +16,9 @@ only) at one seed with ``--verbose``, then hand-written specs that reach
 paths the pools do not: ``ghz3``, both step-2 circuits on small and weighted
 trees, the ``BRANCH_CAP`` fallback, contained, duplicate and EPR groups under
 ``fuse``, runs on both sides of the branch explorer's memo bound (an 80-qubit
-``fuse`` staircase and a sampled 30-agent weave), disconnected networks under
+``fuse`` staircase and a sampled 30-agent weave), a wide fan-out of sampled
+fusion broadcasts (a chain of 3-agent groups over 61 agents), one run that
+asks for more sample streams than ``SAMPLE_CAP``, disconnected networks under
 every command, refused specs, one malformed spec per parse error, and
 spec-format cases (reversed, integer, tiny and mixed weights, comments and
 blank lines) under every command.
@@ -95,6 +97,12 @@ def corpus():
     yield "fuse-staircase-80", staircase, ["fuse", "--verbose"]
     path30 = _edges(30, [(v, v + 1) for v in range(1, 30)])
     yield "weave-path-30-sample-8", path30, ["weave", "--branches", "sample:8", "--verbose"]
+
+    # 29 merges, each broadcasting its outcome to all 61 agents, on 8 streams
+    chain = _groups(61, [(v, v + 1, v + 2) for v in range(1, 60, 2)])
+    yield "fuse-chain-61-sample-8", chain, ["fuse", "--branches", "sample:8", "--verbose"]
+    # one stream more than SAMPLE_CAP (2^16) is refused before any is built
+    yield "ghz3-sample-65537", hub, ["ghz3", "--branches", "sample:65537"]
 
     refused = {
         "disconnected-edges": _edges(5, [(1, 2), (2, 3), (4, 5)]),
