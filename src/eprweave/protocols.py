@@ -29,13 +29,15 @@ from .topology import AgentId, EntangledHypergraph, SpanningTree, bfs_edges, mer
 if TYPE_CHECKING:
     import numpy as np
 
+    from .streams import Stream
+
 FIDELITY_TOL = 1e-10
 
 #: Exhaustive branch walking switches to sampling beyond this many branches.
 BRANCH_CAP = 2**20
 FALLBACK_SAMPLES = 1024
 #: The most sample streams a run takes. They are all built before the
-#: first measurement, at about 1.3 KiB each: 2^16 streams are about 85 MiB.
+#: first measurement, at about 150 bytes each: 2^16 streams are about 9 MiB.
 SAMPLE_CAP = 2**16
 #: Branches after the live run replay memoized tableau transitions when the
 #: live run's largest factor has at most this many qubits. The memo keeps
@@ -141,10 +143,10 @@ class CorrectionRule:
 # branch exploration
 
 
-def _stream(seed: int, i: int) -> np.random.Generator:
-    import numpy as np  # only sampled runs need it
+def _stream(seed: int, i: int) -> Stream:
+    from .streams import stream  # only sampled runs need it
 
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+    return stream(seed, i)
 
 
 class _Fork:
@@ -183,13 +185,18 @@ class _Fork:
 def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
     """The copy of ``net`` a protocol body runs on, once: it takes the
     lowest live branch for ``"all"``, else the lowest that N sample streams
-    reach, and leaves the other branches to :func:`_explore`. More than
-    SAMPLE_CAP streams are refused before any is built."""
-    if branches != "all" and branches > SAMPLE_CAP:
-        raise ResourceError(
-            f"sample:{branches} needs {branches:,} sample streams of about 1.3 KiB each, "
-            f"over the limit of {SAMPLE_CAP:,}"
-        )
+    reach, and leaves the other branches to :func:`_explore`. A count
+    below 1, or over SAMPLE_CAP, is refused before any stream is built."""
+    if branches != "all":
+        if type(branches) is not int or branches < 1:
+            raise ValueError(
+                f"branches must be 'all' or a sample count of at least 1, got {branches!r}"
+            )
+        if branches > SAMPLE_CAP:
+            raise ResourceError(
+                f"sample:{branches} needs {branches:,} sample streams of about 150 bytes each, "
+                f"over the limit of {SAMPLE_CAP:,}"
+            )
     work = net.copy()
     streams = None if branches == "all" else [_stream(seed, i) for i in range(branches)]
     work.chooser = _Fork((), streams, [])

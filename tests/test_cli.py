@@ -490,6 +490,6 @@ def test_too_many_sample_streams_exit_1_before_any_is_built(tmp_path, monkeypatc
         code, out, err = invoke([command, write(tmp_path, text), "--branches", too_many])
         assert code == 1 and out == ""
         assert err == (
-            f"error: {too_many} needs 65,537 sample streams of about 1.3 KiB each, "
+            f"error: {too_many} needs 65,537 sample streams of about 150 bytes each, "
             "over the limit of 65,536\n"
         )

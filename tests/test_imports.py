@@ -1,4 +1,5 @@
-"""What loads numpy: the tableau path does not, the dense path does.
+"""What loads numpy: the tableau path and its sample streams do not, the
+dense path does.
 
 Each check runs in a fresh interpreter, since this one has numpy loaded
 already (the other tests import it).
@@ -19,7 +20,22 @@ SPECS = {
     "weighted": "agents 4\nedge 1 2 3\nedge 2 3 1\nedge 3 4 2\nedge 1 4 1\n",
     "hub": "agents 3\nedge 1 2\nedge 1 3\n",
     "groups": "agents 6\nhyper 1 2 3\nhyper 3 4\nhyper 4 5 6\nhyper 2 5\n",
+    # over 2^20 branches under either step-2 circuit: "all" falls back to sampling
+    "path13": "agents 13\n" + "".join(f"edge {v} {v + 1}\n" for v in range(1, 13)),
 }
+
+#: A ``sys.meta_path`` finder, installed before eprweave is imported, that
+#: makes every import of numpy fail.
+REFUSE_NUMPY = """\
+import sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"importing {name} is refused")
+
+sys.meta_path.insert(0, RefuseNumpy())
+"""
 
 PRELUDE = """\
 import io
@@ -38,13 +54,13 @@ assert "numpy" not in sys.modules, "importing eprweave.cli loaded numpy"
 """
 
 
-def run_fresh(tmp_path, body: str) -> None:
+def run_fresh(tmp_path, body: str, head: str = "") -> None:
     for name, text in SPECS.items():
         (tmp_path / f"{name}.spec").write_text(text)
     src = str(Path(eprweave.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
+        [sys.executable, "-c", head + PRELUDE + textwrap.dedent(body)],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -82,10 +98,42 @@ def test_every_public_name_resolves_without_numpy(tmp_path):
     )
 
 
+def test_every_cli_command_runs_with_numpy_refused(tmp_path):
+    run_fresh(
+        tmp_path,
+        """
+        cli("check", "tree.spec")
+        cli("check", "groups.spec")
+        cli("tree", "tree.spec")
+        cli("mst", "weighted.spec")
+        for branches in ("all", "sample:3"):
+            out = cli("ghz3", "hub.spec", "--branches", branches, "--seed", "5")
+            assert f"({branches})" in out, out
+        for step2 in ("symmetric", "zeilinger"):
+            for branches in ("all", "sample:1", "sample:16"):
+                out = cli("weave", "tree.spec", "--branches", branches, "--step2", step2)
+                assert f"({branches})" in out, out
+            out = cli("weave", "path13.spec", "--branches", "all", "--step2", step2)
+            assert "branches explored: " in out and "(sample:1024)" in out, out
+        for branches in ("all", "sample:8"):
+            seed = str(2**97 + 5)
+            out = cli("fuse", "groups.spec", "--branches", branches, "--seed", seed)
+            assert f"({branches})" in out, out
+
+        err = io.StringIO()
+        argv = ["weave", "tree.spec", "--seed", "-1", "--branches", "sample:2"]
+        assert eprweave.cli.run(argv, out=io.StringIO(), err=err) == 1
+        assert err.getvalue() == "error: expected non-negative integer\\n", err.getvalue()
+        assert "numpy" not in sys.modules
+        """,
+        head=REFUSE_NUMPY,
+    )
+
+
 DENSE_USES = {
-    "sampled weave": """
-        out = cli("weave", "tree.spec", "--branches", "sample:2")
-        assert "branches explored: 2 (sample:2)" in out
+    "statevec": """
+        from eprweave.statevec import ghz_state
+        assert ghz_state((1, 2, 3)).qubits == (1, 2, 3)
         """,
     "to_statevector": """
         from eprweave import Tableau

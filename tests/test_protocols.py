@@ -395,6 +395,30 @@ def test_sample_streams_over_the_cap_are_refused_before_any_is_built(monkeypatch
     assert built == []
 
 
+@pytest.mark.parametrize("count", [0, -1, 2.0, True, "sample:4"])
+def test_branch_counts_other_than_positive_ints_are_refused_before_any_stream(
+    monkeypatch, count
+):
+    def spy(seed, i):
+        raise AssertionError("a sample stream was built")
+
+    monkeypatch.setattr(protocols, "_stream", spy)
+    h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])
+    tree = SpanningTree.from_edges(3, [(1, 2), (1, 3)])
+    nets = [setup_epr_network(3, tree.edges), setup_group_network(h)]
+    runs = [
+        lambda: protocol_one(nets[0], branches=count),
+        lambda: protocol_two(nets[0], tree, branches=count),
+        lambda: protocol_three(nets[1], h, branches=count),
+    ]
+    message = f"branches must be 'all' or a sample count of at least 1, got {count!r}"
+    for run in runs:
+        with pytest.raises(ValueError) as refused:
+            run()
+        assert str(refused.value) == message
+    assert all(net.setup_open and net.cbit_count == 0 for net in nets)
+
+
 def test_sample_cap_admits_exactly_its_own_count(monkeypatch):
     monkeypatch.setattr(protocols, "SAMPLE_CAP", 4)
     h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])

@@ -14,9 +14,10 @@ checkouts compare with ``diff -r``.
 The corpus is the benchmark's four pools (``perfbench/workloads.py``, read
 only) at one seed with ``--verbose``, then hand-written specs that reach
 paths the pools do not: ``ghz3``, both step-2 circuits on small and weighted
-trees, the ``BRANCH_CAP`` fallback, contained, duplicate and EPR groups under
-``fuse``, runs on both sides of the branch explorer's memo bound (an 80-qubit
-``fuse`` staircase and a sampled 30-agent weave), a wide fan-out of sampled
+trees, sampled runs under a 97-bit and a negative seed, the ``BRANCH_CAP``
+fallback, contained, duplicate and EPR groups under ``fuse``, runs on both
+sides of the branch explorer's memo bound (an 80-agent ``fuse`` staircase
+and a sampled 30-agent weave), a wide fan-out of sampled
 fusion broadcasts (a chain of 3-agent groups over 61 agents), one run that
 asks for more sample streams than ``SAMPLE_CAP``, disconnected networks under
 every command, refused specs, one malformed spec per parse error, and
@@ -81,6 +82,13 @@ def corpus():
         for step2 in ("symmetric", "zeilinger"):
             yield f"weave-{name}-{step2}", text, ["weave", "--step2", step2, "--verbose"]
     yield "weave-fallback-13", _edges(13, [(v, v + 1) for v in range(1, 13)]), ["weave"]
+    # a seed of four uint32 words, and a negative seed, which is refused
+    yield "weave-path-sample-16-seed-97-bit", trees["path"], [
+        "weave", "--branches", "sample:16", "--seed", str(2**96 + 987654321), "--verbose"
+    ]
+    yield "weave-path-sample-2-seed-negative", trees["path"], [
+        "weave", "--branches", "sample:2", "--seed", "-1"
+    ]
 
     fused = {
         "contained": _groups(5, [(1, 2, 3, 4), (2, 3), (4, 5)]),
@@ -90,9 +98,6 @@ def corpus():
     for name, text in fused.items():
         yield f"fuse-{name}", text, ["fuse", "--verbose"]
 
-    # both sides of the explorer's memo bound (MEMO_MAX_QUBITS = 64): a staircase
-    # whose merged factor reaches 80 qubits runs its 4 branches unarmed, and
-    # 8 sample streams over a 30-agent path (32 qubits at most) run armed
     staircase = _groups(80, [range(1, 41), range(21, 61), range(41, 81)])
     yield "fuse-staircase-80", staircase, ["fuse", "--verbose"]
     path30 = _edges(30, [(v, v + 1) for v in range(1, 30)])
