@@ -36,14 +36,6 @@ from .errors import (
     EprWeaveError,
     NetworkSpecError,
 )
-from .protocols import (
-    ProtocolReport,
-    protocol_one,
-    protocol_three,
-    protocol_two,
-    setup_epr_network,
-    setup_group_network,
-)
 from .topology import (
     EntangledHypergraph,
     EprGraph,
@@ -55,6 +47,9 @@ from .topology import (
     minimum_spanning_tree,
     spanning_tree,
 )
+
+# The protocol commands import eprweave.protocols inside ``run``, so that
+# check, tree and mst never load the quantum layers.
 
 CONNECTIVITY_LAW = (
     "a GHZ state spanning every agent is reachable by local operations and "
@@ -285,19 +280,19 @@ def _tree_summary(tree: SpanningTree, g: EprGraph) -> dict:
     }
 
 
-def _protocol_result(report: ProtocolReport) -> dict:
+def _protocol_result(report) -> dict:
     result = report.to_dict()
     result["ok"] = report.worst_fidelity >= 1 - 1e-10
     return result
 
 
-def _print_branches(report: ProtocolReport, out) -> None:
+def _print_branches(report, out) -> None:
     for b in report.branches:
         bits = "".join(map(str, b.outcomes)) or "-"
         print(f"  branch {bits}  p={b.probability!r}  fidelity={b.fidelity:.12f}", file=out)
 
 
-def _print_protocol(report: ProtocolReport, verbose: bool, out) -> None:
+def _print_protocol(report, verbose: bool, out) -> None:
     print(
         f"branches explored: {len(report.branches)} ({report.branch_mode})", file=out
     )
@@ -413,6 +408,8 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             )
 
         elif args.command == "ghz3":
+            from .protocols import protocol_one, setup_epr_network
+
             net = setup_epr_network(spec.n, [e[:2] for e in spec.edges])
             report = protocol_one(net, branches=args.branches, seed=args.seed)
             document["result"] = _protocol_result(report)
@@ -420,6 +417,8 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             _print_protocol(report, args.verbose, out)
 
         elif args.command == "weave":
+            from .protocols import protocol_two, setup_epr_network
+
             tree, document["tree"] = _choose_tree(spec, spec.weighted)
             document["options"]["tree"] = "mst" if spec.weighted else "bfs"
             net = setup_epr_network(spec.n, tree.edges)
@@ -437,6 +436,8 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             print(f"classical bound: {report.cbits} <= 3n-5 = {bound}", file=out)
 
         elif args.command == "fuse":
+            from .protocols import protocol_three, setup_group_network
+
             h = spec.to_hypergraph()  # EPR pairs are just 2-agent groups
             report = protocol_three(
                 setup_group_network(h), h, branches=args.branches, seed=args.seed

@@ -24,7 +24,9 @@ messages are transcribed and priced: a message of b bits costs b cbits,
 and a broadcast costs the same as a point-to-point send. What an agent
 knows is its own record of measured and received labels plus the one
 record, shared by all agents, of the labels broadcast to ``ALL``; so a
-broadcast is written once, however many agents hear it.
+broadcast is written once, however many agents hear it. The own records
+sit in one map keyed by agent and label, holding only what was learned,
+so a copy of a network whose agents know nothing copies nothing.
 
 All operations, locks, pair claims and schedule checks mutate the
 NetworkState in place and append to its transcript, so a transcript is a
@@ -181,7 +183,8 @@ class NetworkState:
         self.n = n
         self.chooser = chooser
         self.owner: dict[QubitId, AgentId] = {}
-        self._known: dict[AgentId, dict[str, int]] = {a: {} for a in self.agents}
+        # (agent, label) -> bit: what one agent measured or was sent point to point
+        self._known: dict[tuple[AgentId, str], int] = {}
         self._broadcast: dict[str, int] = {}  # labels sent to ALL: every agent knows them
         self.transcript: list[Record] = []
         self.cbit_count = 0
@@ -208,7 +211,7 @@ class NetworkState:
         """What each agent knows, label to bit: ``knowledge[a]`` is a new
         dict of a's own labels (measured or received point to point) and
         every label broadcast to ``ALL``. A read view; it changes nothing."""
-        return _Knowledge(self._known, self._broadcast)
+        return _Knowledge(self.agents, self._known, self._broadcast)
 
     def qubits_of(self, agent: AgentId) -> list[QubitId]:
         return sorted(q for q, a in self.owner.items() if a == agent)
@@ -222,7 +225,7 @@ class NetworkState:
         dup.n = self.n
         dup.chooser = self.chooser
         dup.owner = self.owner.copy()
-        dup._known = {a: k.copy() for a, k in self._known.items()}
+        dup._known = self._known.copy()
         dup._broadcast = self._broadcast.copy()
         dup.transcript = self.transcript.copy()
         dup.cbit_count = self.cbit_count
@@ -419,12 +422,12 @@ class NetworkState:
                     raise ValueError(f"unknown receiver {receiver}")
                 if receiver == sender:
                     raise ValueError("sending a message to oneself is not communication")
-        known, shared = self._known[sender], self._broadcast
+        known, shared = self._known, self._broadcast
         values: list[int] = []
         learned: dict[str, int] = {}
         for label, value in zip(rec.labels, rec.bits):
             if label is not None:
-                value = known.get(label)
+                value = known.get((sender, label))
                 if value is None:
                     value = shared.get(label)
                     if value is None:
@@ -442,7 +445,8 @@ class NetworkState:
                 shared.update(learned)
             else:
                 for agent in receivers:
-                    self._known[agent].update(learned)
+                    for label, value in learned.items():
+                        known[agent, label] = value
         if values != rec.bits:
             rec = ClassicalMessage(sender, receivers, values, rec.labels, rec.purpose)
         self.transcript.append(rec)
@@ -518,7 +522,7 @@ class NetworkState:
             self._require_unlocked(qubits)
         applied = True
         if when is not None:
-            known = self._known[actor].get(when)
+            known = self._known.get((actor, when))
             if known is None:
                 known = self._broadcast.get(when)
                 if known is None:
@@ -561,7 +565,7 @@ class NetworkState:
             self._factors[slot] = rest
             self._store_factor(collapsed)
         self._labels.add(label)
-        self._known[actor][label] = outcome.bit
+        self._known[actor, label] = outcome.bit
         bit, probability = outcome.bit, outcome.probability
         if bit != rec.bit or probability != rec.probability or label != rec.label:
             rec = MeasureRecord(actor, q, label, bit, probability)
@@ -592,7 +596,8 @@ class NetworkState:
             raise ValueError("a dropped group needs at least one qubit")
         slot = self._slot_of(rec.qubits[0])
         group = self._factors[slot].qubits
-        if frozenset(group) != frozenset(rec.qubits):
+        # an untouched setup group holds its qubits in the record's sorted order
+        if group != rec.qubits and frozenset(group) != frozenset(rec.qubits):
             raise ProtocolError(
                 f"{sorted(rec.qubits)} is not a standalone group; its factor spans "
                 f"{sorted(group)}"
@@ -678,19 +683,24 @@ class NetworkState:
 class _Knowledge(Mapping):
     """:attr:`NetworkState.knowledge`: agent to the labels it knows."""
 
-    __slots__ = ("_known", "_broadcast")
+    __slots__ = ("_agents", "_known", "_broadcast")
 
-    def __init__(self, known: dict[AgentId, dict[str, int]], broadcast: dict[str, int]):
-        self._known, self._broadcast = known, broadcast
+    def __init__(
+        self, agents: range, known: dict[tuple[AgentId, str], int], broadcast: dict[str, int]
+    ):
+        self._agents, self._known, self._broadcast = agents, known, broadcast
 
     def __getitem__(self, agent: AgentId) -> dict[str, int]:
-        return {**self._broadcast, **self._known[agent]}
+        if agent not in self._agents:
+            raise KeyError(agent)
+        own = {label: bit for (a, label), bit in self._known.items() if a == agent}
+        return {**self._broadcast, **own}
 
     def __iter__(self) -> Iterator[AgentId]:
-        return iter(self._known)
+        return iter(self._agents)
 
     def __len__(self) -> int:
-        return len(self._known)
+        return len(self._agents)
 
 
 #: The executor of each record kind, for :meth:`NetworkState.apply`.

@@ -186,7 +186,10 @@ def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
     """The copy of ``net`` a protocol body runs on, once: it takes the
     lowest live branch for ``"all"``, else the lowest that N sample streams
     reach, and leaves the other branches to :func:`_explore`. A count
-    below 1, or over SAMPLE_CAP, is refused before any stream is built."""
+    below 1, or over SAMPLE_CAP, and a negative seed are refused before
+    any stream is built, whether or not the run would build one."""
+    if seed < 0:  # numpy's own text, as the streams give it
+        raise ValueError("expected non-negative integer")
     if branches != "all":
         if type(branches) is not int or branches < 1:
             raise ValueError(

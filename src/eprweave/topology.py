@@ -275,14 +275,14 @@ def _unreached_agent(n: int, found: Iterable[tuple[int, int]]) -> int | None:
     return next((v for v in range(2, n + 1) if v not in reached), None)
 
 
-def _require_connected(n: int, found: Iterable[tuple[int, int]]) -> None:
-    missing = _unreached_agent(n, found)
-    if missing is not None:
-        raise ConnectivityError(
-            f"EPR graph is disconnected: no path joins agents 1 and {missing}",
-            agent_a=1,
-            agent_b=missing,
-        )
+def _no_path(missing: int) -> ConnectivityError:
+    """The refusal of an EPR graph in which ``missing`` is the lowest agent
+    that agent 1 cannot reach."""
+    return ConnectivityError(
+        f"EPR graph is disconnected: no path joins agents 1 and {missing}",
+        agent_a=1,
+        agent_b=missing,
+    )
 
 
 def spanning_tree(g: EprGraph) -> SpanningTree:
@@ -291,16 +291,19 @@ def spanning_tree(g: EprGraph) -> SpanningTree:
     if g.n < 2:
         raise ValueError("a spanning tree needs at least two agents")
     chosen = bfs_edges([1], g.neighbors)
-    _require_connected(g.n, chosen)
+    missing = _unreached_agent(g.n, chosen)
+    if missing is not None:
+        raise _no_path(missing)
     return SpanningTree._of(g.n, [(v, u) if v < u else (u, v) for v, u in chosen])
 
 
 def minimum_spanning_tree(g: EprGraph) -> SpanningTree:
     """Kruskal tree of minimal total weight (missing weights count as 1);
-    ties broken by lexicographic edge order."""
+    ties broken by lexicographic edge order. The union-find is also the
+    connectivity check: a graph it leaves in more than one component is
+    refused with the error :func:`spanning_tree` gives."""
     if g.n < 2:
         raise ValueError("a spanning tree needs at least two agents")
-    _require_connected(g.n, bfs_edges([1], g.neighbors))
     parent = {v: v for v in range(1, g.n + 1)}
 
     def find(v):
@@ -315,6 +318,9 @@ def minimum_spanning_tree(g: EprGraph) -> SpanningTree:
         if ra != rb:
             parent[ra] = rb
             chosen.append((a, b))
+    if len(chosen) < g.n - 1:
+        root = find(1)
+        raise _no_path(next(v for v in range(2, g.n + 1) if find(v) != root))
     return SpanningTree._of(g.n, chosen)
 
 
@@ -336,12 +342,12 @@ def merge_schedule(h: EntangledHypergraph) -> list[MergeStep]:
     Starting from the largest hyperedge, repeatedly pick the first stored
     hyperedge that overlaps the fused set without being contained in it;
     contained hyperedges are silently dropped (their entanglement is
-    redundant and never touched). Requires a connected hypergraph.
+    redundant and never touched). Requires a connected hypergraph: the walk
+    is also the connectivity check, and a fused set that misses an agent
+    is refused.
     """
     if not h.hyperedges:
         raise ValueError("no hyperedges to merge")
-    if not hypergraph_is_connected(h):
-        raise ConnectivityError("entangled hypergraph is disconnected")
     incident: dict[int, list[int]] = {}
     for i, group in enumerate(h.hyperedges):
         for v in group:
@@ -375,4 +381,6 @@ def merge_schedule(h: EntangledHypergraph) -> list[MergeStep]:
                     queued.add(j)
                     heapq.heappush(touching, j)
         fused |= edge
+    if len(fused) < h.n:
+        raise ConnectivityError("entangled hypergraph is disconnected")
     return steps

@@ -151,6 +151,22 @@ def test_a_broadcast_on_a_copy_does_not_reach_the_original():
     assert twin.local_gate(3, X(twin.add_ancilla(3)), when="a") is True
 
 
+def test_own_labels_learned_on_a_copy_do_not_reach_the_original():
+    net = NetworkState(3)
+    measure(net, 1, "a", 1)
+    twin = net.copy()
+    measure(twin, 2, "b", 1)  # measured on the copy
+    twin.send_classical(1, 3, ["a"])  # received point to point on the copy
+    assert dict(twin.knowledge) == {1: {"a": 1}, 2: {"b": 1}, 3: {"a": 1}}
+    assert dict(net.knowledge) == {1: {"a": 1}, 2: {}, 3: {}}
+    with pytest.raises(ConditioningError):
+        net.local_gate(2, X(net.add_ancilla(2)), when="b")
+    with pytest.raises(ConditioningError):
+        net.local_gate(3, X(net.add_ancilla(3)), when="a")
+    measure(net, 2, "b", 0)  # the original's own run of the label is its own
+    assert net.knowledge[2] == {"b": 0} and twin.knowledge[2] == {"b": 1}
+
+
 def test_a_point_to_point_label_does_not_reach_a_third_agent():
     net = NetworkState(3)
     measure(net, 1, "a", 1)

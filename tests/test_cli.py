@@ -493,3 +493,14 @@ def test_too_many_sample_streams_exit_1_before_any_is_built(tmp_path, monkeypatc
             f"error: {too_many} needs 65,537 sample streams of about 150 bytes each, "
             "over the limit of 65,536\n"
         )
+
+
+@pytest.mark.parametrize("branches", ["all", "sample:2"])
+def test_a_negative_seed_exits_1_on_every_network(tmp_path, branches):
+    # "all" builds no sample stream on these networks, a 13-agent path falls
+    # back to 1024 of them: the flag is refused alike
+    path13 = "agents 13\n" + "".join(f"edge {v} {v + 1}\n" for v in range(1, 13))
+    cases = (("ghz3", HUB3), ("weave", STAR5), ("weave", path13), ("fuse", GROUPS4))
+    for command, text in cases:
+        argv = [command, write(tmp_path, text), "--branches", branches, "--seed", "-1"]
+        assert invoke(argv) == (1, "", "error: expected non-negative integer\n")

@@ -1,8 +1,8 @@
-"""What loads numpy: the tableau path and its sample streams do not, the
-dense path does.
+"""What each use loads: topology commands load no quantum layer, the
+tableau path and its sample streams load no numpy, the dense path does.
 
-Each check runs in a fresh interpreter, since this one has numpy loaded
-already (the other tests import it).
+Each check runs in a fresh interpreter, since this one has every layer and
+numpy loaded already (the other tests import them).
 """
 
 import os
@@ -20,6 +20,8 @@ SPECS = {
     "weighted": "agents 4\nedge 1 2 3\nedge 2 3 1\nedge 3 4 2\nedge 1 4 1\n",
     "hub": "agents 3\nedge 1 2\nedge 1 3\n",
     "groups": "agents 6\nhyper 1 2 3\nhyper 3 4\nhyper 4 5 6\nhyper 2 5\n",
+    "split": "agents 5\nedge 1 2\nedge 2 3\nedge 4 5\n",
+    "malformed": "agents 3\nedge 1 x\n",
     # over 2^20 branches under either step-2 circuit: "all" falls back to sampling
     "path13": "agents 13\n" + "".join(f"edge {v} {v + 1}\n" for v in range(1, 13)),
 }
@@ -35,6 +37,21 @@ class RefuseNumpy:
             raise ImportError(f"importing {name} is refused")
 
 sys.meta_path.insert(0, RefuseNumpy())
+"""
+
+#: A ``sys.meta_path`` finder that makes every import of the quantum layers
+#: and of numpy fail.
+REFUSE_QUANTUM = """\
+import sys
+
+REFUSED = ("eprweave.gates", "eprweave.locc", "eprweave.stabilizer", "eprweave.protocols")
+
+class RefuseQuantum:
+    def find_spec(self, name, path=None, target=None):
+        if name in REFUSED or name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"importing {name} is refused")
+
+sys.meta_path.insert(0, RefuseQuantum())
 """
 
 PRELUDE = """\
@@ -85,6 +102,85 @@ def test_tableau_runs_and_topology_commands_leave_numpy_unloaded(tmp_path):
         assert "numpy" not in sys.modules, "a tableau run loaded numpy"
         """,
     )
+
+
+def test_topology_commands_run_with_the_quantum_layers_refused(tmp_path):
+    run_fresh(
+        tmp_path,
+        """
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "eprweave")
+
+        TOPOLOGY_ONLY = ["eprweave", "eprweave.cli", "eprweave.errors", "eprweave.topology"]
+        assert loaded() == TOPOLOGY_ONLY, loaded()
+
+        def refused(argv, code):
+            out, err = io.StringIO(), io.StringIO()
+            assert eprweave.cli.run(argv, out=out, err=err) == code, err.getvalue()
+            return err.getvalue()
+
+        assert cli("check", "tree.spec").endswith("connected\\nok\\n")
+        assert cli("check", "groups.spec").endswith("connected\\nok\\n")
+        assert "do not form one connected network" in refused(["check", "split.spec"], 2)
+        assert "agents 1 and 4" in refused(["tree", "split.spec"], 2)
+        assert "agents 1 and 4" in refused(["mst", "split.spec"], 2)
+        cli("tree", "tree.spec", "--report", "tree.json")
+        cli("mst", "weighted.spec", "--verbose")
+        assert refused(["check", "malformed.spec"], 1).startswith("error: line 2: ")
+
+        from eprweave.topology import EntangledHypergraph, merge_schedule
+
+        h = EntangledHypergraph(6, [(1, 2, 3), (3, 4), (4, 5, 6), (2, 5)])
+        # stored largest first: (1 2 3), (4 5 6), (3 4), (2 5)
+        assert [step.index for step in merge_schedule(h)] == [2, 1]
+        assert loaded() == TOPOLOGY_ONLY, loaded()
+        """,
+        head=REFUSE_QUANTUM,
+    )
+
+
+def test_protocol_commands_load_the_quantum_layers_on_first_call(tmp_path):
+    run_fresh(
+        tmp_path,
+        """
+        QUANTUM = {"eprweave.gates", "eprweave.locc", "eprweave.protocols", "eprweave.stabilizer"}
+        assert not QUANTUM & set(sys.modules)
+        cli("weave", "tree.spec", "--branches", "all")
+        assert QUANTUM <= set(sys.modules) and "eprweave.streams" not in sys.modules
+        """,
+    )
+
+
+def test_the_lazy_namespace_binds_every_public_name(tmp_path):
+    run_fresh(
+        tmp_path,
+        """
+        assert "eprweave.locc" not in sys.modules and "locc" not in vars(eprweave)
+        assert eprweave.locc is sys.modules["eprweave.locc"]  # imported by the lookup
+        assert eprweave.Tableau is sys.modules["eprweave.stabilizer"].Tableau
+        assert set(eprweave.__all__) <= set(dir(eprweave))
+        assert len(eprweave.__all__) == 42 and "__version__" in eprweave.__all__
+        namespace = {}
+        exec("from eprweave import *", namespace)
+        for name in eprweave.__all__:
+            assert namespace[name] is getattr(eprweave, name), name
+        try:
+            eprweave.no_such_name
+        except AttributeError as exc:
+            assert str(exc) == "module 'eprweave' has no attribute 'no_such_name'", exc
+        else:
+            raise AssertionError("an unknown name resolved")
+        """,
+    )
+
+
+def test_a_weave_after_a_check_reports_what_a_cold_weave_reports(tmp_path):
+    def weave(first=""):
+        argv = '"weave", "tree.spec", "--verbose", "--report", "weave.json"'
+        run_fresh(tmp_path, f'{first}open("weave.out", "w").write(cli({argv}))\n')
+        return [(tmp_path / f"weave.{kind}").read_text() for kind in ("json", "out")]
+
+    assert weave('cli("check", "tree.spec")\n') == weave()
 
 
 def test_every_public_name_resolves_without_numpy(tmp_path):

@@ -345,6 +345,20 @@ def test_drop_group_requires_exact_factor():
     assert set(net.owner.values()) == {1, 2}
 
 
+def test_a_dropped_group_is_matched_as_a_set_of_qubits():
+    net = NetworkState(4)
+    held = net.distribute_ghz({1, 2, 3})
+    mixed = net.distribute_ghz({2, 4})
+    net.local_gate(2, CNOT(held[2], mixed[2]))  # one factor over both groups
+    qubits = sorted(held.values())
+    with pytest.raises(ProtocolError, match="not a standalone group"):
+        net.apply(DropGroupRecord(tuple(qubits)))  # now part of a five-qubit factor
+    twin = NetworkState(4)
+    group = sorted(twin.distribute_ghz({1, 2, 3}).values())
+    twin.apply(DropGroupRecord(tuple(reversed(group))))  # a record out of qubit order
+    assert twin.factors() == [] and twin.owner == {}
+
+
 # ---------------------------------------------------------------------------
 # audits
 

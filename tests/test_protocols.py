@@ -419,6 +419,28 @@ def test_branch_counts_other_than_positive_ints_are_refused_before_any_stream(
     assert all(net.setup_open and net.cbit_count == 0 for net in nets)
 
 
+@pytest.mark.parametrize("branches", ["all", 2])
+def test_a_negative_seed_is_refused_in_every_branch_mode(monkeypatch, branches):
+    # "all" on these networks builds no stream, yet the seed is refused alike
+    def spy(seed, i):
+        raise AssertionError("a sample stream was built")
+
+    monkeypatch.setattr(protocols, "_stream", spy)
+    h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])
+    tree = SpanningTree.from_edges(3, [(1, 2), (1, 3)])
+    nets = [setup_epr_network(3, tree.edges), setup_group_network(h)]
+    runs = [
+        lambda: protocol_one(nets[0], branches=branches, seed=-1),
+        lambda: protocol_two(nets[0], tree, branches=branches, seed=-1),
+        lambda: protocol_three(nets[1], h, branches=branches, seed=-1),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError) as refused:
+            run()
+        assert str(refused.value) == "expected non-negative integer"
+    assert all(net.setup_open and net.cbit_count == 0 for net in nets)
+
+
 def test_sample_cap_admits_exactly_its_own_count(monkeypatch):
     monkeypatch.setattr(protocols, "SAMPLE_CAP", 4)
     h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])

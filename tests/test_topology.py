@@ -21,6 +21,7 @@ from eprweave.topology import (
     EntangledHypergraph,
     EprGraph,
     SpanningTree,
+    bfs_edges,
     hypergraph_is_connected,
     is_connected,
     merge_schedule,
@@ -72,6 +73,44 @@ def merge_order_oracle(h):
         i, edge = remaining.pop(pos)
         order.append((i, edge, min(edge & fused), frozenset(edge & fused), len(fused)))
         fused |= edge
+
+
+def two_pass_minimum_spanning_tree(g):
+    """``minimum_spanning_tree`` as first written: a BFS from agent 1 refuses
+    a disconnected graph, then Kruskal runs over every edge."""
+    if g.n < 2:
+        raise ValueError("a spanning tree needs at least two agents")
+    reached = {u for _, u in bfs_edges([1], g.neighbors)}
+    missing = next((v for v in range(2, g.n + 1) if v not in reached), None)
+    if missing is not None:
+        raise ConnectivityError(
+            f"EPR graph is disconnected: no path joins agents 1 and {missing}",
+            agent_a=1,
+            agent_b=missing,
+        )
+    uf = UnionFind(range(1, g.n + 1))
+    by_weight = sorted((g.weight(a, b), a, b) for a, b in g.edges)
+    chosen = [(a, b) for _, a, b in by_weight if uf.union(a, b)]
+    return SpanningTree.from_edges(g.n, chosen)
+
+
+def two_pass_merge_schedule(h):
+    """``merge_schedule`` as first written: a connectivity check of its own,
+    then the merge order (the rescanning oracle's rows)."""
+    if not h.hyperedges:
+        raise ValueError("no hyperedges to merge")
+    if not hypergraph_is_connected(h):
+        raise ConnectivityError("entangled hypergraph is disconnected")
+    return merge_order_oracle(h)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` gives: its value, or its error's type, text and
+    witness agents."""
+    try:
+        return call(*args)
+    except (ValueError, ConnectivityError) as exc:
+        return type(exc), str(exc), getattr(exc, "agent_a", None), getattr(exc, "agent_b", None)
 
 
 def clique_expansion(hyperedges):
@@ -520,3 +559,32 @@ def test_merge_schedule_matches_the_oracle_on_random_connected_hypergraphs(seed)
     h = EntangledHypergraph(n, groups)
     assert hypergraph_is_connected(h)
     assert _schedule_rows(h) == merge_order_oracle(h)
+
+
+# ---------------------------------------------------------------------------
+# one walk per graph: the tree and merge walks double as connectivity checks
+
+
+@settings(max_examples=300)
+@given(st.one_of(arbitrary_graphs(max_n=8), connected_graphs(max_n=8, weighted=True)))
+def test_mst_gives_the_tree_or_refusal_of_the_two_pass_version(g):
+    assert outcome(minimum_spanning_tree, g) == outcome(two_pass_minimum_spanning_tree, g)
+
+
+@settings(max_examples=300)
+@given(st.one_of(arbitrary_hypergraphs(max_n=8), connected_hypergraphs(max_n=8)))
+def test_merge_schedule_gives_the_order_or_refusal_of_the_two_pass_version(h):
+    assert outcome(_schedule_rows, h) == outcome(two_pass_merge_schedule, h)
+
+
+def test_single_pass_walks_name_the_lowest_unreached_agent():
+    # agents 1-3 and 5 form one component, 4 and 6 the other: agent 4 is named
+    g = EprGraph(6, [(1, 2, 5), (2, 3), (3, 5), (4, 6)])
+    with pytest.raises(ConnectivityError) as refused:
+        minimum_spanning_tree(g)
+    assert str(refused.value) == "EPR graph is disconnected: no path joins agents 1 and 4"
+    assert (refused.value.agent_a, refused.value.agent_b) == (1, 4)
+    # an agent in no group leaves the fused set short, though the groups overlap
+    for h in (EntangledHypergraph(4, [(1, 2), (2, 3)]), EntangledHypergraph(4, [(2, 3), (3, 4)])):
+        with pytest.raises(ConnectivityError, match="^entangled hypergraph is disconnected$"):
+            merge_schedule(h)

@@ -20,7 +20,9 @@ sides of the branch explorer's memo bound (an 80-agent ``fuse`` staircase
 and a sampled 30-agent weave), a wide fan-out of sampled
 fusion broadcasts (a chain of 3-agent groups over 61 agents), one run that
 asks for more sample streams than ``SAMPLE_CAP``, disconnected networks under
-every command, refused specs, one malformed spec per parse error, and
+every command (among them one whose lowest unreached agent is not 2, and
+groups that leave one agent out), refused specs, one malformed spec per
+parse error, and
 spec-format cases (reversed, integer, tiny and mixed weights, comments and
 blank lines) under every command.
 """
@@ -89,6 +91,10 @@ def corpus():
     yield "weave-path-sample-2-seed-negative", trees["path"], [
         "weave", "--branches", "sample:2", "--seed", "-1"
     ]
+    # refused too, though exhaustive "all" builds no stream on this tree
+    yield "weave-path-all-seed-negative", trees["path"], [
+        "weave", "--branches", "all", "--seed", "-1"
+    ]
 
     fused = {
         "contained": _groups(5, [(1, 2, 3, 4), (2, 3), (4, 5)]),
@@ -118,6 +124,16 @@ def corpus():
     for name, text in refused.items():
         for command in COMMANDS:
             yield f"{name}-{command}", text, [command]
+
+    # the tree and merge walks refuse these themselves: a weighted 40-agent
+    # graph whose lowest agent out of agent 1's reach is 24, and groups that
+    # overlap in a chain but leave agent 6 in none
+    split = [(v, v + 1, v * 7 % 5 + 1) for v in range(1, 40) if v != 23]
+    split += [(v, v + 3, 2) for v in range(1, 37, 4) if (v <= 23) == (v + 3 <= 23)]
+    for command in ("check", "tree", "mst", "weave"):
+        yield f"disconnected-40-{command}", _edges(40, split), [command]
+    for command in ("check", "fuse"):
+        yield f"uncovered-agent-{command}", _groups(6, [(1, 2, 3), (3, 4), (4, 5)]), [command]
 
     # one malformed spec per parse error, so stderr and its line numbers show
     malformed = {
