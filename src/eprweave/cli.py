@@ -44,6 +44,7 @@ from .topology import (
     check_group,
     hypergraph_is_connected,
     is_connected,
+    merge_schedule,
     minimum_spanning_tree,
     spanning_tree,
 )
@@ -385,13 +386,17 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
 
         if args.command == "check":
             if spec.mode == "hypergraph":
-                connected = hypergraph_is_connected(spec.to_hypergraph())
+                network = spec.to_hypergraph()
+                connected, walk = hypergraph_is_connected(network), merge_schedule
             else:
-                connected = is_connected(spec.to_graph())
+                network = spec.to_graph()
+                connected, walk = is_connected(network), spanning_tree
             document["result"] = {"connected": connected, "ok": connected}
             if not connected:
                 _write_report(document, args, out)
-                raise ConnectivityError("the agents do not form one connected network")
+                # the walk refuses the network, naming agent 1 and the lowest
+                # agent it cannot reach, as the protocol commands do
+                walk(network)
             print(f"{spec.mode} on {spec.n} agents: connected", file=out)
 
         elif args.command in ("tree", "mst"):

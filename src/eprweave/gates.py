@@ -30,7 +30,7 @@ DENSE_QUBIT_LIMIT = 24
 GATE_KINDS = ("X", "Z", "H", "CNOT")
 
 #: How a measurement picks its branch: a forced bit, a random generator, or
-#: a callable ``(p0, p1) -> bit``.
+#: a callable ``(p0, p1) -> bit`` that returns 0 or 1.
 BranchChooser = Union[int, "np.random.Generator", Callable[[float, float], int]]
 
 
@@ -76,7 +76,7 @@ def CNOT(control: QubitId, target: QubitId) -> Gate:
     return Gate("CNOT", (control, target))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementOutcome:
     """Result of one computational-basis measurement."""
 
@@ -92,18 +92,26 @@ def _forced(choose) -> int:
     return bit
 
 
-def choose_outcome(q: QubitId, choose: BranchChooser, p0: float, p1: float) -> MeasurementOutcome:
+def choose_outcome(
+    q: QubitId, choose: BranchChooser, p0: float, p1: float, made: tuple | None = None
+) -> MeasurementOutcome:
     """Pick the branch of measuring ``q`` whose outcomes have probabilities
     ``p0`` and ``p1``; a forced bit below ``PROB_FLOOR`` is an error.
+    ``made``, if given, holds the outcomes of bits 0 and 1, built already,
+    and the chosen one is returned.
 
-    A Python int is a forced bit and a callable is called. Anything else
+    A callable is called, first, as the branch explorer's chooser is one,
+    and must return 0 or 1. A Python int is a forced bit. Anything else
     must be a numpy integer or ``numpy.random.Generator``, so numpy is
     imported only where its caller has loaded it already.
     """
-    if isinstance(choose, int):
+    if callable(choose):
+        bit = choose(p0, p1)
+        if bit != 0 and bit != 1:
+            raise ValueError(f"a chooser must return 0 or 1, got {bit!r}")
+        bit = 1 if bit else 0
+    elif isinstance(choose, int):
         bit = _forced(choose)
-    elif callable(choose):
-        bit = int(choose(p0, p1))
     else:
         import numpy as np
 
@@ -116,4 +124,6 @@ def choose_outcome(q: QubitId, choose: BranchChooser, p0: float, p1: float) -> M
     prob = p1 if bit else p0
     if prob < PROB_FLOOR:
         raise ZeroProbabilityError(f"outcome {bit} on qubit {q} has probability {prob:.3e}")
+    if made is not None:
+        return made[bit]
     return MeasurementOutcome(q, bit, prob)

@@ -55,7 +55,7 @@ from .errors import (
     SetupClosedError,
 )
 from .gates import PROB_FLOOR, BranchChooser, Gate, MeasurementOutcome, QubitId
-from .stabilizer import Tableau
+from .stabilizer import BASIS_XZ, Tableau
 
 AgentId = int
 
@@ -181,6 +181,7 @@ class NetworkState:
         if n < 1:
             raise ValueError("need at least one agent")
         self.n = n
+        self.agents = range(1, n + 1)
         self.chooser = chooser
         self.owner: dict[QubitId, AgentId] = {}
         # (agent, label) -> bit: what one agent measured or was sent point to point
@@ -203,10 +204,6 @@ class NetworkState:
     # -- structure ----------------------------------------------------------
 
     @property
-    def agents(self) -> range:
-        return range(1, self.n + 1)
-
-    @property
     def knowledge(self) -> Mapping[AgentId, dict[str, int]]:
         """What each agent knows, label to bit: ``knowledge[a]`` is a new
         dict of a's own labels (measured or received point to point) and
@@ -223,6 +220,7 @@ class NetworkState:
     def copy(self) -> "NetworkState":
         dup = NetworkState.__new__(NetworkState)
         dup.n = self.n
+        dup.agents = self.agents
         dup.chooser = self.chooser
         dup.owner = self.owner.copy()
         dup._known = self._known.copy()
@@ -504,8 +502,12 @@ class NetworkState:
             self.distribute_ghz(rec.agents)
 
     def _run_ancilla(self, rec: AncillaRecord, choose) -> QubitId:
-        (q,) = self._new_qubits((rec.actor,))
-        self._store_factor(Tableau.basis_state(q, 0))
+        actor, q = rec.actor, self._next_qubit
+        if actor not in self.agents:  # the check of _new_qubits
+            raise ValueError(f"unknown agent {actor}")
+        self._next_qubit = q + 1
+        self.owner[q] = actor
+        self._store_factor(Tableau((q,), BASIS_XZ, 0))
         if q != rec.qubit:
             rec = AncillaRecord(rec.actor, q)
         self.transcript.append(rec)
@@ -556,17 +558,17 @@ class NetworkState:
             choose = rec.bit
             if choose is None:
                 raise ValueError("no branch chooser configured for this measurement")
-        slot = self._slot[q]
-        outcome, rest = self._factors[slot].measure_out(q, choose)
-        collapsed = Tableau.basis_state(q, outcome.bit)
-        if not rest.qubits:
-            self._factors[slot] = collapsed
-        else:
-            self._factors[slot] = rest
-            self._store_factor(collapsed)
-        self._labels.add(label)
-        self._known[actor, label] = outcome.bit
+        factors, slot = self._factors, self._slot[q]
+        outcome, rest = factors[slot].measure_out(q, choose)
         bit, probability = outcome.bit, outcome.probability
+        if rest.qubits:  # q leaves a factor of 2 or more qubits: the peak stays
+            factors[slot] = rest
+            slot = self._next_slot
+            self._next_slot = slot + 1
+            self._slot[q] = slot
+        factors[slot] = Tableau((q,), BASIS_XZ, bit)
+        self._labels.add(label)
+        self._known[actor, label] = bit
         if bit != rec.bit or probability != rec.probability or label != rec.label:
             rec = MeasureRecord(actor, q, label, bit, probability)
         self.transcript.append(rec)
@@ -655,9 +657,11 @@ class NetworkState:
     def factors(self, qubits: Iterable[QubitId] | None = None) -> list[Tableau]:
         """The factors touching ``qubits`` (all if None), in stored order.
         Factors are immutable, so reading them changes nothing."""
+        factors, slot = self._factors, self._slot
         if qubits is None:
-            return list(self._factors.values())
-        return [self._factors[s] for s in sorted({self._slot_of(q) for q in qubits})]
+            return list(factors.values())
+        slots = {slot[q] if q in slot else self._slot_of(q) for q in qubits}
+        return [factors[s] for s in sorted(slots)]
 
     def audit_cut(self, part: Iterable[AgentId]) -> float:
         """Entanglement entropy between one group of agents and the rest.

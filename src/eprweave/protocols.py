@@ -16,7 +16,6 @@ branch-independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -164,9 +163,10 @@ class _Fork:
         self.at = 0
 
     def __call__(self, p0: float, p1: float) -> int:
-        self.at += 1
-        if self.at <= len(self.bits):
-            return self.bits[self.at - 1]
+        at = self.at
+        self.at = at + 1
+        if at < len(self.bits):
+            return self.bits[at]
         if self.streams is None:
             bit = 0 if p0 >= PROB_FLOOR else 1
             if not bit and p1 >= PROB_FLOOR:
@@ -259,10 +259,13 @@ def _explore(
             if max_register is not None and leaf.peak_factor_qubits > max_register:
                 raise ProtocolError(f"working register grew to {leaf.peak_factor_qubits} qubits")
             done = leaf.transcript
-            measured = [done[i] for i in measured_at]
             fidelity = verify_ghz(leaf, designated, strict=True)
-            prob = math.prod((rec.probability for rec in measured), start=1.0)
-            records.append(BranchRecord(tuple(rec.bit for rec in measured), prob, fidelity))
+            bits, prob = [], 1.0
+            for i in measured_at:
+                rec = done[i]
+                bits.append(rec.bit)
+                prob *= rec.probability
+            records.append(BranchRecord(tuple(bits), prob, fidelity))
             transcript = transcript or tuple(done)  # the lowest branch runs first
     records.sort(key=lambda rec: rec.outcomes)
     return ProtocolReport(
@@ -298,13 +301,14 @@ def verify_ghz(
     agents = net.agents
     if len(designated) != len(agents) or not all(map(agents.__contains__, designated)):
         raise ValueError("exactly one designated qubit per agent is required")
+    owner = net.owner
     for agent, q in designated.items():
-        if net.owner.get(q) != agent:
+        if owner.get(q) != agent:
             raise ValueError(f"qubit {q} is not held by agent {agent}")
-    chosen = set(designated.values())
+    chosen = frozenset(designated.values())
     t00 = t11 = t01 = 1.0 + 0.0j
     for f in net.factors(chosen):
-        inside = chosen.intersection(f.qubits)
+        inside = chosen.intersection(f.qubits)  # a frozenset, as the queries take it
         if strict and len(inside) != len(f.qubits):
             leak = f.cut_entropy(inside)
             if leak > 1e-10:

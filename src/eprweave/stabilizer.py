@@ -25,12 +25,14 @@ then applies it to the sign word.
 
 A shape can be *armed* (:func:`memoized`). An armed shape keeps each
 transition it computes, keyed by the operation, and the shape that
-transition leads to is armed too. Any later tableau over that shape,
+transition leads to is armed too. Each operation looks its transition up
+with one ``memo.get`` in its own body and computes it, on a miss, with the
+function an unarmed shape calls; a measurement's transition also holds its
+two possible outcomes, built once. So any later tableau over that shape,
 whatever its signs, replays the transition with a dict lookup and a few
 int operations. The branches of one protocol schedule differ only in
 their signs, which is why the branch explorer arms the setup factors. An
-unarmed shape computes each transition and applies it at once, at the
-cost of a plain row-by-row update.
+unarmed shape computes each transition and applies it at once.
 
 Queries reduce rows over GF(2), with each sign a *form*: an int whose bit
 0 is a constant and whose bit i + 1 stands for row i's sign. Over an armed
@@ -62,6 +64,9 @@ if TYPE_CHECKING:
 Row = tuple[int, int, int]  # (x bits, z bits, sign): a bit, or a form over a sign word
 
 _IDENTITY: Row = (0, 0, 0)
+#: The shape of one qubit in a basis state: its one row is Z, signed by the bit.
+BASIS_XZ: tuple[Row, ...] = ((0, 1, 0),)
+_UNSEEN = object()
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
@@ -137,16 +142,6 @@ def _express(basis: dict[int, Row], key: Callable[[Row], int], target: int) -> R
     return acc
 
 
-def _dropped(signs: int, pivot: int, const: int, times: int) -> int:
-    """The sign word after a measurement or discard: the pivot's bit goes,
-    the bits above it move down, ``const`` flips its rows, and ``times``
-    flips its rows if the pivot's sign was 1."""
-    word = (signs & ((1 << pivot) - 1)) | (signs >> (pivot + 1)) << pivot
-    if signs >> pivot & 1:
-        return word ^ const ^ times
-    return word ^ const
-
-
 class Tableau:
     """Stabilizer state: a shape and a sign word.
 
@@ -178,7 +173,7 @@ class Tableau:
     @classmethod
     def basis_state(cls, q: QubitId, bit: int) -> "Tableau":
         """One qubit in |bit>, stabilized by (-1)^bit Z."""
-        return cls((q,), ((0, 1, 0),), bit)
+        return cls((q,), BASIS_XZ, bit)
 
     @classmethod
     def ghz(cls, qubit_ids: Iterable[QubitId]) -> "Tableau":
@@ -210,10 +205,13 @@ class Tableau:
             raise ValueError(f"qubit {q} not in register {self.qubits}") from None
 
     def probability_of_one(self, q: QubitId) -> float:
-        if self.memo is None:
+        memo = self.memo
+        if memo is None:
             form = self._z_sign(q)
         else:
-            form = self._memoized(("p1", q), Tableau._z_sign, q)
+            form = memo.get(("p1", q), _UNSEEN)  # None is a form: the outcome is random
+            if form is _UNSEEN:
+                form = memo["p1", q] = self._z_sign(q)
         if form is None:
             return 0.5
         return float(_value(form, self.signs << 1 | 1))
@@ -222,11 +220,12 @@ class Tableau:
 
     def apply(self, gate: Gate) -> "Tableau":
         """Conjugate every generator by the gate."""
-        if self.memo is None:
+        memo = self.memo
+        if memo is None:
             xz, memo, flip = self._gate(gate)
-        else:
-            # keyed by plain values: Gate's dataclass __hash__ is a Python call
-            xz, memo, flip = self._memoized((gate.kind, gate.qubits), Tableau._gate, gate)
+        else:  # keyed by plain values: Gate's dataclass __hash__ is a Python call
+            key = (gate.kind, gate.qubits)
+            xz, memo, flip = memo.get(key) or memo.setdefault(key, self._gate(gate))
         if xz is None:  # X or Z: the same shape
             return Tableau(self.qubits, self.xz, self.signs ^ flip, self.memo)
         return Tableau(self.qubits, xz, self.signs ^ flip, memo)
@@ -242,18 +241,21 @@ class Tableau:
         otherwise the outcome is certain and q factors out
         (``Tableau._measured``).
         """
-        if self.memo is None:
+        memo = self.memo
+        if memo is None:
             step = self._measured(q)
         else:
-            step = self._memoized(("measure", q), Tableau._measured, q)
-        form, qubits, xz, memo, pivot, const, times, flip = step
+            key = ("measure", q)
+            step = memo.get(key) or memo.setdefault(key, self._measured(q))
+        form, qubits, xz, memo, drop, const, times, flip, made = step
         signs = self.signs
         if form is None:
-            outcome = choose_outcome(q, choose, 0.5, 0.5)
+            outcome = choose_outcome(q, choose, 0.5, 0.5, made)
         else:
             one = _value(form, signs << 1 | 1)
-            outcome = choose_outcome(q, choose, 1.0 - one, float(one))
-        word = _dropped(signs, pivot, const, times)
+            outcome = choose_outcome(q, choose, 1.0 - one, float(one), made)
+        # the pivot's bit goes; const flips rows, and times does if the pivot's sign was 1
+        word = (signs & drop - 1 | signs >> 1 & -drop) ^ (const ^ times if signs & drop else const)
         if outcome.bit:
             word ^= flip
         return outcome, Tableau(qubits, xz, word, memo)
@@ -263,24 +265,29 @@ class Tableau:
     def discard(self, q: QubitId) -> "Tableau":
         """Drop a qubit that is in a product state with the rest;
         ``EntanglementError`` if it is not (``Tableau._discarded``)."""
-        if self.memo is None:
+        memo = self.memo
+        if memo is None:
             step = self._discarded(q)
         else:
-            step = self._memoized(("discard", q), Tableau._discarded, q)
+            key = ("discard", q)
+            step = memo.get(key) or memo.setdefault(key, self._discarded(q))
         if isinstance(step, str):
             raise EntanglementError(step)
-        qubits, xz, memo, pivot, const, times = step
-        return Tableau(qubits, xz, _dropped(self.signs, pivot, const, times), memo)
+        qubits, xz, memo, drop, const, times = step
+        signs = self.signs  # the pivot's sign bit goes, as in measure_out
+        word = (signs & drop - 1 | signs >> 1 & -drop) ^ (const ^ times if signs & drop else const)
+        return Tableau(qubits, xz, word, memo)
 
     def tensor(self, other: "Tableau") -> "Tableau":
         """Tensor product; ``self`` keeps the low bits. An armed shape
         keys the transition by the other factor's qubits and rows, since a
         fresh ancilla or collapsed qubit is a new shape on every branch."""
-        if self.memo is None:
+        memo = self.memo
+        if memo is None:
             qubits, xz, memo = self._tensored(other)
         else:
             key = ("tensor", other.qubits, other.xz)
-            qubits, xz, memo = self._memoized(key, Tableau._tensored, other)
+            qubits, xz, memo = memo.get(key) or memo.setdefault(key, self._tensored(other))
         return Tableau(qubits, xz, self.signs | other.signs << len(self.qubits), memo)
 
     # -- comparisons and audits ----------------------------------------------
@@ -289,23 +296,34 @@ class Tableau:
         """Entanglement entropy (bits) across the cut around ``subset``:
         the GF(2) rank of the generators restricted to it, minus its size."""
         subset = frozenset(subset)
-        if self.memo is None:
+        memo = self.memo
+        if memo is None:
             return self._cut(subset)
-        return self._memoized(("cut", subset), Tableau._cut, subset)
+        entropy = memo.get(("cut", subset))
+        if entropy is None:
+            entropy = memo["cut", subset] = self._cut(subset)
+        return entropy
 
     def ghz_terms(self, qubits: Iterable[QubitId]) -> tuple[float, float, complex]:
         """The reduced density matrix of ``qubits`` on span{|0…0>, |1…1>}:
         the weights of |0…0> and |1…1> and their coherence
         ``<0…0|rho|1…1>``, as plain numbers (``Tableau._ghz_forms``)."""
         qubits = frozenset(qubits)
-        if self.memo is None:
+        memo = self.memo
+        if memo is None:
             forms = self._ghz_forms(qubits)
         else:
-            forms = self._memoized(("ghz", qubits), Tableau._ghz_forms, qubits)
+            key = ("ghz", qubits)
+            forms = memo.get(key) or memo.setdefault(key, self._ghz_forms(qubits))
         weight, zero, one, coherence = forms
         word = self.signs << 1 | 1
-        t00 = 0.0 if any((f & word).bit_count() & 1 for f in zero) else weight
-        t11 = 0.0 if any((f & word).bit_count() & 1 for f in one) else weight
+        t00 = t11 = weight
+        for f in zero:
+            if (f & word).bit_count() & 1:
+                t00 = 0.0
+        for f in one:
+            if (f & word).bit_count() & 1:
+                t11 = 0.0
         t01 = 0.0
         if t11 and coherence is not None:
             r0, phase = coherence
@@ -315,17 +333,9 @@ class Tableau:
     # -- transitions -------------------------------------------------------------
     #
     # Each depends on the shape alone: the qubits, the X and Z bits, and
-    # whether the shape is armed, so that its memo can keep the result.
-
-    def _memoized(self, key, compute: Callable, *args):
-        """``compute(self, *args)`` over an armed shape: computed and kept
-        the first time ``key`` comes, looked up after that."""
-        memo = self.memo
-        try:
-            return memo[key]
-        except KeyError:
-            found = memo[key] = compute(self, *args)
-            return found
+    # whether the shape is armed, so that its memo can keep the result. A
+    # transition is a nonempty tuple or a refusal's text, never false, so
+    # ``memo.get(key) or memo.setdefault(key, ...)`` computes it on a miss only.
 
     def _signed(self) -> Iterable[Row]:
         """The rows with a form for each sign: row i's own variable if the
@@ -379,8 +389,10 @@ class Tableau:
     def _measured(self, q: QubitId):
         """Measuring q in the Z basis: the form of the outcome if it is
         certain (else None), the next shape ``(qubits, xz, memo)``, the
-        pivot row, and the masks of the rows whose sign flips always, if
-        the pivot's sign is 1, and if the outcome is 1.
+        pivot row's bit in the sign word, the masks of the rows whose sign
+        flips always, if the pivot's sign is 1, and if the outcome is 1, and
+        over an armed shape the outcomes of bits 0 and 1 (else None), which
+        the shape fixes.
 
         When a row anticommutes with Z_q, the first such row (the pivot)
         becomes (-1)^bit Z_q: it clears q's X part from the others and is
@@ -393,8 +405,8 @@ class Tableau:
         for pivot, p in enumerate(xz):
             if p[0] & m:
                 break
-        else:
-            return (self._z_form(m), *self._discarded(q), 0)
+        else:  # certain: the other bit is refused, so the chosen one has probability 1
+            return (self._z_form(m), *self._discarded(q), 0, self._outcomes(q, 1.0))
         low, j1 = m - 1, j + 1
         rest, const, times, flip = [], 0, 0, 0
         for i, row in enumerate(xz):
@@ -409,13 +421,19 @@ class Tableau:
                 flip |= 1 << len(rest)
             rest.append(((x & low) | (x >> j1) << j, (z & low) | (z >> j1) << j, 0))
         qubits, memo = self.qubits[:j] + self.qubits[j1:], None if self.memo is None else {}
-        return None, qubits, tuple(rest), memo, pivot, const, times, flip
+        made = self._outcomes(q, 0.5)
+        return None, qubits, tuple(rest), memo, 1 << pivot, const, times, flip, made
+
+    def _outcomes(self, q: QubitId, probability: float) -> tuple[MeasurementOutcome, ...] | None:
+        if self.memo is None:
+            return None
+        return MeasurementOutcome(q, 0, probability), MeasurementOutcome(q, 1, probability)
 
     def _discarded(self, q: QubitId):
-        """Dropping q: the next shape ``(qubits, xz, memo)``, the pivot row,
-        and the masks of the rows whose sign flips always and if the
-        pivot's sign is 1; or, if q is entangled with the rest, the
-        refusal's message.
+        """Dropping q: the next shape ``(qubits, xz, memo)``, the pivot row's
+        bit in the sign word, and the masks of the rows whose sign flips
+        always and if the pivot's sign is 1; or, if q is entangled with the
+        rest, the refusal's message.
 
         q factors out iff the rows' parts on q span one Pauli (its
         one-qubit entropy, a GF(2) rank minus 1, is 0). The first row
@@ -440,7 +458,7 @@ class Tableau:
                 const |= c << len(rest)
             rest.append(((x & low) | (x >> j1) << j, (z & low) | (z >> j1) << j, 0))
         qubits, memo = self.qubits[:j] + self.qubits[j1:], None if self.memo is None else {}
-        return qubits, tuple(rest), memo, pivot, const, times
+        return qubits, tuple(rest), memo, 1 << pivot, const, times
 
     def _tensored(self, other: "Tableau"):
         """The shape ``(qubits, xz, memo)`` of the tensor product."""

@@ -327,13 +327,29 @@ def minimum_spanning_tree(g: EprGraph) -> SpanningTree:
 def hypergraph_is_connected(h: EntangledHypergraph) -> bool:
     """True iff every pair of agents is joined by a chain of overlapping
     hyperedges. An agent covered by no hyperedge disconnects any n >= 2."""
+    return _unchained_agent(h) is None
+
+
+def _unchained_agent(h: EntangledHypergraph) -> int | None:
+    """Lowest-index agent that no chain of overlapping hyperedges joins to
+    agent 1, or None if every agent is joined to it."""
     # agent-group incidence graph: group i is vertex n + 1 + i
     adj: dict[int, list[int]] = {v: [] for v in range(1, h.n + 1)}
     for i, group in enumerate(h.hyperedges, start=h.n + 1):
         adj[i] = sorted(group)
         for v in group:
             adj[v].append(i)
-    return _unreached_agent(h.n, bfs_edges([1], adj.__getitem__)) is None
+    return _unreached_agent(h.n, bfs_edges([1], adj.__getitem__))
+
+
+def _no_chain(missing: int) -> ConnectivityError:
+    """The refusal of a hypergraph in which ``missing`` is the lowest agent
+    that agent 1 cannot reach."""
+    return ConnectivityError(
+        f"entangled hypergraph is disconnected: no chain of groups joins agents 1 and {missing}",
+        agent_a=1,
+        agent_b=missing,
+    )
 
 
 def merge_schedule(h: EntangledHypergraph) -> list[MergeStep]:
@@ -344,7 +360,8 @@ def merge_schedule(h: EntangledHypergraph) -> list[MergeStep]:
     contained hyperedges are silently dropped (their entanglement is
     redundant and never touched). Requires a connected hypergraph: the walk
     is also the connectivity check, and a fused set that misses an agent
-    is refused.
+    is refused with the error :func:`hypergraph_is_connected`'s search
+    gives.
     """
     if not h.hyperedges:
         raise ValueError("no hyperedges to merge")
@@ -381,6 +398,8 @@ def merge_schedule(h: EntangledHypergraph) -> list[MergeStep]:
                     queued.add(j)
                     heapq.heappush(touching, j)
         fused |= edge
-    if len(fused) < h.n:
-        raise ConnectivityError("entangled hypergraph is disconnected")
+    if len(fused) < h.n:  # the fused set is agent 1's component if it holds agent 1
+        if 1 in fused:
+            raise _no_chain(next(v for v in range(2, h.n + 1) if v not in fused))
+        raise _no_chain(_unchained_agent(h))
     return steps

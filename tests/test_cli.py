@@ -242,6 +242,34 @@ def test_check_handles_hypergraph_mode(tmp_path):
     assert "if and only if" in err
 
 
+@pytest.mark.parametrize(
+    "spec, walk, refusal",
+    [
+        (
+            "agents 5\nedge 1 2\nedge 2 3\nedge 4 5\n",
+            "tree",
+            "EPR graph is disconnected: no path joins agents 1 and 4",
+        ),
+        (
+            "agents 5\nhyper 1 2 3\nhyper 4 5\n",
+            "fuse",
+            "entangled hypergraph is disconnected: no chain of groups joins agents 1 and 4",
+        ),
+        (  # agent 1 is outside the largest group, and agent 3 below all of it
+            "agents 9\nhyper 6 7 8 9\nhyper 1 2\nhyper 3 4 5\n",
+            "fuse",
+            "entangled hypergraph is disconnected: no chain of groups joins agents 1 and 3",
+        ),
+    ],
+)
+def test_check_names_the_witness_pair_its_walk_names(tmp_path, spec, walk, refusal):
+    path = write(tmp_path, spec)
+    code, _, err = invoke(["check", path])
+    assert code == 2
+    assert err.startswith(f"rejected: {refusal} (")
+    assert invoke([walk, path]) == (2, "", err)
+
+
 def test_tree_prints_the_bfs_tree(tmp_path):
     code, out, _ = invoke(["tree", write(tmp_path, "agents 3\nedge 1 2\nedge 2 3\nedge 1 3\n")])
     assert code == 0

@@ -121,7 +121,9 @@ def test_topology_commands_run_with_the_quantum_layers_refused(tmp_path):
 
         assert cli("check", "tree.spec").endswith("connected\\nok\\n")
         assert cli("check", "groups.spec").endswith("connected\\nok\\n")
-        assert "do not form one connected network" in refused(["check", "split.spec"], 2)
+        assert "EPR graph is disconnected: no path joins agents 1 and 4" in refused(
+            ["check", "split.spec"], 2
+        )
         assert "agents 1 and 4" in refused(["tree", "split.spec"], 2)
         assert "agents 1 and 4" in refused(["mst", "split.spec"], 2)
         cli("tree", "tree.spec", "--report", "tree.json")

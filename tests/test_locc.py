@@ -114,8 +114,15 @@ def test_two_member_group_equals_epr_pair():
         (lambda net: net.distribute_ghz((1, 2, 9)), "unknown agent 9"),
         (lambda net: net.distribute_ghz((1, 1, 2)), "repeated agent in hyperedge"),
         (lambda net: net.add_ancilla(9), "unknown agent 9"),
+        (lambda net: net.add_ancilla(0), "unknown agent 0"),
+        (lambda net: net.add_ancilla(4), "unknown agent 4"),
+        (lambda net: net.add_ancilla(1.5), "unknown agent 1.5"),
+        (lambda net: net.add_ancilla("x"), "unknown agent x"),
     ],
-    ids=["epr-second", "epr-first", "ghz", "ghz-repeated", "ancilla"],
+    ids=[
+        "epr-second", "epr-first", "ghz", "ghz-repeated", "ancilla", "ancilla-0", "ancilla-n+1",
+        "ancilla-float", "ancilla-str",
+    ],
 )
 def test_refused_setup_call_allocates_nothing(refused, message):
     def network():
@@ -134,6 +141,12 @@ def test_refused_setup_call_allocates_nothing(refused, message):
     net.local_gate(1, H(qa))
     net.local_gate(2, X(qb))
     assert replay_transcript(3, net.transcript).transcript == net.transcript
+
+
+def test_an_ancilla_agent_is_checked_as_a_member_of_1_to_n():
+    net = NetworkState(3)
+    q = net.add_ancilla(True)  # True == 1, so range(1, 4) holds it
+    assert net.owner[q] is True and net.factor_qubits(q) == (q,)
 
 
 def test_dropping_an_empty_group_is_a_value_error():

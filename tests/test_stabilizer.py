@@ -31,6 +31,7 @@ from eprweave.stabilizer import Tableau, _mul, memoized
 from eprweave.statevec import (
     CNOT,
     DENSE_QUBIT_LIMIT,
+    PROB_FLOOR,
     H,
     X,
     Z,
@@ -197,6 +198,10 @@ _NO_ZERO = (ZeroProbabilityError, "outcome 0 on qubit 2 has probability 0.000e+0
 _NO_ONE = (ZeroProbabilityError, "outcome 1 on qubit 2 has probability 0.000e+00")
 _FORCED_ONE = {0.0: _NO_ONE, 0.5: (1, 0.5), 1.0: (1, 1.0)}
 _NOT_A_BIT = (ValueError, "forced bit must be 0 or 1, got 2")
+_NOT_A_CHOICE = {
+    bad: dict.fromkeys((0.0, 0.5, 1.0), (ValueError, f"a chooser must return 0 or 1, got {bad}"))
+    for bad in (2, -1)
+}
 _NOT_A_CHOOSER = (TypeError, "'float' object is not callable")
 
 # chooser -> what measuring qubit 2 gives, by its p1
@@ -208,6 +213,8 @@ CHOOSER_TABLE = [
     ("2", 2, dict.fromkeys((0.0, 0.5, 1.0), _NOT_A_BIT)),
     ("np.int64(2)", np.int64(2), dict.fromkeys((0.0, 0.5, 1.0), _NOT_A_BIT)),
     ("callable", lambda p0, p1: int(p1 > 0.25), {0.0: (0, 1.0), 0.5: (1, 0.5), 1.0: (1, 1.0)}),
+    ("callable returning 2", lambda p0, p1: 2, _NOT_A_CHOICE[2]),
+    ("callable returning -1", lambda p0, p1: -1, _NOT_A_CHOICE[-1]),
     ("float", 0.5, dict.fromkeys((0.0, 0.5, 1.0), _NOT_A_CHOOSER)),
 ]
 
@@ -224,6 +231,19 @@ def test_choosers_pick_the_same_branch_on_both_backends(choose, expected):
         assert t[:2] == expected[p1], p1
         assert d[:2] == pytest.approx(expected[p1], abs=TOL), p1
         assert t[2].to_statevector().fidelity(d[2]) == pytest.approx(1.0, abs=TOL)
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_a_chooser_that_returns_no_bit_leaves_the_network_untouched(bad):
+    net = NetworkState(2, chooser=lambda p0, p1: bad)
+    qa, qb = net.distribute_epr(1, 2)
+    before = (list(net.transcript), dict(net.knowledge), net.factors())
+    with pytest.raises(ValueError, match=f"^a chooser must return 0 or 1, got {bad}$"):
+        net.local_measure(1, qa, label="m")
+    assert (net.transcript, dict(net.knowledge), net.factors()) == before
+    # the label is still free, and the pair still whole
+    assert net.local_measure(1, qa, label="m", choose=1).bit == 1
+    assert net.knowledge[1] == {"m": 1}
 
 
 def test_a_seeded_generator_draws_alike_on_both_backends():
@@ -253,7 +273,9 @@ def test_tableau_ghz_block_is_exact_on_mixed_subsets():
 # memoized transitions: an armed shape replays what an unarmed one computes
 
 # H and CNOT twice as often, so that rows pick up Y parts and products phases
-MEMO_OPS = ("X", "Z", "H", "H", "CNOT", "CNOT", "measure", "discard", "tensor", "p1", "ghz", "cut")
+MEMO_OPS = (
+    "X", "Z", "H", "H", "CNOT", "CNOT", "measure", "chosen", "discard", "tensor", "p1", "ghz", "cut"
+)
 FRESH = ("zeros", "ghz", "one")
 
 
@@ -278,6 +300,9 @@ def run_ops(state, ops, fresh):
     A refused op leaves the state as it was and its value is
     ``("error", type, message)``. A measurement whose forced bit has
     probability 0 takes the other bit, so every run drops the same qubits.
+    ``chosen`` measures with a callable, as the branch explorer does: it
+    wants bit ``b % 2`` on the same terms, and the value records the
+    ``(p0, p1)`` it was called with.
     ``tensor`` adds a fresh state over new qubit ids while the register is
     small enough for the dense oracle. Runs on a ``Tableau`` and on a
     ``StateVector`` alike, given the matching ``fresh``.
@@ -314,6 +339,16 @@ def run_ops(state, ops, fresh):
                     refused = (type(exc), str(exc))
                     outcome, state = state.measure_out(q, 1 - b % 2)
                 value = ("measure", refused, outcome.bit, outcome.probability)
+            elif kind == "chosen":
+                seen = []
+
+                def choose(p0, p1, want=b % 2):
+                    seen.append((p0, p1))
+                    return want if (p1 if want else p0) >= PROB_FLOOR else 1 - want
+
+                outcome, state = state.measure_out(q, choose)
+                [asked] = seen  # called once
+                value = ("chosen", outcome.bit, outcome.probability, *asked)
             elif kind == "discard":
                 state = state.discard(q)
                 value = ("discard",)

@@ -96,11 +96,25 @@ def two_pass_minimum_spanning_tree(g):
 
 def two_pass_merge_schedule(h):
     """``merge_schedule`` as first written: a connectivity check of its own,
-    then the merge order (the rescanning oracle's rows)."""
+    then the merge order (the rescanning oracle's rows). The check grows
+    agent 1's reach group by group and names the lowest agent outside it."""
     if not h.hyperedges:
         raise ValueError("no hyperedges to merge")
-    if not hypergraph_is_connected(h):
-        raise ConnectivityError("entangled hypergraph is disconnected")
+    reached, grew = {1}, True
+    while grew:
+        grew = False
+        for edge in h.hyperedges:
+            if edge & reached and not edge <= reached:
+                reached |= edge
+                grew = True
+    missing = next((v for v in range(2, h.n + 1) if v not in reached), None)
+    if missing is not None:
+        raise ConnectivityError(
+            "entangled hypergraph is disconnected: no chain of groups joins agents 1 and "
+            f"{missing}",
+            agent_a=1,
+            agent_b=missing,
+        )
     return merge_order_oracle(h)
 
 
@@ -584,7 +598,18 @@ def test_single_pass_walks_name_the_lowest_unreached_agent():
         minimum_spanning_tree(g)
     assert str(refused.value) == "EPR graph is disconnected: no path joins agents 1 and 4"
     assert (refused.value.agent_a, refused.value.agent_b) == (1, 4)
-    # an agent in no group leaves the fused set short, though the groups overlap
-    for h in (EntangledHypergraph(4, [(1, 2), (2, 3)]), EntangledHypergraph(4, [(2, 3), (3, 4)])):
-        with pytest.raises(ConnectivityError, match="^entangled hypergraph is disconnected$"):
+    # an agent in no group leaves the fused set short, though the groups overlap;
+    # when the fused set misses agent 1, the witness is the lowest agent that
+    # agent 1 cannot reach, not the lowest one outside the fused set
+    cases = [
+        (EntangledHypergraph(4, [(1, 2), (2, 3)]), 4),
+        (EntangledHypergraph(4, [(2, 3), (3, 4)]), 2),
+        (EntangledHypergraph(9, [(6, 7, 8, 9), (1, 2), (3, 4, 5)]), 3),
+    ]
+    for h, missing in cases:
+        with pytest.raises(ConnectivityError) as refused:
             merge_schedule(h)
+        assert str(refused.value) == (
+            f"entangled hypergraph is disconnected: no chain of groups joins agents 1 and {missing}"
+        )
+        assert (refused.value.agent_a, refused.value.agent_b) == (1, missing)

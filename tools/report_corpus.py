@@ -20,8 +20,9 @@ sides of the branch explorer's memo bound (an 80-agent ``fuse`` staircase
 and a sampled 30-agent weave), a wide fan-out of sampled
 fusion broadcasts (a chain of 3-agent groups over 61 agents), one run that
 asks for more sample streams than ``SAMPLE_CAP``, disconnected networks under
-every command (among them one whose lowest unreached agent is not 2, and
-groups that leave one agent out), refused specs, one malformed spec per
+every command (among them one whose lowest unreached agent is not 2,
+groups that leave one agent out, and three group components where agent 1
+is outside the largest group), refused specs, one malformed spec per
 parse error, and
 spec-format cases (reversed, integer, tiny and mixed weights, comments and
 blank lines) under every command.
@@ -134,6 +135,12 @@ def corpus():
         yield f"disconnected-40-{command}", _edges(40, split), [command]
     for command in ("check", "fuse"):
         yield f"uncovered-agent-{command}", _groups(6, [(1, 2, 3), (3, 4), (4, 5)]), [command]
+    # three components: the largest group, which the merge walk fuses first,
+    # agent 1's pair, and a third that holds agent 3, lower than every agent
+    # of the largest group; agent 1 cannot reach agent 3, so 3 is named
+    apart = _groups(9, [(6, 7, 8, 9), (1, 2), (3, 4, 5)])
+    for command in ("check", "fuse"):
+        yield f"three-components-{command}", apart, [command]
 
     # one malformed spec per parse error, so stderr and its line numbers show
     malformed = {
