@@ -30,8 +30,8 @@ _EXPORTS = {
         "SetupClosedError",
         "ZeroProbabilityError",
     ),
-    "gates": ("CNOT", "Gate", "H", "X", "Z"),
-    "locc": ("ALL", "NetworkState", "RecordingChooser", "replay_transcript"),
+    "gates": ("CNOT", "Fork", "Gate", "H", "X", "Z"),
+    "locc": ("ALL", "NetworkState", "replay_transcript"),
     "protocols": (
         "BranchRecord",
         "CorrectionRule",

@@ -1,21 +1,24 @@
 """What both backends share: qubit ids, gates, measurement outcomes,
-tolerances and the dense-register limit.
+how a measurement picks its branch, tolerances and the dense-register
+limit.
+
+A measurement takes its branch from a chooser: a forced bit, or a
+callable ``(p0, p1) -> bit`` such as ``Fork``, the one the package builds
+for live runs, pinned replays and the branch explorer alike.
 
 The stabilizer tableau (:mod:`eprweave.stabilizer`), the network model
 (:mod:`eprweave.locc`) and the protocols build on this module alone, so
 they import no numpy. The dense register (:mod:`eprweave.statevec`)
-re-exports every name defined here.
+re-exports the gates, outcomes, tolerances and limit defined here.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Union
+from typing import Callable, Sequence, Union
 
 from .errors import ResourceError, ZeroProbabilityError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 QubitId = int
 
@@ -29,9 +32,9 @@ DENSE_QUBIT_LIMIT = 24
 
 GATE_KINDS = ("X", "Z", "H", "CNOT")
 
-#: How a measurement picks its branch: a forced bit, a random generator, or
-#: a callable ``(p0, p1) -> bit`` that returns 0 or 1.
-BranchChooser = Union[int, "np.random.Generator", Callable[[float, float], int]]
+#: How a measurement picks its branch: a forced bit, or a callable
+#: ``(p0, p1) -> bit`` that returns 0 or 1, such as a :class:`Fork`.
+BranchChooser = Union[int, Callable[[float, float], int]]
 
 
 def require_dense(n: int) -> None:
@@ -85,11 +88,46 @@ class MeasurementOutcome:
     probability: float
 
 
-def _forced(choose) -> int:
-    bit = int(choose)
-    if bit not in (0, 1):
-        raise ValueError(f"forced bit must be 0 or 1, got {choose}")
-    return bit
+class Fork:
+    """Branch chooser for one execution of a protocol's schedule.
+
+    It follows ``prefix``; at each later measurement it takes the lowest
+    outcome that is live (``streams=None``) or that a sample stream draws,
+    and leaves each other outcome, with the streams that drew it, on
+    ``pending`` for an execution of its own. So each outcome vector runs
+    once, and each stream draws once per measurement on its path, in order.
+
+    ``Fork(outcomes)`` pins one branch for a whole schedule, and
+    ``Fork(streams=[rng])`` samples one: a stream is anything with a
+    ``random()`` method, such as :func:`eprweave.streams.stream` or a numpy
+    ``Generator``, and each measurement draws ``rng.random() < p1``.
+    """
+
+    def __init__(
+        self, prefix: Sequence[int] = (), streams: list | None = None, pending: list | None = None
+    ):
+        self.bits, self.streams = list(prefix), streams
+        self.pending = [] if pending is None else pending
+        self.at = 0
+
+    def __call__(self, p0: float, p1: float) -> int:
+        at = self.at
+        self.at = at + 1
+        if at < len(self.bits):
+            return self.bits[at]
+        if self.streams is None:
+            bit = 0 if p0 >= PROB_FLOOR else 1
+            if not bit and p1 >= PROB_FLOOR:
+                self.pending.append(((*self.bits, 1), None))
+        else:
+            groups = {}
+            for rng in self.streams:
+                groups.setdefault(1 if rng.random() < p1 else 0, []).append(rng)
+            bit, *others = sorted(groups)
+            self.pending += [((*self.bits, other), groups[other]) for other in others]
+            self.streams = groups[bit]
+        self.bits.append(bit)
+        return bit
 
 
 def choose_outcome(
@@ -100,27 +138,19 @@ def choose_outcome(
     ``made``, if given, holds the outcomes of bits 0 and 1, built already,
     and the chosen one is returned.
 
-    A callable is called, first, as the branch explorer's chooser is one,
-    and must return 0 or 1. A Python int is a forced bit. Anything else
-    must be a numpy integer or ``numpy.random.Generator``, so numpy is
-    imported only where its caller has loaded it already.
+    A callable is called, first, as a :class:`Fork` is one, and must
+    return 0 or 1. Anything else is a forced bit, taken as an integer by
+    ``operator.index``: an int, a bool or a numpy integer, but not a float.
     """
     if callable(choose):
         bit = choose(p0, p1)
         if bit != 0 and bit != 1:
             raise ValueError(f"a chooser must return 0 or 1, got {bit!r}")
         bit = 1 if bit else 0
-    elif isinstance(choose, int):
-        bit = _forced(choose)
     else:
-        import numpy as np
-
-        if isinstance(choose, np.random.Generator):
-            bit = 1 if choose.random() < p1 else 0
-        elif isinstance(choose, np.integer):
-            bit = _forced(choose)
-        else:  # not a chooser: calling it raises the TypeError
-            bit = int(choose(p0, p1))
+        bit = operator.index(choose)
+        if bit != 0 and bit != 1:
+            raise ValueError(f"forced bit must be 0 or 1, got {choose}")
     prob = p1 if bit else p0
     if prob < PROB_FLOOR:
         raise ZeroProbabilityError(f"outcome {bit} on qubit {q} has probability {prob:.3e}")

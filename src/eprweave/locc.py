@@ -54,7 +54,7 @@ from .errors import (
     ProtocolError,
     SetupClosedError,
 )
-from .gates import PROB_FLOOR, BranchChooser, Gate, MeasurementOutcome, QubitId
+from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId
 from .stabilizer import BASIS_XZ, Tableau
 
 AgentId = int
@@ -408,7 +408,6 @@ class NetworkState:
                 tuple(b if isinstance(b, str) else None for b in bits),
                 purpose,
             )
-        self.setup_open = False
         sender, receivers, agents = rec.sender, rec.receivers, self.agents
         if sender not in agents:
             raise ValueError(f"unknown agent {sender}")
@@ -447,6 +446,7 @@ class NetworkState:
                         known[agent, label] = value
         if values != rec.bits:
             rec = ClassicalMessage(sender, receivers, values, rec.labels, rec.purpose)
+        self.setup_open = False
         self.transcript.append(rec)
         self.cbit_count += len(values)
         return rec
@@ -514,7 +514,6 @@ class NetworkState:
         return q
 
     def _run_gate(self, rec: GateRecord, choose) -> bool:
-        self.setup_open = False
         actor, gate, when = rec.actor, rec.gate, rec.when
         qubits = gate.qubits
         for q in qubits:
@@ -533,6 +532,7 @@ class NetworkState:
                         "measured or received it"
                     )
             applied = known == 1
+        self.setup_open = False
         if applied:
             slot = self._slot[qubits[0]]
             if len(qubits) == 2 and self._slot[qubits[1]] != slot:  # a CNOT across factors
@@ -544,7 +544,6 @@ class NetworkState:
         return applied
 
     def _run_measure(self, rec: MeasureRecord, choose) -> MeasurementOutcome:
-        self.setup_open = False
         actor, q, label = rec.actor, rec.qubit, rec.label
         if self.owner.get(q) != actor:
             self._require_owner(actor, (q,))
@@ -560,6 +559,7 @@ class NetworkState:
                 raise ValueError("no branch chooser configured for this measurement")
         factors, slot = self._factors, self._slot[q]
         outcome, rest = factors[slot].measure_out(q, choose)
+        self.setup_open = False
         bit, probability = outcome.bit, outcome.probability
         if rest.qubits:  # q leaves a factor of 2 or more qubits: the peak stays
             factors[slot] = rest
@@ -739,29 +739,8 @@ def prepare(records: Iterable[Record]) -> list[tuple[Callable, Record]]:
 
 
 # ---------------------------------------------------------------------------
-# branch controllers
-
-
-class RecordingChooser:
-    """Forces a prefix of outcomes, then takes the first live branch
-    (preferring 0), recording every decision with its probabilities.
-
-    A prefix pins a network to one branch, as when a recorded outcome
-    vector is run again; the record shows which branches were live.
-    """
-
-    def __init__(self, prefix: Sequence[int] = ()):
-        self.prefix = tuple(prefix)
-        self.record: list[tuple[int, float, float]] = []
-
-    def __call__(self, p0: float, p1: float) -> int:
-        i = len(self.record)
-        if i < len(self.prefix):
-            bit = self.prefix[i]
-        else:
-            bit = 0 if p0 >= PROB_FLOOR else 1
-        self.record.append((bit, p0, p1))
-        return bit
+# replay: ``apply`` takes each recorded bit, or a chooser's; one
+# ``gates.Fork(outcomes)`` pins a branch for a whole schedule
 
 
 def replay_transcript(

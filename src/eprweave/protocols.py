@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EntanglementError, ProtocolError, ResourceError
-from .gates import CNOT, PROB_FLOOR, H, QubitId, X, Z
+from .gates import CNOT, Fork, H, QubitId, X, Z
 from .locc import ALL, MeasureRecord, NetworkState, SetupRecord, prepare
 from .stabilizer import memoized
 from .topology import AgentId, EntangledHypergraph, SpanningTree, bfs_edges, merge_schedule
@@ -148,44 +148,11 @@ def _stream(seed: int, i: int) -> Stream:
     return stream(seed, i)
 
 
-class _Fork:
-    """Branch chooser for one execution of a protocol's schedule.
-
-    It follows ``prefix``; at each later measurement it takes the lowest
-    outcome that is live (``streams=None``) or that a sample stream draws,
-    and leaves each other outcome, with the streams that drew it, on
-    ``pending`` for an execution of its own. So each outcome vector runs
-    once, and each stream draws once per measurement on its path, in order.
-    """
-
-    def __init__(self, prefix: tuple[int, ...], streams: list | None, pending: list):
-        self.bits, self.streams, self.pending = list(prefix), streams, pending
-        self.at = 0
-
-    def __call__(self, p0: float, p1: float) -> int:
-        at = self.at
-        self.at = at + 1
-        if at < len(self.bits):
-            return self.bits[at]
-        if self.streams is None:
-            bit = 0 if p0 >= PROB_FLOOR else 1
-            if not bit and p1 >= PROB_FLOOR:
-                self.pending.append(((*self.bits, 1), None))
-        else:
-            groups = {}
-            for rng in self.streams:
-                groups.setdefault(1 if rng.random() < p1 else 0, []).append(rng)
-            bit, *others = sorted(groups)
-            self.pending += [((*self.bits, other), groups[other]) for other in others]
-            self.streams = groups[bit]
-        self.bits.append(bit)
-        return bit
-
-
 def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
-    """The copy of ``net`` a protocol body runs on, once: it takes the
-    lowest live branch for ``"all"``, else the lowest that N sample streams
-    reach, and leaves the other branches to :func:`_explore`. A count
+    """The copy of ``net`` a protocol body runs on, once: its
+    :class:`~eprweave.gates.Fork` takes the lowest live branch for
+    ``"all"``, else the lowest that N sample streams reach, and leaves the
+    other branches on its ``pending`` list for :func:`_explore`. A count
     below 1, or over SAMPLE_CAP, and a negative seed are refused before
     any stream is built, whether or not the run would build one."""
     if seed < 0:  # numpy's own text, as the streams give it
@@ -202,7 +169,7 @@ def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
             )
     work = net.copy()
     streams = None if branches == "all" else [_stream(seed, i) for i in range(branches)]
-    work.chooser = _Fork((), streams, [])
+    work.chooser = Fork(streams=streams)
     return work
 
 
@@ -220,8 +187,10 @@ def _explore(
     ``net``'s setup, and report it. Each branch must end in the GHZ state
     on ``designated`` with no register over ``max_register`` qubits.
 
-    The live run is the first branch; every other branch it left pending
-    runs the schedule from a copy of the setup, each record through its
+    The live run is the first branch; every other branch its fork left
+    pending runs the schedule from a copy of the setup under a
+    :class:`~eprweave.gates.Fork` of its own, which shares that pending
+    list, each record through its
     executor (looked up once, by :func:`~eprweave.locc.prepare`), sending
     every message and running every check again. A branch's outcomes and
     probabilities are read off its transcript where the schedule measures.
@@ -246,7 +215,7 @@ def _explore(
     def executions() -> Iterable[NetworkState]:
         yield from executed
         while pending:
-            fork = _Fork(*pending.pop(), pending)
+            fork = Fork(*pending.pop(), pending)
             run = net.copy()
             for execute, rec in steps:
                 execute(run, rec, fork)

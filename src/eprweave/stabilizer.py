@@ -16,7 +16,8 @@ is two XORs, with its phase from ``int.bit_count``.
 What an operation does to the X and Z bits depends on the shape alone;
 what it does to the signs is affine over GF(2) in the old signs, as for a
 Pauli frame (Gidney, arXiv:2103.02202). A gate XORs a mask into the sign
-word. A measurement or discard drops the pivot row's bit, then XORs a
+word. A measurement or discard, which share one elimination
+(``Tableau._eliminated``), drops the pivot row's bit, then XORs a
 constant mask, a second mask if the pivot's sign was set, and a third if
 the outcome is 1. A certain outcome, ``probability_of_one`` and
 ``ghz_terms`` are parities of the sign word under masks. So an operation
@@ -35,11 +36,12 @@ their signs, which is why the branch explorer arms the setup factors. An
 unarmed shape computes each transition and applies it at once.
 
 Queries reduce rows over GF(2), with each sign a *form*: an int whose bit
-0 is a constant and whose bit i + 1 stands for row i's sign. Over an armed
-shape every row's sign is its own variable, so a query's forms hold for
-every sign word; otherwise they are the constant signs of the tableau at
-hand. A cut's entropy is the rank of the rows restricted to one side
-minus that side's size (Fattal et al., arXiv:quant-ph/0406168).
+0 is a constant and whose bit i + 1 stands for row i's sign. Every row's
+sign is its own variable, so a query's forms depend on the shape alone and
+hold for every sign word; an armed shape keeps them. ``probability_of_one``
+reads the form of the measurement's transition. A cut's entropy is the
+rank of the rows restricted to one side minus that side's size (Fattal et
+al., arXiv:quant-ph/0406168).
 ``ghz_terms`` reads the GHZ overlap off the stabilizers supported on a
 subset, and ``to_statevector`` builds the dense state, which stays the
 oracle. Every result is exact: probabilities are 0, 1/2 or 1, and GHZ
@@ -66,7 +68,6 @@ Row = tuple[int, int, int]  # (x bits, z bits, sign): a bit, or a form over a si
 _IDENTITY: Row = (0, 0, 0)
 #: The shape of one qubit in a basis state: its one row is Z, signed by the bit.
 BASIS_XZ: tuple[Row, ...] = ((0, 1, 0),)
-_UNSEEN = object()
 _I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
@@ -205,13 +206,13 @@ class Tableau:
             raise ValueError(f"qubit {q} not in register {self.qubits}") from None
 
     def probability_of_one(self, q: QubitId) -> float:
+        """Read off the form of measuring q (``Tableau._eliminated``)."""
         memo = self.memo
         if memo is None:
-            form = self._z_sign(q)
+            form = self._eliminated(q, True)[0]
         else:
-            form = memo.get(("p1", q), _UNSEEN)  # None is a form: the outcome is random
-            if form is _UNSEEN:
-                form = memo["p1", q] = self._z_sign(q)
+            key = ("measure", q)
+            form = (memo.get(key) or memo.setdefault(key, self._eliminated(q, True)))[0]
         if form is None:
             return 0.5
         return float(_value(form, self.signs << 1 | 1))
@@ -235,18 +236,18 @@ class Tableau:
     def measure_out(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, "Tableau"]:
         """Measure ``q`` in the Z basis and return the rest of the register.
 
-        ``choose`` is a forced bit, a ``numpy.random.Generator`` or a
-        callable ``(p0, p1) -> bit``, as for ``StateVector.measure``. When a
-        generator anticommutes with Z_q both outcomes have probability 1/2;
-        otherwise the outcome is certain and q factors out
-        (``Tableau._measured``).
+        ``choose`` is a forced bit or a callable ``(p0, p1) -> bit``, such
+        as a :class:`~eprweave.gates.Fork`, as for ``StateVector.measure``.
+        When a generator anticommutes with Z_q both outcomes have
+        probability 1/2; otherwise the outcome is certain and q factors out
+        (``Tableau._eliminated``).
         """
         memo = self.memo
         if memo is None:
-            step = self._measured(q)
+            step = self._eliminated(q, True)
         else:
             key = ("measure", q)
-            step = memo.get(key) or memo.setdefault(key, self._measured(q))
+            step = memo.get(key) or memo.setdefault(key, self._eliminated(q, True))
         form, qubits, xz, memo, drop, const, times, flip, made = step
         signs = self.signs
         if form is None:
@@ -264,16 +265,16 @@ class Tableau:
 
     def discard(self, q: QubitId) -> "Tableau":
         """Drop a qubit that is in a product state with the rest;
-        ``EntanglementError`` if it is not (``Tableau._discarded``)."""
+        ``EntanglementError`` if it is not (``Tableau._eliminated``)."""
         memo = self.memo
         if memo is None:
-            step = self._discarded(q)
+            step = self._eliminated(q, False)
         else:
             key = ("discard", q)
-            step = memo.get(key) or memo.setdefault(key, self._discarded(q))
+            step = memo.get(key) or memo.setdefault(key, self._eliminated(q, False))
         if isinstance(step, str):
             raise EntanglementError(step)
-        qubits, xz, memo, drop, const, times = step
+        _, qubits, xz, memo, drop, const, times, _, _ = step
         signs = self.signs  # the pivot's sign bit goes, as in measure_out
         word = (signs & drop - 1 | signs >> 1 & -drop) ^ (const ^ times if signs & drop else const)
         return Tableau(qubits, xz, word, memo)
@@ -337,16 +338,10 @@ class Tableau:
     # transition is a nonempty tuple or a refusal's text, never false, so
     # ``memo.get(key) or memo.setdefault(key, ...)`` computes it on a miss only.
 
-    def _signed(self) -> Iterable[Row]:
-        """The rows with a form for each sign: row i's own variable if the
-        shape is armed, so what a query finds holds for every sign word;
-        otherwise the constant bit i of this tableau's signs."""
-        if self.memo is not None:
-            return [(x, z, 2 << i) for i, (x, z, _) in enumerate(self.xz)]
-        signs = self.signs
-        if not signs:
-            return self.xz
-        return [(x, z, signs >> i & 1) for i, (x, z, _) in enumerate(self.xz)]
+    def _signed(self) -> list[Row]:
+        """The rows with a form for each sign: row i's own variable, so
+        what a query finds holds for every sign word over the shape."""
+        return [(x, z, 2 << i) for i, (x, z, _) in enumerate(self.xz)]
 
     def _gate(self, gate: Gate) -> tuple[tuple[Row, ...] | None, dict | None, int]:
         """Conjugate every row by the gate: the new rows and memo, or None
@@ -386,69 +381,36 @@ class Tableau:
                 rows.append(row)
         return tuple(rows), None if self.memo is None else {}, flip
 
-    def _measured(self, q: QubitId):
-        """Measuring q in the Z basis: the form of the outcome if it is
-        certain (else None), the next shape ``(qubits, xz, memo)``, the
-        pivot row's bit in the sign word, the masks of the rows whose sign
-        flips always, if the pivot's sign is 1, and if the outcome is 1, and
-        over an armed shape the outcomes of bits 0 and 1 (else None), which
-        the shape fixes.
+    def _eliminated(self, q: QubitId, measuring: bool):
+        """Measuring q in the Z basis, or dropping it: the form of the
+        outcome if the measurement is certain (else None), the next shape
+        ``(qubits, xz, memo)``, the pivot row's bit in the sign word, the
+        masks of the rows whose sign flips always, if the pivot's sign is
+        1, and if the outcome is 1, and for a measurement over an armed
+        shape the outcomes of bits 0 and 1 (else None), which the shape
+        fixes; or, when dropping a q that is entangled with the rest, the
+        refusal's message.
 
-        When a row anticommutes with Z_q, the first such row (the pivot)
-        becomes (-1)^bit Z_q: it clears q's X part from the others and is
-        dropped, and each row left with Z on q takes the outcome into its
-        sign. Otherwise Z_q or -Z_q is a stabilizer and q is discarded.
+        The pivot is the first row with X on q when measuring, or the first
+        row acting on q when dropping. It clears that part from the other
+        rows and is dropped, and q's bits go; the bits above q move down.
+        Each row left with Z on q takes the outcome into its sign. A dropped
+        q factors out iff the rows' parts on q span one Pauli (its one-qubit
+        entropy, a GF(2) rank minus 1, is 0), and then no row is left with Z
+        on q. A measurement with no pivot is certain: Z_q or -Z_q is a
+        stabilizer, and q is dropped.
         """
         j = self.position(q)
         m = 1 << j
-        xz = self.xz
-        for pivot, p in enumerate(xz):
-            if p[0] & m:
-                break
-        else:  # certain: the other bit is refused, so the chosen one has probability 1
-            return (self._z_form(m), *self._discarded(q), 0, self._outcomes(q, 1.0))
         low, j1 = m - 1, j + 1
+        zm = 0 if measuring else m  # the pivot clears q's X bit, or both its bits
+        p = None
         rest, const, times, flip = [], 0, 0, 0
-        for i, row in enumerate(xz):
-            if i == pivot:
-                continue
-            x, z, _ = row
-            if x & m:
-                x, z, c = _mul(row, p)
-                times |= 1 << len(rest)
-                const |= c << len(rest)
-            if z & m:  # times (-1)^bit Z_q clears it
-                flip |= 1 << len(rest)
-            rest.append(((x & low) | (x >> j1) << j, (z & low) | (z >> j1) << j, 0))
-        qubits, memo = self.qubits[:j] + self.qubits[j1:], None if self.memo is None else {}
-        made = self._outcomes(q, 0.5)
-        return None, qubits, tuple(rest), memo, 1 << pivot, const, times, flip, made
-
-    def _outcomes(self, q: QubitId, probability: float) -> tuple[MeasurementOutcome, ...] | None:
-        if self.memo is None:
-            return None
-        return MeasurementOutcome(q, 0, probability), MeasurementOutcome(q, 1, probability)
-
-    def _discarded(self, q: QubitId):
-        """Dropping q: the next shape ``(qubits, xz, memo)``, the pivot row's
-        bit in the sign word, and the masks of the rows whose sign flips
-        always and if the pivot's sign is 1; or, if q is entangled with the
-        rest, the refusal's message.
-
-        q factors out iff the rows' parts on q span one Pauli (its
-        one-qubit entropy, a GF(2) rank minus 1, is 0). The first row
-        acting on q clears q from the others and is dropped; the rest
-        generate the remainder, and the bits above q move down.
-        """
-        j = self.position(q)
-        low, j1 = (1 << j) - 1, j + 1
-        pivot = p = None
-        rest, const, times = [], 0, 0
         for row in self.xz:
             x, z, _ = row
-            on_q = (x >> j & 1) | (z >> j & 1) << 1
-            if on_q:
-                if pivot is None:
+            if x & m or z & zm:
+                on_q = x & m | (z & zm) << 1
+                if p is None:
                     pivot, part, p = len(rest), on_q, row
                     continue
                 if on_q != part:
@@ -456,9 +418,19 @@ class Tableau:
                 x, z, c = _mul(row, p)
                 times |= 1 << len(rest)
                 const |= c << len(rest)
+            if z & m:  # times (-1)^bit Z_q clears it
+                flip |= 1 << len(rest)
             rest.append(((x & low) | (x >> j1) << j, (z & low) | (z >> j1) << j, 0))
+        if p is None:  # certain: the other bit is refused, so the chosen one has probability 1
+            return (self._z_form(m), *self._eliminated(q, False)[1:-1], self._outcomes(q, 1.0))
         qubits, memo = self.qubits[:j] + self.qubits[j1:], None if self.memo is None else {}
-        return qubits, tuple(rest), memo, 1 << pivot, const, times
+        made = self._outcomes(q, 0.5) if measuring else None
+        return None, qubits, tuple(rest), memo, 1 << pivot, const, times, flip, made
+
+    def _outcomes(self, q: QubitId, probability: float) -> tuple[MeasurementOutcome, ...] | None:
+        if self.memo is None:
+            return None
+        return MeasurementOutcome(q, 0, probability), MeasurementOutcome(q, 1, probability)
 
     def _tensored(self, other: "Tableau"):
         """The shape ``(qubits, xz, memo)`` of the tensor product."""
@@ -477,13 +449,6 @@ class Tableau:
         key = _on((1 << width) - 1, width)
         basis, _ = _eliminate(self._signed(), key)
         return _express(basis, key, m << width)[2]
-
-    def _z_sign(self, q: QubitId) -> int | None:
-        """The form of Z_q's certain outcome, or None if it is random."""
-        m = 1 << self.position(q)
-        if any(row[0] & m for row in self.xz):
-            return None
-        return self._z_form(m)
 
     def _cut(self, subset: frozenset) -> float:
         qubits = set(self.qubits)

@@ -183,8 +183,8 @@ class StateVector:
     def measure(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, "StateVector"]:
         """Measure one qubit in the computational basis.
 
-        ``choose`` selects the branch: a forced bit (0/1), a seeded
-        ``numpy.random.Generator``, or a callable ``(p0, p1) -> bit``.
+        ``choose`` selects the branch: a forced bit (0/1) or a callable
+        ``(p0, p1) -> bit``, such as a seeded ``Fork(streams=[rng])``.
         Forcing a branch of probability below 1e-12 raises
         ``ZeroProbabilityError``. The returned state is the full register,
         projected and renormalized.

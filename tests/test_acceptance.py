@@ -29,11 +29,11 @@ import pytest
 
 from eprweave.cli import run as cli_run
 from eprweave.errors import ConnectivityError
+from eprweave.gates import Fork
 from eprweave.locc import (
     ALL,
     DiscardRecord,
     NetworkState,
-    RecordingChooser,
     SetupRecord,
 )
 from eprweave.protocols import (
@@ -280,7 +280,7 @@ def test_acceptance_3_disconnected_networks_rejected_and_loccproof(tmp_path):
 def _random_split_setup(rng):
     """Two independently entangled agent islands with no shared pair."""
     a, b = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    net = NetworkState(a + b, chooser=rng)
+    net = NetworkState(a + b, chooser=Fork(streams=[rng]))
     left = list(range(1, a + 1))
     right = list(range(a + 1, a + b + 1))
     for island in (left, right):
@@ -469,7 +469,7 @@ def test_acceptance_6_simulator_core_guarantees():
 
     # 100 random single-qubit states, teleported on all four branches: the
     # dense oracle runs the teleport schedule with the payload loaded
-    net = NetworkState(2, chooser=RecordingChooser())
+    net = NetworkState(2, chooser=Fork())
     net.distribute_epr(1, 2)
     payload = net.add_ancilla(1)
     carrier = teleport(net, 1, payload, 2)
@@ -519,7 +519,7 @@ def test_acceptance_6_teleporting_half_of_a_bell_pair_is_exact_on_every_branch()
     # Choi-Jamiolkowski: a channel that hands on half of a Bell pair as half
     # of the same Bell pair is the identity on every input state
     for prefix in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        net = NetworkState(3, chooser=RecordingChooser(prefix))
+        net = NetworkState(3, chooser=Fork(prefix))
         net.distribute_epr(1, 2)
         payload, reference = net.distribute_epr(1, 3)
         carrier = teleport(net, 1, payload, 2)

@@ -228,6 +228,28 @@ def test_every_cli_command_runs_with_numpy_refused(tmp_path):
     )
 
 
+def test_every_kind_of_chooser_measures_with_numpy_refused(tmp_path):
+    run_fresh(
+        tmp_path,
+        """
+        from eprweave import Fork, NetworkState, replay_transcript
+        from eprweave.streams import stream
+
+        choosers = [1, lambda p0, p1: 1, Fork((1,)), Fork(streams=[stream(0, 0)])]
+        for choose in choosers:
+            net = NetworkState(2)
+            qa, qb = net.distribute_epr(1, 2)
+            a = net.local_measure(1, qa, label="a", choose=choose)
+            b = net.local_measure(2, qb, label="b", choose=choose)
+            assert a.probability == 0.5 and (b.bit, b.probability) == (a.bit, 1.0)
+            replayed = replay_transcript(2, net.transcript)
+            assert replayed.transcript == net.transcript
+        assert "numpy" not in sys.modules
+        """,
+        head=REFUSE_NUMPY,
+    )
+
+
 DENSE_USES = {
     "statevec": """
         from eprweave.statevec import ghz_state

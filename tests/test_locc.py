@@ -21,6 +21,7 @@ from eprweave.errors import (
     SetupClosedError,
 )
 from eprweave import locc
+from eprweave.gates import Fork
 from eprweave.locc import (
     ALL,
     AncillaRecord,
@@ -32,7 +33,6 @@ from eprweave.locc import (
     GateRecord,
     MeasureRecord,
     NetworkState,
-    RecordingChooser,
     SetupRecord,
     ZeroCheckRecord,
     replay_transcript,
@@ -87,6 +87,40 @@ def test_setup_closes_at_first_protocol_step():
         net.distribute_epr(1, 2)
     with pytest.raises(SetupClosedError):
         net.distribute_ghz({1, 2, 3})
+
+
+# a refused first operation -> its error's class and message
+REFUSED_FIRST_STEPS = {
+    "forced bit 2": (
+        lambda net, q: net.local_measure(1, q, choose=2),
+        ValueError, "forced bit must be 0 or 1, got 2",
+    ),
+    "cross-agent gate": (
+        lambda net, q: net.local_gate(1, CNOT(q, q + 1)),
+        LoccViolationError, "agent 1 touched qubit 2, which belongs to agent 2",
+    ),
+    "message to oneself": (
+        lambda net, q: net.send_classical(1, 1, [1]),
+        ValueError, "sending a message to oneself is not communication",
+    ),
+    "unknown label": (
+        lambda net, q: net.send_classical(1, 2, ["nope"]),
+        ConditioningError, "agent 1 sends 'nope' without having measured or received it",
+    ),
+}
+
+
+@pytest.mark.parametrize("step", sorted(REFUSED_FIRST_STEPS))
+def test_a_refused_operation_leaves_setup_open(step):
+    call, error, message = REFUSED_FIRST_STEPS[step]
+    net = NetworkState(3)
+    qa, _ = net.distribute_epr(1, 2)
+    with pytest.raises(error) as caught:
+        call(net, qa)
+    assert str(caught.value) == message
+    assert net.setup_open and net.cbit_count == 0
+    net.distribute_epr(2, 3)
+    assert len(net.epr_pairs) == 2
 
 
 def test_group_distribution_is_a_ghz_state():
@@ -157,7 +191,7 @@ def test_dropping_an_empty_group_is_a_value_error():
 
 
 def test_automatic_measurement_label_skips_labels_in_use():
-    net = NetworkState(1, RecordingChooser())
+    net = NetworkState(1, Fork())
     a, b, c = (net.add_ancilla(1) for _ in range(3))
     net.local_measure(1, a, label="m2")
     net.local_measure(1, b)
@@ -397,7 +431,7 @@ def test_disconnected_setup_has_zero_cross_entropy():
 
 def test_local_operations_cannot_entangle_a_zero_cut():
     rng = np.random.default_rng(11)
-    net = NetworkState(4, chooser=rng)
+    net = NetworkState(4, chooser=Fork(streams=[rng]))
     q1, q2 = net.distribute_epr(1, 2)
     q3, q4 = net.distribute_epr(3, 4)
     x1 = net.add_ancilla(1)
@@ -422,7 +456,7 @@ def manual_teleport(prefix, prep=()):
     measurement outcomes from `prefix`. The payload is the ancilla |0>
     after the `prep` gate constructors; the dense oracle can start that
     ancilla in any other state instead."""
-    chooser = RecordingChooser(prefix)
+    chooser = Fork(prefix)
     net = NetworkState(2, chooser)
     half_a, half_b = net.distribute_epr(1, 2)
     payload = net.add_ancilla(1)
@@ -495,7 +529,7 @@ def test_replay_of_a_weave_consumes_its_pairs_and_keeps_its_locks():
 
 
 def test_replay_reruns_the_release_check_on_a_changed_branch():
-    net = NetworkState(1, chooser=RecordingChooser())  # takes outcome 0
+    net = NetworkState(1, chooser=Fork())  # takes outcome 0
     keep, drop = net.add_ancilla(1), net.add_ancilla(1)
     net.local_gate(1, H(drop))
     net.local_measure(1, drop, label="b")
@@ -534,7 +568,7 @@ def test_replay_reuses_exactly_the_records_it_reproduces():
 def refusal_scene():
     """Agent 1 has measured its half a1 (qubit 1) as "r" and claimed the
     1-2 pair; agent 3's half c (qubit 4) is locked; setup is closed."""
-    net, a1, a2, b, c = hub_setup(RecordingChooser())
+    net, a1, a2, b, c = hub_setup(Fork())
     net.consume_epr(1, 2)
     net.local_measure(1, a1, label="r", choose=0)
     net.lock_qubits([c])
@@ -645,7 +679,7 @@ def split_network_ops(draw):
 def test_random_local_scripts_preserve_zero_cuts(case):
     setups, script, seed = case
     rng = np.random.default_rng(seed)
-    net = NetworkState(4, chooser=rng)
+    net = NetworkState(4, chooser=Fork(streams=[rng]))
     for s in setups:
         members = (1, 2) if s.endswith("12") else (3, 4)
         if s.startswith("epr"):

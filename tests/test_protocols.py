@@ -19,7 +19,8 @@ from eprweave.errors import (
     ResourceError,
 )
 from eprweave import protocols
-from eprweave.locc import ALL, DropGroupRecord, MeasureRecord, NetworkState, RecordingChooser
+from eprweave.gates import Fork
+from eprweave.locc import ALL, DropGroupRecord, MeasureRecord, NetworkState
 from eprweave.protocols import (
     CorrectionRule,
     disentangle_duplicate,
@@ -257,7 +258,7 @@ def test_extend_ghz_adds_one_correlated_qubit_for_free():
 
 def test_teleport_moves_an_unknown_qubit_on_every_branch():
     for prefix in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        net = NetworkState(2, chooser=RecordingChooser(prefix))
+        net = NetworkState(2, chooser=Fork(prefix))
         net.distribute_epr(1, 2)
         payload = net.add_ancilla(1)
         net.local_gate(1, H(payload))
@@ -272,7 +273,7 @@ def test_teleport_moves_an_unknown_qubit_on_every_branch():
 
 def test_teleport_preserves_entanglement_of_the_payload():
     for prefix in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        net = NetworkState(3, chooser=RecordingChooser(prefix))
+        net = NetworkState(3, chooser=Fork(prefix))
         net.distribute_epr(1, 3)
         held = net.distribute_ghz((1, 2))
         fresh = extend_ghz(net, 1, held[1])
@@ -283,7 +284,7 @@ def test_teleport_preserves_entanglement_of_the_payload():
 
 def test_fusion_step_merges_two_groups_at_the_junction():
     for prefix in ((0,), (1,)):
-        net = NetworkState(4, chooser=RecordingChooser(prefix))
+        net = NetworkState(4, chooser=Fork(prefix))
         big = net.distribute_ghz((1, 2, 3))
         small = net.distribute_ghz((3, 4))
         fusion_step(net, big, small, 3)
@@ -294,18 +295,16 @@ def test_fusion_step_merges_two_groups_at_the_junction():
 
 
 def test_fusion_step_outcomes_are_equally_likely():
-    chooser = RecordingChooser()
-    net = NetworkState(4, chooser=chooser)
+    net = NetworkState(4, chooser=Fork())
     big = net.distribute_ghz((1, 2, 3))
     small = net.distribute_ghz((3, 4))
     fusion_step(net, big, small, 3)
-    (_, p0, p1), = chooser.record
-    assert p0 == pytest.approx(0.5, abs=1e-12)
-    assert p1 == pytest.approx(0.5, abs=1e-12)
+    (measured,) = [rec for rec in net.transcript if isinstance(rec, MeasureRecord)]
+    assert measured.probability == pytest.approx(0.5, abs=1e-12)  # so outcome 1 has the rest
 
 
 def test_fusion_step_requires_one_qubit_per_group_at_the_junction():
-    net = NetworkState(4, chooser=RecordingChooser())
+    net = NetworkState(4, chooser=Fork())
     big = net.distribute_ghz((1, 2, 3))
     small = net.distribute_ghz((3, 4))
     with pytest.raises(ProtocolError, match="exactly one qubit"):
@@ -450,7 +449,7 @@ def test_sample_cap_admits_exactly_its_own_count(monkeypatch):
 
 
 def test_disentangle_duplicate_releases_a_copied_qubit():
-    net = NetworkState(3, chooser=RecordingChooser())
+    net = NetworkState(3, chooser=Fork())
     held = net.distribute_ghz((1, 2, 3))
     extra = extend_ghz(net, 1, held[1])
     disentangle_duplicate(net, 1, held[1], extra)
@@ -460,7 +459,7 @@ def test_disentangle_duplicate_releases_a_copied_qubit():
 
 
 def test_disentangle_duplicate_rejects_anticorrelated_qubits():
-    net = NetworkState(2, chooser=RecordingChooser())
+    net = NetworkState(2, chooser=Fork())
     held = net.distribute_ghz((1, 2))
     extra = extend_ghz(net, 1, held[1])
     net.local_gate(1, X(extra))
@@ -469,7 +468,7 @@ def test_disentangle_duplicate_rejects_anticorrelated_qubits():
 
 
 def test_disentangle_duplicate_rejects_uncorrelated_qubits():
-    net = NetworkState(1, chooser=RecordingChooser())
+    net = NetworkState(1, chooser=Fork())
     keep = net.add_ancilla(1)
     drop = net.add_ancilla(1)
     net.local_gate(1, H(keep))
@@ -585,9 +584,9 @@ def test_sampled_branches_are_those_each_stream_reaches_on_its_own():
     reached = set()
     for i in range(12):  # one full run of the schedule per stream
         rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(i,)))
-        run = net.copy()
+        run, fork = net.copy(), Fork(streams=[rng])
         for rec in schedule:
-            run.apply(rec, choose=rng if isinstance(rec, MeasureRecord) else None)
+            run.apply(rec, choose=fork if isinstance(rec, MeasureRecord) else None)
         reached.add(tuple(r.bit for r in run.transcript if isinstance(r, MeasureRecord)))
     assert [b.outcomes for b in report.branches] == sorted(reached)
 

@@ -1,0 +1,120 @@
+"""Refusals across the layers: each bad call raises its own error class
+with its own message."""
+
+import re
+
+import pytest
+
+from eprweave.cli import parse_spec
+from eprweave.errors import NetworkSpecError, ProtocolError
+from eprweave.gates import X
+from eprweave.locc import NetworkState, replay_transcript
+from eprweave.protocols import (
+    CorrectionRule,
+    protocol_one,
+    protocol_three,
+    setup_epr_network,
+    setup_group_network,
+)
+from eprweave.stabilizer import Tableau
+from eprweave.topology import EntangledHypergraph, EprGraph, MergeStep
+
+
+def _operated_group_network():
+    net = setup_group_network(EntangledHypergraph(3, [(1, 2), (2, 3)]))
+    net.local_gate(1, X(1))
+    return net
+
+
+def _measured_without_a_chooser():
+    net = NetworkState(2)
+    qa, _ = net.distribute_epr(1, 2)
+    net.local_measure(1, qa)
+
+
+def _setup_skipped_as_a_message():
+    net = setup_epr_network(2, [(1, 2)])
+    replay_transcript(2, net.transcript, skip_messages=[0])
+
+
+PATH3 = EntangledHypergraph(3, [(1, 2), (2, 3)])
+
+# case -> (the call, its error class, a regex for its whole message)
+REFUSALS = {
+    "protocol_one, cycle outside 1..3": (
+        lambda: protocol_one(setup_epr_network(3, [(1, 2), (1, 3)]), CorrectionRule((1, 2, 4), 1)),
+        ProtocolError,
+        r"correction cycle \(1, 2, 4\) must name agents 1\.\.3",
+    ),
+    "protocol_three, operated network": (
+        lambda: protocol_three(_operated_group_network(), PATH3),
+        ProtocolError,
+        r"network has already been operated on",
+    ),
+    "protocol_three, mismatched n": (
+        lambda: protocol_three(
+            setup_group_network(PATH3), EntangledHypergraph(4, [(1, 2), (2, 3), (3, 4)])
+        ),
+        ProtocolError,
+        r"network has 3 agents but the hypergraph has 4",
+    ),
+    "local_measure, no chooser": (
+        _measured_without_a_chooser,
+        ValueError,
+        r"no branch chooser configured for this measurement",
+    ),
+    "apply, not a record": (
+        lambda: NetworkState(2).apply(object()),
+        TypeError,
+        r"unknown transcript record <object object at 0x[0-9a-f]+>",
+    ),
+    "replay_transcript, setup skipped": (
+        _setup_skipped_as_a_message,
+        ValueError,
+        r"transcript entry 0 is not a message",
+    ),
+    "EprGraph.weight, missing edge": (
+        lambda: EprGraph(3, [(1, 2), (2, 3)]).weight(3, 1),
+        ValueError,
+        r"no edge \(1, 3\)",
+    ),
+    "Tableau.tensor, shared qubits": (
+        lambda: Tableau.ghz((1, 2)).tensor(Tableau.zeros((2, 3))),
+        ValueError,
+        r"registers share qubits \[2\]",
+    ),
+    "cut_entropy, unknown qubit": (
+        lambda: Tableau.ghz((1, 2)).cut_entropy([9]),
+        ValueError,
+        r"qubits \[9\] not in register",
+    ),
+    "MergeStep, empty overlap": (
+        lambda: MergeStep(1, frozenset({2, 3}), 2, frozenset(), 2, 2),
+        ValueError,
+        r"merge step with empty overlap",
+    ),
+    "MergeStep, junction not the lowest shared agent": (
+        lambda: MergeStep(1, frozenset({2, 3}), 3, frozenset({2, 3}), 2, 2),
+        ValueError,
+        r"junction must be the smallest-index shared agent",
+    ),
+    "parse_spec, two agent counts": (
+        lambda: parse_spec("agents 3 4"),
+        NetworkSpecError,
+        r"line 1: 'agents' takes exactly one number",
+    ),
+    "parse_spec, member not a number": (
+        lambda: parse_spec("agents 3\nhyper 1 x"),
+        NetworkSpecError,
+        r"line 2: expected an agent number, got 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_each_refusal_has_its_class_and_message(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert re.fullmatch(message, str(caught.value)), str(caught.value)

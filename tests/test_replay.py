@@ -21,12 +21,12 @@ import pytest
 
 from eprweave import protocols
 from eprweave.errors import EprWeaveError
+from eprweave.gates import Fork
 from eprweave.locc import (
     ClassicalMessage,
     GateRecord,
     MeasureRecord,
     NetworkState,
-    RecordingChooser,
     replay_transcript,
 )
 from eprweave.protocols import (
@@ -176,6 +176,20 @@ def _path_weave(step2):
     return protocol_two(setup_epr_network(4, tree.edges), tree, step2=step2)
 
 
+@pytest.mark.parametrize("step2", ["symmetric", "zeilinger"])
+def test_the_readme_recipe_replays_every_branch_of_a_report(step2):
+    report = _path_weave(step2)
+    assert len(report.branches) == 2 ** (8 - 4 - (step2 == "zeilinger"))
+    for branch in report.branches:
+        # one fork for the whole schedule: it hands out the branch's bits in order
+        net, pin = NetworkState(report.n), Fork(branch.outcomes)
+        for rec in report.transcript:
+            net.apply(rec, pin)
+        bits = tuple(rec.bit for rec in net.transcript if isinstance(rec, MeasureRecord))
+        assert bits == branch.outcomes
+        assert verify_ghz(net, report.designated, strict=True) == 1.0
+
+
 MUTATED = {
     # schedule -> (its report, how many conditioned gates it has)
     "ghz3": (lambda: protocol_one(hub_network()), 3),
@@ -187,7 +201,7 @@ MUTATED = {
 def replayed_fidelity(n, schedule, designated, outcomes):
     """The strict GHZ fidelity after running ``schedule`` on the branch
     ``outcomes`` through ``NetworkState.apply``; None if it is refused."""
-    net, pin = NetworkState(n), RecordingChooser(outcomes)
+    net, pin = NetworkState(n), Fork(outcomes)
     try:
         for rec in schedule:
             net.apply(rec, pin)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from eprweave import protocols
 from eprweave.errors import EntanglementError, EprWeaveError, ResourceError, ZeroProbabilityError
+from eprweave.gates import Fork
 from eprweave.locc import MeasureRecord, NetworkState
 from eprweave.protocols import (
     protocol_three,
@@ -166,7 +167,7 @@ def test_measure_out_follows_the_chooser_contract():
     assert rest.to_statevector().fidelity(StateVector((1, 3), [0, 0, 0, 1])) == 1.0
     with pytest.raises(ValueError, match="forced bit"):
         t.measure_out(2, 2)
-    out, _ = t.measure_out(1, np.random.default_rng(0))
+    out, _ = t.measure_out(1, Fork(streams=[np.random.default_rng(0)]))
     assert out.probability == 0.5
     certain = Tableau.zeros((1, 2)).apply(X(2))
     with pytest.raises(ZeroProbabilityError):
@@ -202,7 +203,7 @@ _NOT_A_CHOICE = {
     bad: dict.fromkeys((0.0, 0.5, 1.0), (ValueError, f"a chooser must return 0 or 1, got {bad}"))
     for bad in (2, -1)
 }
-_NOT_A_CHOOSER = (TypeError, "'float' object is not callable")
+_NOT_A_CHOOSER = (TypeError, "'float' object cannot be interpreted as an integer")
 
 # chooser -> what measuring qubit 2 gives, by its p1
 CHOOSER_TABLE = [
@@ -249,11 +250,12 @@ def test_a_chooser_that_returns_no_bit_leaves_the_network_untouched(bad):
 def test_a_seeded_generator_draws_alike_on_both_backends():
     states = _chooser_states()
     t_rng, d_rng, reference = (np.random.default_rng(2024) for _ in range(3))
+    t_fork, d_fork = Fork(streams=[t_rng]), Fork(streams=[d_rng])
     for i in range(60):
         p1 = (0.5, 0.0, 0.5, 1.0)[i % 4]
         tableau, dense = states[p1]
-        t, _ = tableau.measure_out(2, t_rng)
-        d, _ = dense.measure_out(2, d_rng)
+        t, _ = tableau.measure_out(2, t_fork)
+        d, _ = dense.measure_out(2, d_fork)
         bit = 1 if reference.random() < p1 else 0
         assert t.bit == d.bit == bit, i
         assert t.probability == pytest.approx(d.probability, abs=TOL)

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eprweave.errors import EntanglementError, ZeroProbabilityError
+from eprweave.gates import Fork
 from eprweave.statevec import (
     CNOT,
     PURITY_TOL,
@@ -289,7 +290,8 @@ def test_measure_with_generator_is_reproducible():
     bits = []
     for _ in range(2):
         gen = np.random.default_rng(7)
-        bits.append([bell_pair(0, 1).measure(0, gen)[0].bit for _ in range(20)])
+        fork = Fork(streams=[gen])
+        bits.append([bell_pair(0, 1).measure(0, fork)[0].bit for _ in range(20)])
     assert bits[0] == bits[1]
     assert set(bits[0]) == {0, 1}
 
