@@ -1,6 +1,5 @@
 """What both backends share: qubit ids, gates, measurement outcomes,
-how a measurement picks its branch, tolerances and the dense-register
-limit.
+how a measurement picks its branch, and tolerances.
 
 A measurement takes its branch from a chooser: a forced bit, or a
 callable ``(p0, p1) -> bit`` such as ``Fork``, the one the package builds
@@ -9,7 +8,8 @@ for live runs, pinned replays and the branch explorer alike.
 The stabilizer tableau (:mod:`eprweave.stabilizer`), the network model
 (:mod:`eprweave.locc`) and the protocols build on this module alone, so
 they import no numpy. The dense register (:mod:`eprweave.statevec`)
-re-exports the gates, outcomes, tolerances and limit defined here.
+re-exports the gates, outcomes and tolerances defined here, and keeps its
+own size limit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .errors import ResourceError, ZeroProbabilityError
+from .errors import ZeroProbabilityError
 
 QubitId = int
 
@@ -27,23 +27,11 @@ NORM_TOL = 1e-12
 PROB_FLOOR = 1e-12
 PURITY_TOL = 1e-10
 
-#: The largest dense register: 2**24 complex128 amplitudes are 256 MiB a copy.
-DENSE_QUBIT_LIMIT = 24
-
 GATE_KINDS = ("X", "Z", "H", "CNOT")
 
 #: How a measurement picks its branch: a forced bit, or a callable
 #: ``(p0, p1) -> bit`` that returns 0 or 1, such as a :class:`Fork`.
 BranchChooser = Union[int, Callable[[float, float], int]]
-
-
-def require_dense(n: int) -> None:
-    """Refuse a dense register over ``DENSE_QUBIT_LIMIT`` qubits."""
-    if n > DENSE_QUBIT_LIMIT:
-        raise ResourceError(
-            f"a dense register of {n} qubits needs {16 * 2**n / 2**20:,.0f} MiB per copy, "
-            f"over the {DENSE_QUBIT_LIMIT}-qubit limit"
-        )
 
 
 @dataclass(frozen=True)
@@ -91,43 +79,27 @@ class MeasurementOutcome:
 class Fork:
     """Branch chooser for one execution of a protocol's schedule.
 
-    It follows ``prefix``; at each later measurement it takes the lowest
-    outcome that is live (``streams=None``) or that a sample stream draws,
-    and leaves each other outcome, with the streams that drew it, on
-    ``pending`` for an execution of its own. So each outcome vector runs
-    once, and each stream draws once per measurement on its path, in order.
+    Measurement i takes ``prefix[i]``; each later one draws
+    ``rng.random() < p1`` if a stream ``rng`` is given, else takes the
+    lowest live outcome. A stream is anything with a ``random()`` method,
+    such as :func:`eprweave.streams.stream` or a numpy ``Generator``.
 
     ``Fork(outcomes)`` pins one branch for a whole schedule, and
-    ``Fork(streams=[rng])`` samples one: a stream is anything with a
-    ``random()`` method, such as :func:`eprweave.streams.stream` or a numpy
-    ``Generator``, and each measurement draws ``rng.random() < p1``.
+    ``Fork(rng=rng)`` samples one.
     """
 
-    def __init__(
-        self, prefix: Sequence[int] = (), streams: list | None = None, pending: list | None = None
-    ):
-        self.bits, self.streams = list(prefix), streams
-        self.pending = [] if pending is None else pending
+    def __init__(self, prefix: Sequence[int] = (), rng=None):
+        self.prefix, self.rng = tuple(prefix), rng
         self.at = 0
 
     def __call__(self, p0: float, p1: float) -> int:
         at = self.at
         self.at = at + 1
-        if at < len(self.bits):
-            return self.bits[at]
-        if self.streams is None:
-            bit = 0 if p0 >= PROB_FLOOR else 1
-            if not bit and p1 >= PROB_FLOOR:
-                self.pending.append(((*self.bits, 1), None))
-        else:
-            groups = {}
-            for rng in self.streams:
-                groups.setdefault(1 if rng.random() < p1 else 0, []).append(rng)
-            bit, *others = sorted(groups)
-            self.pending += [((*self.bits, other), groups[other]) for other in others]
-            self.streams = groups[bit]
-        self.bits.append(bit)
-        return bit
+        if at < len(self.prefix):
+            return self.prefix[at]
+        if self.rng is not None:
+            return 1 if self.rng.random() < p1 else 0
+        return 0 if p0 >= PROB_FLOOR else 1
 
 
 def choose_outcome(

@@ -496,10 +496,12 @@ class NetworkState:
         _executor(rec)(self, rec, choose)
 
     def _run_setup(self, rec: SetupRecord, choose) -> None:
-        if rec.kind == "epr" and len(rec.agents) == 2:
+        if rec.kind == "ghz":
+            self.distribute_ghz(rec.agents)
+        elif rec.kind == "epr" and len(rec.agents) == 2:
             self.distribute_epr(*rec.agents)
         else:
-            self.distribute_ghz(rec.agents)
+            raise ValueError(f"{rec!r} is neither a 2-agent 'epr' record nor a 'ghz' record")
 
     def _run_ancilla(self, rec: AncillaRecord, choose) -> QubitId:
         actor, q = rec.actor, self._next_qubit

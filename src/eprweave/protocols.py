@@ -7,7 +7,7 @@ so the LOCC checks apply to the protocols themselves.
 Protocols succeed on *every* measurement branch. A protocol's schedule
 never depends on measured bits, so each protocol body runs live once, on
 one branch, and its transcript is the schedule. Every other branch, of
-all of them or of those that seeded sample streams reach when exhaustive
+all of them or of those that seeded sample streams draw when exhaustive
 enumeration would blow up, runs that schedule from the setup state
 through :meth:`NetworkState.apply`, with every message and check. Every
 branch sends the same messages, which is what makes cbit counts
@@ -16,6 +16,8 @@ branch-independent.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -35,8 +37,9 @@ FIDELITY_TOL = 1e-10
 #: Exhaustive branch walking switches to sampling beyond this many branches.
 BRANCH_CAP = 2**20
 FALLBACK_SAMPLES = 1024
-#: The most sample streams a run takes. They are all built before the
-#: first measurement, at about 150 bytes each: 2^16 streams are about 9 MiB.
+#: The most sample streams a run takes. They are built one at a time after
+#: the live run, so this bounds the runs and the drawn outcome vectors held
+#: before the first branch runs: at most 2^16, of m bytes for m measurements.
 SAMPLE_CAP = 2**16
 #: Branches after the live run replay memoized tableau transitions when the
 #: live run's largest factor has at most this many qubits. The memo keeps
@@ -151,10 +154,9 @@ def _stream(seed: int, i: int) -> Stream:
 def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
     """The copy of ``net`` a protocol body runs on, once: its
     :class:`~eprweave.gates.Fork` takes the lowest live branch for
-    ``"all"``, else the lowest that N sample streams reach, and leaves the
-    other branches on its ``pending`` list for :func:`_explore`. A count
-    below 1, or over SAMPLE_CAP, and a negative seed are refused before
-    any stream is built, whether or not the run would build one."""
+    ``"all"``, else the branch that sample stream 0 draws. A count below
+    1, or over SAMPLE_CAP, and a negative seed are refused before any
+    stream is built, whether or not the run would build one."""
     if seed < 0:  # numpy's own text, as the streams give it
         raise ValueError("expected non-negative integer")
     if branches != "all":
@@ -168,8 +170,7 @@ def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
                 f"over the limit of {SAMPLE_CAP:,}"
             )
     work = net.copy()
-    streams = None if branches == "all" else [_stream(seed, i) for i in range(branches)]
-    work.chooser = Fork(streams=streams)
+    work.chooser = Fork() if branches == "all" else Fork(rng=_stream(seed, 0))
     return work
 
 
@@ -187,56 +188,52 @@ def _explore(
     ``net``'s setup, and report it. Each branch must end in the GHZ state
     on ``designated`` with no register over ``max_register`` qubits.
 
-    The live run is the first branch; every other branch its fork left
-    pending runs the schedule from a copy of the setup under a
-    :class:`~eprweave.gates.Fork` of its own, which shares that pending
-    list, each record through its
-    executor (looked up once, by :func:`~eprweave.locc.prepare`), sending
-    every message and running every check again. A branch's outcomes and
-    probabilities are read off its transcript where the schedule measures.
-    Those runs differ only in their tableaux's signs, so while they run
-    the setup factors are armed (:func:`~eprweave.stabilizer.memoized`) if
-    the live run's largest factor has at most MEMO_MAX_QUBITS qubits.
-    ``"all"`` covers every live outcome vector, or FALLBACK_SAMPLES streams
-    when the schedule has more than BRANCH_CAP; N covers the vectors that
-    N seeded streams reach, so one stream is just the live run.
+    Every protocol measurement is a fair coin, and whether one is random
+    depends on the tableau's shape alone, so the live run's m measurements
+    fix the branches: all 2^m outcome vectors for ``"all"`` (the vectors
+    FALLBACK_SAMPLES streams draw above BRANCH_CAP), and for N the vectors
+    N seeded streams draw, each ``random() < 0.5`` per measurement; stream
+    0 drew the live run's. They run in increasing order: the live vector
+    is ``work``, and every other runs the schedule from a copy of the setup
+    under ``Fork(vector)``, each record through its executor (looked up
+    once, by :func:`~eprweave.locc.prepare`), with every message and
+    check. Those runs differ only in their tableaux's signs, so while they
+    run the setup factors are armed (:func:`~eprweave.stabilizer.memoized`)
+    if the live run's largest factor has at most MEMO_MAX_QUBITS qubits.
     """
     start = len(net.transcript)
     schedule = work.transcript[start:]
     # every executor appends one record, so each branch measures at these positions
     measured_at = [start + i for i, rec in enumerate(schedule) if isinstance(rec, MeasureRecord)]
-    pending, executed = work.chooser.pending, [work]
-    if branches == "all" and 2 ** len(measured_at) > BRANCH_CAP:
-        branches = FALLBACK_SAMPLES
-        pending[:] = [((), [_stream(seed, i) for i in range(branches)])]
-        executed = []
-    steps = prepare(schedule) if pending else ()  # nothing left to run after the live run
-
-    def executions() -> Iterable[NetworkState]:
-        yield from executed
-        while pending:
-            fork = Fork(*pending.pop(), pending)
-            run = net.copy()
-            for execute, rec in steps:
-                execute(run, rec, fork)
-            yield run
+    m, live = len(measured_at), tuple(work.transcript[i].bit for i in measured_at)
+    if branches == "all" and 2**m <= BRANCH_CAP:
+        vectors, others = itertools.product((0, 1), repeat=m), m > 0
+    else:  # held as m bytes of 0 or 1, 1/8 the size of a tuple, and sorted alike
+        drawn = set() if branches == "all" else {bytes(live)}  # stream 0 drew the live run's
+        branches = FALLBACK_SAMPLES if branches == "all" else branches
+        for i in range(len(drawn), branches):
+            rng = _stream(seed, i)
+            drawn.add(bytes(1 if rng.random() < 0.5 else 0 for _ in range(m)))
+        vectors, others = map(tuple, sorted(drawn)), drawn != {bytes(live)}
+    steps = prepare(schedule) if others else ()  # nothing left to run after the live run
 
     records, transcript = [], None
-    armed = net.factors() if pending and work.peak_factor_qubits <= MEMO_MAX_QUBITS else ()
+    armed = net.factors() if others and work.peak_factor_qubits <= MEMO_MAX_QUBITS else ()
     with memoized(armed):
-        for leaf in executions():
+        for vector in vectors:
+            if vector == live:
+                leaf = work
+            else:
+                leaf, fork = net.copy(), Fork(vector)
+                for execute, rec in steps:
+                    execute(leaf, rec, fork)
             if max_register is not None and leaf.peak_factor_qubits > max_register:
                 raise ProtocolError(f"working register grew to {leaf.peak_factor_qubits} qubits")
             done = leaf.transcript
             fidelity = verify_ghz(leaf, designated, strict=True)
-            bits, prob = [], 1.0
-            for i in measured_at:
-                rec = done[i]
-                bits.append(rec.bit)
-                prob *= rec.probability
-            records.append(BranchRecord(tuple(bits), prob, fidelity))
+            prob = math.prod((done[i].probability for i in measured_at), start=1.0)
+            records.append(BranchRecord(vector, prob, fidelity))
             transcript = transcript or tuple(done)  # the lowest branch runs first
-    records.sort(key=lambda rec: rec.outcomes)
     return ProtocolReport(
         protocol=protocol,
         n=net.n,

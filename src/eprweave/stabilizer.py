@@ -58,7 +58,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import EntanglementError
-from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId, choose_outcome, require_dense
+from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId, choose_outcome
 
 if TYPE_CHECKING:
     from .statevec import StateVector
@@ -502,7 +502,7 @@ class Tableau:
         """
         import numpy as np
 
-        from .statevec import StateVector
+        from .statevec import StateVector, require_dense
 
         require_dense(self.n)
         flipping, diagonal = _eliminate(self.rows, _x_part)

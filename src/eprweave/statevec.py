@@ -25,9 +25,9 @@ against. No dense register grows beyond ``DENSE_QUBIT_LIMIT`` qubits:
 building one raises ``ResourceError`` before it is allocated.
 
 This is the one module that imports numpy at the top. Gates,
-``MeasurementOutcome``, ``choose_outcome``, the tolerances and the limit
-live in :mod:`eprweave.gates`, which the tableau and the network model
-share, and are re-exported here.
+``MeasurementOutcome``, ``choose_outcome`` and the tolerances live in
+:mod:`eprweave.gates`, which the tableau and the network model share, and
+are re-exported here; the dense-register limit is this module's own.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EntanglementError, ZeroProbabilityError
+from .errors import EntanglementError, ResourceError, ZeroProbabilityError
 # the vocabulary both backends share, re-exported for ``from .statevec import ...``
 from .gates import (  # noqa: F401
     CNOT,
-    DENSE_QUBIT_LIMIT,
     GATE_KINDS,
     NORM_TOL,
     PROB_FLOOR,
@@ -53,10 +52,21 @@ from .gates import (  # noqa: F401
     X,
     Z,
     choose_outcome,
-    require_dense,
 )
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+#: The largest dense register: 2**24 complex128 amplitudes are 256 MiB a copy.
+DENSE_QUBIT_LIMIT = 24
+
+
+def require_dense(n: int) -> None:
+    """Refuse a dense register over ``DENSE_QUBIT_LIMIT`` qubits."""
+    if n > DENSE_QUBIT_LIMIT:
+        raise ResourceError(
+            f"a dense register of {n} qubits needs {16 * 2**n / 2**20:,.0f} MiB per copy, "
+            f"over the {DENSE_QUBIT_LIMIT}-qubit limit"
+        )
 
 
 def _split(amps: np.ndarray, positions: Sequence[int]) -> np.ndarray:
@@ -184,7 +194,7 @@ class StateVector:
         """Measure one qubit in the computational basis.
 
         ``choose`` selects the branch: a forced bit (0/1) or a callable
-        ``(p0, p1) -> bit``, such as a seeded ``Fork(streams=[rng])``.
+        ``(p0, p1) -> bit``, such as a seeded ``Fork(rng=rng)``.
         Forcing a branch of probability below 1e-12 raises
         ``ZeroProbabilityError``. The returned state is the full register,
         projected and renormalized.

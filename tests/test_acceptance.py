@@ -280,7 +280,7 @@ def test_acceptance_3_disconnected_networks_rejected_and_loccproof(tmp_path):
 def _random_split_setup(rng):
     """Two independently entangled agent islands with no shared pair."""
     a, b = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    net = NetworkState(a + b, chooser=Fork(streams=[rng]))
+    net = NetworkState(a + b, chooser=Fork(rng=rng))
     left = list(range(1, a + 1))
     right = list(range(a + 1, a + b + 1))
     for island in (left, right):

@@ -235,7 +235,7 @@ def test_every_kind_of_chooser_measures_with_numpy_refused(tmp_path):
         from eprweave import Fork, NetworkState, replay_transcript
         from eprweave.streams import stream
 
-        choosers = [1, lambda p0, p1: 1, Fork((1,)), Fork(streams=[stream(0, 0)])]
+        choosers = [1, lambda p0, p1: 1, Fork((1,)), Fork(rng=stream(0, 0))]
         for choose in choosers:
             net = NetworkState(2)
             qa, qb = net.distribute_epr(1, 2)

@@ -431,7 +431,7 @@ def test_disconnected_setup_has_zero_cross_entropy():
 
 def test_local_operations_cannot_entangle_a_zero_cut():
     rng = np.random.default_rng(11)
-    net = NetworkState(4, chooser=Fork(streams=[rng]))
+    net = NetworkState(4, chooser=Fork(rng=rng))
     q1, q2 = net.distribute_epr(1, 2)
     q3, q4 = net.distribute_epr(3, 4)
     x1 = net.add_ancilla(1)
@@ -679,7 +679,7 @@ def split_network_ops(draw):
 def test_random_local_scripts_preserve_zero_cuts(case):
     setups, script, seed = case
     rng = np.random.default_rng(seed)
-    net = NetworkState(4, chooser=Fork(streams=[rng]))
+    net = NetworkState(4, chooser=Fork(rng=rng))
     for s in setups:
         members = (1, 2) if s.endswith("12") else (3, 4)
         if s.startswith("epr"):

@@ -7,7 +7,9 @@ measurement branches.
 """
 
 import heapq
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from eprweave.protocols import (
     verify_ghz,
 )
 from eprweave.statevec import CNOT, H, StateVector, X, Z, ghz_state
+from eprweave.streams import stream
 from eprweave.topology import (
     EntangledHypergraph,
     SpanningTree,
@@ -584,7 +587,7 @@ def test_sampled_branches_are_those_each_stream_reaches_on_its_own():
     reached = set()
     for i in range(12):  # one full run of the schedule per stream
         rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(i,)))
-        run, fork = net.copy(), Fork(streams=[rng])
+        run, fork = net.copy(), Fork(rng=rng)
         for rec in schedule:
             run.apply(rec, choose=fork if isinstance(rec, MeasureRecord) else None)
         reached.add(tuple(r.bit for r in run.transcript if isinstance(r, MeasureRecord)))
@@ -605,6 +608,47 @@ def test_branch_cap_fallback_is_decided_before_any_branch_runs(monkeypatch):
     assert report.branch_mode == "sample:1024"
     assert len(calls) == len(report.branches) == 64
     assert report.to_dict() == protocol_two(*tree_network(edges), branches=1024).to_dict()
+
+
+@pytest.mark.parametrize("branches", ["all", 3])
+def test_branches_run_in_increasing_order_and_the_lowest_gives_the_transcript(branches):
+    # at seed 0 on this path, stream 0 (the live run) draws 0101 and stream 2 draws 0100
+    report = protocol_two(*tree_network([(1, 2), (2, 3), (3, 4)]), branches=branches, seed=0)
+    outcomes = [b.outcomes for b in report.branches]
+    m = len(outcomes[0])
+    if branches == "all":
+        assert outcomes == list(itertools.product((0, 1), repeat=m))
+    else:
+        rng = stream(0, 0)
+        live = tuple(1 if rng.random() < 0.5 else 0 for _ in range(m))
+        assert live in outcomes and live != outcomes[0]
+        assert outcomes == sorted(outcomes)
+    measured = tuple(r.bit for r in report.transcript if isinstance(r, MeasureRecord))
+    assert measured == outcomes[0]
+
+
+class _LiveRunDone(Exception):
+    pass
+
+
+def test_an_exhaustive_live_run_holds_no_more_than_a_sampled_one(monkeypatch):
+    # the live run of "all" keeps no list of the branches it did not take
+    def stop(*args, **kwargs):
+        raise _LiveRunDone
+
+    monkeypatch.setattr(protocols, "_explore", stop)
+    edges = [(i, i + 1) for i in range(1, 256)]
+    peaks = {}
+    for branches in (1, "all"):
+        net, tree = tree_network(edges)
+        tracemalloc.start()
+        try:
+            with pytest.raises(_LiveRunDone):
+                protocol_two(net, tree, branches=branches)
+            peaks[branches] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["all"] <= 1.1 * peaks[1], peaks
 
 
 def test_weave_is_insensitive_to_hop_ordering():

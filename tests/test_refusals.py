@@ -8,7 +8,7 @@ import pytest
 from eprweave.cli import parse_spec
 from eprweave.errors import NetworkSpecError, ProtocolError
 from eprweave.gates import X
-from eprweave.locc import NetworkState, replay_transcript
+from eprweave.locc import NetworkState, SetupRecord, replay_transcript
 from eprweave.protocols import (
     CorrectionRule,
     protocol_one,
@@ -72,6 +72,18 @@ REFUSALS = {
         _setup_skipped_as_a_message,
         ValueError,
         r"transcript entry 0 is not a message",
+    ),
+    "replay_transcript, 3-agent epr record": (
+        lambda: replay_transcript(3, [SetupRecord("epr", (1, 2, 3), (1, 2, 3))]),
+        ValueError,
+        r"SetupRecord\(kind='epr', agents=\(1, 2, 3\), qubits=\(1, 2, 3\)\) is neither "
+        r"a 2-agent 'epr' record nor a 'ghz' record",
+    ),
+    "replay_transcript, unknown setup kind": (
+        lambda: replay_transcript(3, [SetupRecord("bogus", (1, 2), (1, 2))]),
+        ValueError,
+        r"SetupRecord\(kind='bogus', agents=\(1, 2\), qubits=\(1, 2\)\) is neither "
+        r"a 2-agent 'epr' record nor a 'ghz' record",
     ),
     "EprGraph.weight, missing edge": (
         lambda: EprGraph(3, [(1, 2), (2, 3)]).weight(3, 1),

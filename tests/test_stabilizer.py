@@ -167,7 +167,7 @@ def test_measure_out_follows_the_chooser_contract():
     assert rest.to_statevector().fidelity(StateVector((1, 3), [0, 0, 0, 1])) == 1.0
     with pytest.raises(ValueError, match="forced bit"):
         t.measure_out(2, 2)
-    out, _ = t.measure_out(1, Fork(streams=[np.random.default_rng(0)]))
+    out, _ = t.measure_out(1, Fork(rng=np.random.default_rng(0)))
     assert out.probability == 0.5
     certain = Tableau.zeros((1, 2)).apply(X(2))
     with pytest.raises(ZeroProbabilityError):
@@ -250,7 +250,7 @@ def test_a_chooser_that_returns_no_bit_leaves_the_network_untouched(bad):
 def test_a_seeded_generator_draws_alike_on_both_backends():
     states = _chooser_states()
     t_rng, d_rng, reference = (np.random.default_rng(2024) for _ in range(3))
-    t_fork, d_fork = Fork(streams=[t_rng]), Fork(streams=[d_rng])
+    t_fork, d_fork = Fork(rng=t_rng), Fork(rng=d_rng)
     for i in range(60):
         p1 = (0.5, 0.0, 0.5, 1.0)[i % 4]
         tableau, dense = states[p1]

@@ -290,7 +290,7 @@ def test_measure_with_generator_is_reproducible():
     bits = []
     for _ in range(2):
         gen = np.random.default_rng(7)
-        fork = Fork(streams=[gen])
+        fork = Fork(rng=gen)
         bits.append([bell_pair(0, 1).measure(0, fork)[0].bit for _ in range(20)])
     assert bits[0] == bits[1]
     assert set(bits[0]) == {0, 1}
