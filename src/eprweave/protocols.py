@@ -38,8 +38,9 @@ FIDELITY_TOL = 1e-10
 BRANCH_CAP = 2**20
 FALLBACK_SAMPLES = 1024
 #: The most sample streams a run takes. They are built one at a time after
-#: the live run, so this bounds the runs and the drawn outcome vectors held
-#: before the first branch runs: at most 2^16, of m bytes for m measurements.
+#: the live run, so this bounds the runs and the distinct outcome vectors
+#: drawn, each a tuple of m ints for m measurements that its branch's
+#: record keeps: about 8*m bytes apiece plus the tuple header.
 SAMPLE_CAP = 2**16
 #: Branches after the live run replay memoized tableau transitions when the
 #: live run's largest factor has at most this many qubits. The memo keeps
@@ -208,13 +209,13 @@ def _explore(
     m, live = len(measured_at), tuple(work.transcript[i].bit for i in measured_at)
     if branches == "all" and 2**m <= BRANCH_CAP:
         vectors, others = itertools.product((0, 1), repeat=m), m > 0
-    else:  # held as m bytes of 0 or 1, 1/8 the size of a tuple, and sorted alike
-        drawn = set() if branches == "all" else {bytes(live)}  # stream 0 drew the live run's
+    else:
+        drawn = set() if branches == "all" else {live}  # stream 0 drew the live run's
         branches = FALLBACK_SAMPLES if branches == "all" else branches
         for i in range(len(drawn), branches):
             rng = _stream(seed, i)
-            drawn.add(bytes(1 if rng.random() < 0.5 else 0 for _ in range(m)))
-        vectors, others = map(tuple, sorted(drawn)), drawn != {bytes(live)}
+            drawn.add(tuple(1 if rng.random() < 0.5 else 0 for _ in range(m)))
+        vectors, others = sorted(drawn), drawn != {live}
     steps = prepare(schedule) if others else ()  # nothing left to run after the live run
 
     records, transcript = [], None
