@@ -2,8 +2,8 @@
 pre-shared EPR pairs and grows group entanglement across hypergraphs.
 
 Protocol runs simulate on the stabilizer tableau (:mod:`eprweave.stabilizer`)
-and import no numpy; a sampled run draws from pure-Python streams
-(:mod:`eprweave.streams`). Only ``Tableau.to_statevector`` and the dense
+and import no numpy; a sampled run draws from the standard library's
+``random.Random``. Only ``Tableau.to_statevector`` and the dense
 register (:mod:`eprweave.statevec`) load numpy. The dense register is the
 oracle the tests check the tableau against; it is not part of this
 namespace.

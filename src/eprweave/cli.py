@@ -12,11 +12,11 @@ and drives the weaving protocols over it.  Every run is deterministic:
 reports written with ``--report`` are byte-identical for the same spec,
 seed, and flags.
 
-Exit codes: 0 on success, 1 on input or protocol errors, 2 when the spec
-is rejected because the entanglement network is disconnected (a spanning
-GHZ state is reachable by local operations and classical communication if
-and only if the network is connected, so a disconnected spec is refused
-before any quantum operation).
+Exit codes: 0 on success, 1 on input, usage or protocol errors, 2 when
+the spec is rejected because the entanglement network is disconnected (a
+spanning GHZ state is reachable by local operations and classical
+communication if and only if the network is connected, so a disconnected
+spec is refused before any quantum operation).
 """
 
 from __future__ import annotations
@@ -202,19 +202,24 @@ def load_spec(path: str) -> NetworkSpec:
 def _branches(value: str):
     if value == "all":
         return "all"
-    if value.startswith("sample:"):
-        count = value.split(":", 1)[1]
-        if count.isdigit() and int(count) > 0:
-            return int(count)
-    raise argparse.ArgumentTypeError(
-        f"{value!r} is not 'all' or 'sample:N' with positive N"
-    )
+    kind, _, count = value.partition(":")
+    if kind == "sample" and count.isascii() and count.isdigit() and int(count) > 0:
+        return int(count)
+    raise argparse.ArgumentTypeError(f"{value!r} is not 'all' or 'sample:N' with positive N")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as input errors do: 2 means a disconnected network."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on first use and then shared."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eprweave",
         description="Weave GHZ states out of pre-shared EPR pairs and group states.",
     )
@@ -282,9 +287,9 @@ def _tree_summary(tree: SpanningTree, g: EprGraph) -> dict:
 
 
 def _protocol_result(report) -> dict:
-    result = report.to_dict()
-    result["ok"] = report.worst_fidelity >= 1 - 1e-10
-    return result
+    from .protocols import FIDELITY_TOL
+
+    return dict(report.to_dict(), ok=report.worst_fidelity >= 1 - FIDELITY_TOL)
 
 
 def _print_branches(report, out) -> None:

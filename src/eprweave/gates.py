@@ -80,9 +80,9 @@ class Fork:
     """Branch chooser for one execution of a protocol's schedule.
 
     Measurement i takes ``prefix[i]``; each later one draws
-    ``rng.random() < p1`` if a stream ``rng`` is given, else takes the
-    lowest live outcome. A stream is anything with a ``random()`` method,
-    such as :func:`eprweave.streams.stream` or a numpy ``Generator``.
+    ``rng.random() < p1`` if a generator ``rng`` is given, else takes the
+    lowest live outcome. A generator is anything with a ``random()``
+    method, such as a ``random.Random`` or a numpy ``Generator``.
 
     ``Fork(outcomes)`` pins one branch for a whole schedule, and
     ``Fork(rng=rng)`` samples one.

@@ -756,11 +756,14 @@ def replay_transcript(
     outcomes forced to their recorded bits, so a faithful replay
     reproduces the transcript record-for-record, checks included; a
     changed bit replays another branch and its checks. ``skip_messages``
-    censors the given transcript indices (which must be messages); any
+    censors the given transcript indices, which must be messages of this
+    transcript: any other index is refused before anything runs. Any
     later operation conditioned on a censored bit then fails with a
     conditioning violation, which is exactly the soundness check.
     """
     skip = set(skip_messages)
+    if outside := skip.difference(range(len(transcript))):
+        raise ValueError(f"cannot censor entries {sorted(outside)} outside range({len(transcript)})")
     net = NetworkState(n)
     for i, rec in enumerate(transcript):
         if i in skip:

@@ -7,10 +7,10 @@ so the LOCC checks apply to the protocols themselves.
 Protocols succeed on *every* measurement branch. A protocol's schedule
 never depends on measured bits, so each protocol body runs live once, on
 one branch, and its transcript is the schedule. Every other branch, of
-all of them or of those that seeded sample streams draw when exhaustive
-enumeration would blow up, runs that schedule from the setup state
-through :meth:`NetworkState.apply`, with every message and check. Every
-branch sends the same messages, which is what makes cbit counts
+all of them or of a seeded sample when exhaustive enumeration would blow
+up, runs that schedule from the setup state through
+:meth:`NetworkState.apply`, with every message and check. Every branch
+sends the same messages, which is what makes cbit counts
 branch-independent.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from random import Random
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EntanglementError, ProtocolError, ResourceError
@@ -30,17 +31,13 @@ from .topology import AgentId, EntangledHypergraph, SpanningTree, bfs_edges, mer
 if TYPE_CHECKING:
     import numpy as np
 
-    from .streams import Stream
-
 FIDELITY_TOL = 1e-10
 
 #: Exhaustive branch walking switches to sampling beyond this many branches.
 BRANCH_CAP = 2**20
 FALLBACK_SAMPLES = 1024
-#: The most sample streams a run takes. They are built one at a time after
-#: the live run, so this bounds the runs and the distinct outcome vectors
-#: drawn, each a tuple of m ints for m measurements that its branch's
-#: record keeps: about 8*m bytes apiece plus the tuple header.
+#: The most sampled branches a run takes: it bounds the runs and the branch
+#: records kept, each with a tuple of m outcome ints (about 8*m bytes).
 SAMPLE_CAP = 2**16
 #: Branches after the live run replay memoized tableau transitions when the
 #: live run's largest factor has at most this many qubits. The memo keeps
@@ -146,19 +143,13 @@ class CorrectionRule:
 # branch exploration
 
 
-def _stream(seed: int, i: int) -> Stream:
-    from .streams import stream  # only sampled runs need it
-
-    return stream(seed, i)
-
-
 def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
     """The copy of ``net`` a protocol body runs on, once: its
     :class:`~eprweave.gates.Fork` takes the lowest live branch for
-    ``"all"``, else the branch that sample stream 0 draws. A count below
-    1, or over SAMPLE_CAP, and a negative seed are refused before any
-    stream is built, whether or not the run would build one."""
-    if seed < 0:  # numpy's own text, as the streams give it
+    ``"all"``, else the first branch that ``Random(seed)`` draws. A count
+    below 1, or over SAMPLE_CAP, and a negative seed are refused before
+    anything is built, whether or not the run would draw."""
+    if seed < 0:  # the text numpy gave when it drew the samples
         raise ValueError("expected non-negative integer")
     if branches != "all":
         if type(branches) is not int or branches < 1:
@@ -167,11 +158,11 @@ def _live(net: NetworkState, branches: str | int, seed: int) -> NetworkState:
             )
         if branches > SAMPLE_CAP:
             raise ResourceError(
-                f"sample:{branches} needs {branches:,} sample streams of about 150 bytes each, "
+                f"sample:{branches} asks for {branches:,} sampled branches, "
                 f"over the limit of {SAMPLE_CAP:,}"
             )
     work = net.copy()
-    work.chooser = Fork() if branches == "all" else Fork(rng=_stream(seed, 0))
+    work.chooser = Fork() if branches == "all" else Fork(rng=Random(seed))
     return work
 
 
@@ -191,10 +182,11 @@ def _explore(
 
     Every protocol measurement is a fair coin, and whether one is random
     depends on the tableau's shape alone, so the live run's m measurements
-    fix the branches: all 2^m outcome vectors for ``"all"`` (the vectors
-    FALLBACK_SAMPLES streams draw above BRANCH_CAP), and for N the vectors
-    N seeded streams draw, each ``random() < 0.5`` per measurement; stream
-    0 drew the live run's. They run in increasing order: the live vector
+    fix the branches: all 2^m outcome vectors for ``"all"``, and for N the
+    first N that ``Random(seed)`` draws, each m draws of ``random() <
+    0.5``: the live run drew the first on its generator, which goes on.
+    Above BRANCH_CAP, ``"all"`` takes ``sample:FALLBACK_SAMPLES``'s, from
+    a fresh ``Random(seed)``. They run in increasing order: the live vector
     is ``work``, and every other runs the schedule from a copy of the setup
     under ``Fork(vector)``, each record through its executor (looked up
     once, by :func:`~eprweave.locc.prepare`), with every message and
@@ -210,10 +202,10 @@ def _explore(
     if branches == "all" and 2**m <= BRANCH_CAP:
         vectors, others = itertools.product((0, 1), repeat=m), m > 0
     else:
-        drawn = set() if branches == "all" else {live}  # stream 0 drew the live run's
+        # sample:N goes on from the live run's generator, the fallback from a fresh one
+        drawn, rng = (set(), Random(seed)) if branches == "all" else ({live}, work.chooser.rng)
         branches = FALLBACK_SAMPLES if branches == "all" else branches
-        for i in range(len(drawn), branches):
-            rng = _stream(seed, i)
+        for _ in range(len(drawn), branches):
             drawn.add(tuple(1 if rng.random() < 0.5 else 0 for _ in range(m)))
         vectors, others = sorted(drawn), drawn != {live}
     steps = prepare(schedule) if others else ()  # nothing left to run after the live run

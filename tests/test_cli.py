@@ -234,6 +234,42 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert done.stderr.startswith("rejected:")
 
 
+def test_sampled_reports_are_the_same_in_every_process(tmp_path):
+    # one generator per run, seeded by an int: its draws depend neither on
+    # the process nor on PYTHONHASHSEED
+    import eprweave
+
+    src = str(Path(eprweave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path13 = "agents 13\n" + "".join(f"edge {v} {v + 1}\n" for v in range(1, 13))
+    calls = {
+        "sample": ["weave", write(tmp_path, STAR5, "star.spec"), "--branches", "sample:8", "--seed", "5"],
+        # 22 measurements: over 2^20 branches, so 1024 sampled ones
+        "fallback": ["weave", write(tmp_path, path13), "--branches", "all"],
+    }
+    script = "from eprweave.cli import run\n" + "".join(
+        f"assert run({argv + ['--report', name + '.json']!r}) == 0\n" for name, argv in calls.items()
+    )
+    for hashseed in ("0", "1"):
+        (tmp_path / hashseed).mkdir()
+        subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path / hashseed,
+            check=True,
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hashseed),
+            timeout=120,
+        )
+    for name in calls:
+        assert (tmp_path / "0" / f"{name}.json").read_bytes() == (
+            tmp_path / "1" / f"{name}.json"
+        ).read_bytes(), name
+    sampled = json.loads((tmp_path / "0" / "sample.json").read_bytes())
+    assert [b["outcomes"] for b in sampled["result"]["branches"]] == [
+        "000000", "001000", "011011", "100001", "100101", "110001", "110011", "111110"
+    ]
+
+
 def test_check_handles_hypergraph_mode(tmp_path):
     code, _, _ = invoke(["check", write(tmp_path, GROUPS4)])
     assert code == 0
@@ -501,32 +537,55 @@ def test_seed_changes_sampled_reports_but_not_validity(tmp_path):
     assert da["seed"] != db["seed"]
 
 
-def test_branches_flag_validation():
-    with pytest.raises(SystemExit):
-        run(["weave", "whatever.spec", "--branches", "sample:-3"])
+def test_branches_flag_validation(capsys):
+    # usage errors exit 1, like every input error: 2 means a disconnected network
+    refused_argvs = [
+        ["weave", "whatever.spec", "--branches", "sample:-3"],
+        ["weave", "whatever.spec", "--branches", "sample:\u0663"],  # Arabic-Indic 3
+        ["weave", "whatever.spec", "--branches", "sample:\u00b2"],  # superscript 2
+        ["weave", "whatever.spec", "--seed", "abc"],
+        ["bogus"],
+    ]
+    for argv in refused_argvs:
+        with pytest.raises(SystemExit) as refused:
+            run(argv)
+        assert refused.value.code == 1, argv
+        err = capsys.readouterr().err
+        last = err.splitlines()[-1]
+        assert err.startswith("usage: eprweave") and last.startswith("eprweave")
+        assert ": error: " in last
+        if "--branches" in argv:
+            assert last.endswith("is not 'all' or 'sample:N' with positive N")
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as done:
+        run([flag])
+    assert done.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_too_many_sample_streams_exit_1_before_any_is_built(tmp_path, monkeypatch):
     from eprweave import protocols
 
-    def spy(seed, i):
-        raise AssertionError("a sample stream was built")
+    def spy(*args):
+        raise AssertionError("a sample generator was built")
 
-    monkeypatch.setattr(protocols, "_stream", spy)
+    monkeypatch.setattr(protocols, "Random", spy)
     too_many = f"sample:{protocols.SAMPLE_CAP + 1}"
     for command, text in (("ghz3", HUB3), ("weave", STAR5), ("fuse", GROUPS4)):
         code, out, err = invoke([command, write(tmp_path, text), "--branches", too_many])
         assert code == 1 and out == ""
         assert err == (
-            f"error: {too_many} needs 65,537 sample streams of about 150 bytes each, "
-            "over the limit of 65,536\n"
+            f"error: {too_many} asks for 65,537 sampled branches, over the limit of 65,536\n"
         )
 
 
 @pytest.mark.parametrize("branches", ["all", "sample:2"])
 def test_a_negative_seed_exits_1_on_every_network(tmp_path, branches):
-    # "all" builds no sample stream on these networks, a 13-agent path falls
-    # back to 1024 of them: the flag is refused alike
+    # "all" draws no sample on these networks, a 13-agent path falls back
+    # to 1024 sampled branches: the flag is refused alike
     path13 = "agents 13\n" + "".join(f"edge {v} {v + 1}\n" for v in range(1, 13))
     cases = (("ghz3", HUB3), ("weave", STAR5), ("weave", path13), ("fuse", GROUPS4))
     for command, text in cases:

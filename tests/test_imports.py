@@ -1,5 +1,5 @@
 """What each use loads: topology commands load no quantum layer, the
-tableau path and its sample streams load no numpy, the dense path does.
+tableau path and its sampled runs load no numpy, the dense path does.
 
 Each check runs in a fresh interpreter, since this one has every layer and
 numpy loaded already (the other tests import them).
@@ -148,7 +148,7 @@ def test_protocol_commands_load_the_quantum_layers_on_first_call(tmp_path):
         QUANTUM = {"eprweave.gates", "eprweave.locc", "eprweave.protocols", "eprweave.stabilizer"}
         assert not QUANTUM & set(sys.modules)
         cli("weave", "tree.spec", "--branches", "all")
-        assert QUANTUM <= set(sys.modules) and "eprweave.streams" not in sys.modules
+        assert QUANTUM <= set(sys.modules)
         """,
     )
 
@@ -233,9 +233,9 @@ def test_every_kind_of_chooser_measures_with_numpy_refused(tmp_path):
         tmp_path,
         """
         from eprweave import Fork, NetworkState, replay_transcript
-        from eprweave.streams import stream
+        from random import Random
 
-        choosers = [1, lambda p0, p1: 1, Fork((1,)), Fork(rng=stream(0, 0))]
+        choosers = [1, lambda p0, p1: 1, Fork((1,)), Fork(rng=Random(0))]
         for choose in choosers:
             net = NetworkState(2)
             qa, qb = net.distribute_epr(1, 2)

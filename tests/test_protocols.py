@@ -10,6 +10,7 @@ import heapq
 import itertools
 import math
 import tracemalloc
+from random import Random
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from eprweave.protocols import (
     verify_ghz,
 )
 from eprweave.statevec import CNOT, H, StateVector, X, Z, ghz_state
-from eprweave.streams import stream
 from eprweave.topology import (
     EntangledHypergraph,
     SpanningTree,
@@ -378,11 +378,11 @@ def test_group_fusion_transcript_is_that_of_the_owner_scan(monkeypatch):
 def test_sample_streams_over_the_cap_are_refused_before_any_is_built(monkeypatch):
     built = []
 
-    def spy(seed, i):
-        built.append(i)
-        raise AssertionError("a sample stream was built")
+    def spy(*args):
+        built.append(args)
+        raise AssertionError("a sample generator was built")
 
-    monkeypatch.setattr(protocols, "_stream", spy)
+    monkeypatch.setattr(protocols, "Random", spy)
     too_many = protocols.SAMPLE_CAP + 1
     h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])
     tree = SpanningTree.from_edges(3, [(1, 2), (1, 3)])
@@ -392,7 +392,7 @@ def test_sample_streams_over_the_cap_are_refused_before_any_is_built(monkeypatch
         lambda: protocol_three(setup_group_network(h), h, branches=too_many),
     ]
     for run in runs:
-        with pytest.raises(ResourceError, match=f"sample:{too_many} needs 65,537 sample streams"):
+        with pytest.raises(ResourceError, match=f"sample:{too_many} asks for 65,537 sampled branches"):
             run()
     assert built == []
 
@@ -401,10 +401,10 @@ def test_sample_streams_over_the_cap_are_refused_before_any_is_built(monkeypatch
 def test_branch_counts_other_than_positive_ints_are_refused_before_any_stream(
     monkeypatch, count
 ):
-    def spy(seed, i):
-        raise AssertionError("a sample stream was built")
+    def spy(*args):
+        raise AssertionError("a sample generator was built")
 
-    monkeypatch.setattr(protocols, "_stream", spy)
+    monkeypatch.setattr(protocols, "Random", spy)
     h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])
     tree = SpanningTree.from_edges(3, [(1, 2), (1, 3)])
     nets = [setup_epr_network(3, tree.edges), setup_group_network(h)]
@@ -423,11 +423,11 @@ def test_branch_counts_other_than_positive_ints_are_refused_before_any_stream(
 
 @pytest.mark.parametrize("branches", ["all", 2])
 def test_a_negative_seed_is_refused_in_every_branch_mode(monkeypatch, branches):
-    # "all" on these networks builds no stream, yet the seed is refused alike
-    def spy(seed, i):
-        raise AssertionError("a sample stream was built")
+    # "all" on these networks draws no sample, yet the seed is refused alike
+    def spy(*args):
+        raise AssertionError("a sample generator was built")
 
-    monkeypatch.setattr(protocols, "_stream", spy)
+    monkeypatch.setattr(protocols, "Random", spy)
     h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])
     tree = SpanningTree.from_edges(3, [(1, 2), (1, 3)])
     nets = [setup_epr_network(3, tree.edges), setup_group_network(h)]
@@ -584,9 +584,8 @@ def test_sampled_branches_are_those_each_stream_reaches_on_its_own():
     net, tree = tree_network(prufer_tree(6, (2, 2, 5, 5)), n=6)
     report = protocol_two(net, tree, branches=12, seed=5)
     schedule = report.transcript[len(net.transcript) :]
-    reached = set()
-    for i in range(12):  # one full run of the schedule per stream
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(i,)))
+    reached, rng = set(), Random(5)
+    for _ in range(12):  # 12 full runs of the schedule, one after another on one generator
         run, fork = net.copy(), Fork(rng=rng)
         for rec in schedule:
             run.apply(rec, choose=fork if isinstance(rec, MeasureRecord) else None)
@@ -612,14 +611,14 @@ def test_branch_cap_fallback_is_decided_before_any_branch_runs(monkeypatch):
 
 @pytest.mark.parametrize("branches", ["all", 3])
 def test_branches_run_in_increasing_order_and_the_lowest_gives_the_transcript(branches):
-    # at seed 0 on this path, stream 0 (the live run) draws 0101 and stream 2 draws 0100
-    report = protocol_two(*tree_network([(1, 2), (2, 3), (3, 4)]), branches=branches, seed=0)
+    # at seed 3 on this path, the live run draws 1010 and the two runs after it 0110 and 1101
+    report = protocol_two(*tree_network([(1, 2), (2, 3), (3, 4)]), branches=branches, seed=3)
     outcomes = [b.outcomes for b in report.branches]
     m = len(outcomes[0])
     if branches == "all":
         assert outcomes == list(itertools.product((0, 1), repeat=m))
     else:
-        rng = stream(0, 0)
+        rng = Random(3)
         live = tuple(1 if rng.random() < 0.5 else 0 for _ in range(m))
         assert live in outcomes and live != outcomes[0]
         assert outcomes == sorted(outcomes)

@@ -32,9 +32,9 @@ def _measured_without_a_chooser():
     net.local_measure(1, qa)
 
 
-def _setup_skipped_as_a_message():
-    net = setup_epr_network(2, [(1, 2)])
-    replay_transcript(2, net.transcript, skip_messages=[0])
+def _censored(index):
+    net = setup_epr_network(2, [(1, 2)])  # one record: the pair's setup
+    replay_transcript(2, net.transcript, skip_messages=[index])
 
 
 PATH3 = EntangledHypergraph(3, [(1, 2), (2, 3)])
@@ -69,9 +69,24 @@ REFUSALS = {
         r"unknown transcript record <object object at 0x[0-9a-f]+>",
     ),
     "replay_transcript, setup skipped": (
-        _setup_skipped_as_a_message,
+        lambda: _censored(0),
         ValueError,
         r"transcript entry 0 is not a message",
+    ),
+    "replay_transcript, censored index past the end": (
+        lambda: _censored(999),
+        ValueError,
+        r"cannot censor entries \[999\] outside range\(1\)",
+    ),
+    "replay_transcript, censored index counted from the end": (
+        lambda: _censored(-1),
+        ValueError,
+        r"cannot censor entries \[-1\] outside range\(1\)",
+    ),
+    "replay_transcript, censored index one past the last": (
+        lambda: _censored(1),
+        ValueError,
+        r"cannot censor entries \[1\] outside range\(1\)",
     ),
     "replay_transcript, 3-agent epr record": (
         lambda: replay_transcript(3, [SetupRecord("epr", (1, 2, 3), (1, 2, 3))]),

@@ -19,7 +19,7 @@ fallback, contained, duplicate and EPR groups under ``fuse``, runs on both
 sides of the branch explorer's memo bound (an 80-agent ``fuse`` staircase
 and a sampled 30-agent weave), a wide fan-out of sampled
 fusion broadcasts (a chain of 3-agent groups over 61 agents), one run that
-asks for more sample streams than ``SAMPLE_CAP``, disconnected networks under
+asks for more sampled branches than ``SAMPLE_CAP``, disconnected networks under
 every command (among them one whose lowest unreached agent is not 2,
 groups that leave one agent out, and three group components where agent 1
 is outside the largest group), refused specs, one malformed spec per
@@ -85,14 +85,14 @@ def corpus():
         for step2 in ("symmetric", "zeilinger"):
             yield f"weave-{name}-{step2}", text, ["weave", "--step2", step2, "--verbose"]
     yield "weave-fallback-13", _edges(13, [(v, v + 1) for v in range(1, 13)]), ["weave"]
-    # a seed of four uint32 words, and a negative seed, which is refused
+    # a seed wider than 64 bits, and a negative seed, which is refused
     yield "weave-path-sample-16-seed-97-bit", trees["path"], [
         "weave", "--branches", "sample:16", "--seed", str(2**96 + 987654321), "--verbose"
     ]
     yield "weave-path-sample-2-seed-negative", trees["path"], [
         "weave", "--branches", "sample:2", "--seed", "-1"
     ]
-    # refused too, though exhaustive "all" builds no stream on this tree
+    # refused too, though exhaustive "all" draws no sample on this tree
     yield "weave-path-all-seed-negative", trees["path"], [
         "weave", "--branches", "all", "--seed", "-1"
     ]
@@ -110,10 +110,10 @@ def corpus():
     path30 = _edges(30, [(v, v + 1) for v in range(1, 30)])
     yield "weave-path-30-sample-8", path30, ["weave", "--branches", "sample:8", "--verbose"]
 
-    # 29 merges, each broadcasting its outcome to all 61 agents, on 8 streams
+    # 29 merges, each broadcasting its outcome to all 61 agents, on 8 sampled branches
     chain = _groups(61, [(v, v + 1, v + 2) for v in range(1, 60, 2)])
     yield "fuse-chain-61-sample-8", chain, ["fuse", "--branches", "sample:8", "--verbose"]
-    # one stream more than SAMPLE_CAP (2^16) is refused before any is built
+    # one sampled branch more than SAMPLE_CAP (2^16) is refused before any runs
     yield "ghz3-sample-65537", hub, ["ghz3", "--branches", "sample:65537"]
 
     refused = {
