@@ -31,11 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    ConnectivityError,
-    EprWeaveError,
-    NetworkSpecError,
-)
+from .errors import ConnectivityError, EprWeaveError, NetworkSpecError
 from .topology import (
     EntangledHypergraph,
     EprGraph,
@@ -110,13 +106,21 @@ class NetworkSpec:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
 
 
+def _number(kind, token: str):
+    """``kind(token)`` for int or float, refusing what they take beyond
+    ASCII: other scripts' digits, and underscores between digits."""
+    if token.isascii() and "_" not in token:
+        return kind(token)
+    raise ValueError(f"{token!r} is not an ASCII number")
+
+
 def _bad_number(tokens: list[str], agents: int) -> str:
     """The error for the first of ``tokens`` that is not a number: the
     first ``agents`` must be agent numbers, the rest edge weights."""
     for i, token in enumerate(tokens):
         kind, what = (int, "expected an agent number, got") if i < agents else (float, "bad edge weight")
         try:
-            kind(token)
+            _number(kind, token)
         except ValueError:
             return f"{what} {token!r}"
     raise AssertionError(f"every token of {tokens} is a number")
@@ -129,6 +133,9 @@ def parse_spec(text: str) -> NetworkSpec:
     topology layer's own checks, whose messages gain the line number. What
     those checks build is kept, so the graph is not checked a second time.
     """
+    num, real = int, float
+    if not text.isascii() or "_" in text:  # only then can a number need _number's check
+        num, real = functools.partial(_number, int), functools.partial(_number, float)
     n = None
     edges: list[tuple] = []
     hyperedges: list[tuple[int, ...]] = []
@@ -147,7 +154,7 @@ def parse_spec(text: str) -> NetworkSpec:
                 if len(tokens) != 2:
                     raise ValueError("'agents' takes exactly one number")
                 try:
-                    n = int(tokens[1])
+                    n = num(tokens[1])
                 except ValueError:
                     raise ValueError(f"bad agent count {tokens[1]!r}") from None
                 if n < 1:
@@ -158,8 +165,8 @@ def parse_spec(text: str) -> NetworkSpec:
                 if not 3 <= len(tokens) <= 4:
                     raise ValueError("'edge' takes two agents and an optional weight")
                 try:
-                    a, b = int(tokens[1]), int(tokens[2])
-                    edge = (a, b) if len(tokens) == 3 else (a, b, float(tokens[3]))
+                    a, b = num(tokens[1]), num(tokens[2])
+                    edge = (a, b) if len(tokens) == 3 else (a, b, real(tokens[3]))
                 except ValueError:
                     raise ValueError(_bad_number(tokens[1:], agents=2)) from None
                 add_edge(weights, n, *edge)
@@ -168,7 +175,7 @@ def parse_spec(text: str) -> NetworkSpec:
                 if edges:
                     raise ValueError("cannot mix 'edge' and 'hyper' lines")
                 try:
-                    members = list(map(int, tokens[1:]))
+                    members = list(map(num, tokens[1:]))
                 except ValueError:
                     raise ValueError(_bad_number(tokens[1:], agents=len(tokens))) from None
                 group = check_group(n, members)
@@ -208,12 +215,18 @@ def _branches(value: str):
     raise argparse.ArgumentTypeError(f"{value!r} is not 'all' or 'sample:N' with positive N")
 
 
+def _seed(value: str) -> int:
+    try:  # a sign is taken: the protocols refuse ``--seed -1`` themselves
+        return _number(int, value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, as input errors do: 2 means a disconnected network."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    def error(self, message):  # ``run`` writes the exit's text to its ``err``
+        raise SystemExit(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 @functools.cache
@@ -231,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", metavar="PATH", help="write a JSON report here")
         p.add_argument("--verbose", action="store_true", help="print per-branch details")
         if protocol:
-            p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+            p.add_argument("--seed", type=_seed, default=0, help="sampling seed (default 0)")
             p.add_argument(
                 "--branches",
                 type=_branches,
@@ -292,18 +305,11 @@ def _protocol_result(report) -> dict:
     return dict(report.to_dict(), ok=report.worst_fidelity >= 1 - FIDELITY_TOL)
 
 
-def _print_branches(report, out) -> None:
-    for b in report.branches:
+def _print_protocol(report, verbose: bool, out) -> None:
+    print(f"branches explored: {len(report.branches)} ({report.branch_mode})", file=out)
+    for b in report.branches if verbose else ():
         bits = "".join(map(str, b.outcomes)) or "-"
         print(f"  branch {bits}  p={b.probability!r}  fidelity={b.fidelity:.12f}", file=out)
-
-
-def _print_protocol(report, verbose: bool, out) -> None:
-    print(
-        f"branches explored: {len(report.branches)} ({report.branch_mode})", file=out
-    )
-    if verbose:
-        _print_branches(report, out)
     print(f"classical cost: {report.cbits} cbits", file=out)
     if report.epr_pairs_consumed is not None:
         print(f"EPR pairs consumed: {report.epr_pairs_consumed}", file=out)
@@ -365,8 +371,15 @@ def _write_report(document: dict, args, out) -> None:
         print(f"report written to {args.report}", file=out)
 
 
-def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
-    args = build_parser().parse_args(argv)
+def run(argv=None, out=None, err=None) -> int:
+    out, err = out or sys.stdout, err or sys.stderr  # the streams of the call, not of the import
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if not isinstance(exc.code, str):  # --help and --version
+            raise
+        print(exc.code, file=err)
+        return 1
     try:
         spec = load_spec(args.spec)
         document = {
@@ -437,10 +450,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             )
             document["result"] = _protocol_result(report)
             k = len(tree.leaves)
-            print(
-                f"weaving a {spec.n}-partite GHZ state over a tree with {k} leaves",
-                file=out,
-            )
+            print(f"weaving a {spec.n}-partite GHZ state over a tree with {k} leaves", file=out)
             _print_protocol(report, args.verbose, out)
             bound = max(1, 3 * spec.n - 5)
             print(f"classical bound: {report.cbits} <= 3n-5 = {bound}", file=out)
@@ -453,11 +463,8 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
                 setup_group_network(h), h, branches=args.branches, seed=args.seed
             )
             document["result"] = _protocol_result(report)
-            print(
-                f"fusing {len(h.hyperedges)} group states into a "
-                f"{spec.n}-partite GHZ state",
-                file=out,
-            )
+            groups = len(h.hyperedges)
+            print(f"fusing {groups} group states into a {spec.n}-partite GHZ state", file=out)
             _print_protocol(report, args.verbose, out)
             print(f"merge steps: {len(report.merge_log)}", file=out)
 

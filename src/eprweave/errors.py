@@ -14,7 +14,8 @@ class EntanglementError(EprWeaveError):
 
 
 class ResourceError(EprWeaveError):
-    """A dense register would exceed the simulator's qubit limit."""
+    """A run would exceed a resource limit: a dense register over the
+    qubit limit, or more sampled branches than ``SAMPLE_CAP``."""
 
 
 class LoccViolationError(EprWeaveError):

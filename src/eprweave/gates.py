@@ -1,15 +1,17 @@
-"""What both backends share: qubit ids, gates, measurement outcomes,
-how a measurement picks its branch, and tolerances.
+"""What both backends share: qubit ids, gates, how a measurement picks
+its branch, and tolerances.
 
 A measurement takes its branch from a chooser: a forced bit, or a
 callable ``(p0, p1) -> bit`` such as ``Fork``, the one the package builds
-for live runs, pinned replays and the branch explorer alike.
+for live runs, pinned replays and the branch explorer alike. Both
+backends return a measurement as ``(bit, probability, rest)``; the network
+model keeps it as the ``MeasureRecord`` it appends to its transcript.
 
 The stabilizer tableau (:mod:`eprweave.stabilizer`), the network model
 (:mod:`eprweave.locc`) and the protocols build on this module alone, so
 they import no numpy. The dense register (:mod:`eprweave.statevec`)
-re-exports the gates, outcomes and tolerances defined here, and keeps its
-own size limit.
+re-exports the gates and tolerances defined here, and keeps its own size
+limit.
 """
 
 from __future__ import annotations
@@ -67,15 +69,6 @@ def CNOT(control: QubitId, target: QubitId) -> Gate:
     return Gate("CNOT", (control, target))
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementOutcome:
-    """Result of one computational-basis measurement."""
-
-    qubit: QubitId
-    bit: int
-    probability: float
-
-
 class Fork:
     """Branch chooser for one execution of a protocol's schedule.
 
@@ -102,13 +95,10 @@ class Fork:
         return 0 if p0 >= PROB_FLOOR else 1
 
 
-def choose_outcome(
-    q: QubitId, choose: BranchChooser, p0: float, p1: float, made: tuple | None = None
-) -> MeasurementOutcome:
-    """Pick the branch of measuring ``q`` whose outcomes have probabilities
-    ``p0`` and ``p1``; a forced bit below ``PROB_FLOOR`` is an error.
-    ``made``, if given, holds the outcomes of bits 0 and 1, built already,
-    and the chosen one is returned.
+def choose_outcome(q: QubitId, choose: BranchChooser, p0: float, p1: float) -> int:
+    """The bit of the branch of measuring ``q`` whose outcomes have
+    probabilities ``p0`` and ``p1``; a forced bit below ``PROB_FLOOR`` is an
+    error.
 
     A callable is called, first, as a :class:`Fork` is one, and must
     return 0 or 1. Anything else is a forced bit, taken as an integer by
@@ -126,6 +116,4 @@ def choose_outcome(
     prob = p1 if bit else p0
     if prob < PROB_FLOOR:
         raise ZeroProbabilityError(f"outcome {bit} on qubit {q} has probability {prob:.3e}")
-    if made is not None:
-        return made[bit]
-    return MeasurementOutcome(q, bit, prob)
+    return bit

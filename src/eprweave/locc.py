@@ -30,22 +30,20 @@ so a copy of a network whose agents know nothing copies nothing.
 
 All operations, locks, pair claims and schedule checks mutate the
 NetworkState in place and append to its transcript, so a transcript is a
-complete schedule. Each public operation builds its record and runs it
-through the one executor for that kind of record. ``NetworkState.apply``
-runs a recorded operation through the same executor, for
+complete schedule. One executor per kind of record runs the operation,
+and three paths reach it: each public operation builds its record and
+calls its executor; ``NetworkState.apply`` looks it up, for
 ``replay_transcript`` (which can censor messages: any operation
-conditioned on a censored bit must then fail); branch exploration looks
-each record's executor up once with ``prepare`` and runs the pairs on
-every branch. An operation that reproduces its record appends that
-record itself.
+conditioned on a censored bit must then fail); and branch exploration
+runs the executor pairs that ``prepare`` looked up once. An operation
+that reproduces its record appends that record itself.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ConditioningError,
@@ -54,7 +52,7 @@ from .errors import (
     ProtocolError,
     SetupClosedError,
 )
-from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId
+from .gates import BranchChooser, Gate, QubitId
 from .stabilizer import BASIS_XZ, Tableau
 
 AgentId = int
@@ -163,17 +161,6 @@ Record = (
 )
 
 
-@dataclass
-class EprPairRecord:
-    """A setup EPR pair and whether a teleportation has consumed it."""
-
-    agent_a: AgentId
-    agent_b: AgentId
-    qubit_a: QubitId
-    qubit_b: QubitId
-    consumed: bool = False
-
-
 class NetworkState:
     """Mutable model of one protocol run over agents 1..n."""
 
@@ -190,7 +177,7 @@ class NetworkState:
         self.transcript: list[Record] = []
         self.cbit_count = 0
         self.setup_open = True
-        self.epr_pairs: list[EprPairRecord] = []
+        self.epr_pairs: list[SetupRecord] = []  # the "epr" setup records, in order
         self.peak_factor_qubits = 0
         self._factors: dict[int, Tableau] = {}  # slot -> factor, oldest slot first
         self._slot: dict[QubitId, int] = {}  # live qubit -> its factor's slot
@@ -204,11 +191,14 @@ class NetworkState:
     # -- structure ----------------------------------------------------------
 
     @property
-    def knowledge(self) -> Mapping[AgentId, dict[str, int]]:
-        """What each agent knows, label to bit: ``knowledge[a]`` is a new
-        dict of a's own labels (measured or received point to point) and
-        every label broadcast to ``ALL``. A read view; it changes nothing."""
-        return _Knowledge(self.agents, self._known, self._broadcast)
+    def knowledge(self) -> dict[AgentId, dict[str, int]]:
+        """What each agent knows, label to bit, as a new dict: ``knowledge[a]``
+        holds a's own labels (measured or received point to point) over
+        every label broadcast to ``ALL``. Reading it changes nothing."""
+        own: dict[AgentId, dict[str, int]] = {a: {} for a in self.agents}
+        for (agent, label), bit in self._known.items():
+            own[agent][label] = bit
+        return {a: {**self._broadcast, **labels} for a, labels in own.items()}
 
     def qubits_of(self, agent: AgentId) -> list[QubitId]:
         return sorted(q for q, a in self.owner.items() if a == agent)
@@ -228,10 +218,7 @@ class NetworkState:
         dup.transcript = self.transcript.copy()
         dup.cbit_count = self.cbit_count
         dup.setup_open = self.setup_open
-        dup.epr_pairs = [
-            EprPairRecord(p.agent_a, p.agent_b, p.qubit_a, p.qubit_b, p.consumed)
-            for p in self.epr_pairs
-        ]
+        dup.epr_pairs = self.epr_pairs.copy()
         dup.peak_factor_qubits = self.peak_factor_qubits
         dup._factors = self._factors.copy()  # factors are never mutated
         dup._slot = self._slot.copy()
@@ -313,8 +300,9 @@ class NetworkState:
         self._store_factor(Tableau.ghz((qa, qb)))
         key = (a, b) if a < b else (b, a)
         self._unclaimed[key] = self._unclaimed.get(key, ()) + (len(self.epr_pairs),)
-        self.epr_pairs.append(EprPairRecord(a, b, qa, qb))
-        self.transcript.append(SetupRecord("epr", (a, b), (qa, qb)))
+        rec = SetupRecord("epr", (a, b), (qa, qb))
+        self.epr_pairs.append(rec)
+        self.transcript.append(rec)
         return qa, qb
 
     def distribute_ghz(self, members: Iterable[AgentId]) -> dict[AgentId, QubitId]:
@@ -354,12 +342,13 @@ class NetworkState:
         q: QubitId,
         label: str | None = None,
         choose: BranchChooser | None = None,
-    ) -> MeasurementOutcome:
+    ) -> MeasureRecord:
         """Measure the actor's qubit; only the actor learns the outcome.
 
         The result is stored in the actor's knowledge under ``label`` and
         stays private until sent classically. The measured qubit collapses
-        and is split into its own single-qubit factor.
+        and is split into its own single-qubit factor. Returns the
+        ``MeasureRecord`` it appends, with the label, bit and probability.
         """
         # no recorded bit: without a chooser there is nothing to measure by
         placeholder = MeasureRecord(actor, q, label, None, 0.0)
@@ -464,7 +453,7 @@ class NetworkState:
     def consume_epr(self, a: AgentId, b: AgentId) -> tuple[QubitId, QubitId]:
         """Claim the first unused EPR pair between a and b, unlocking it.
 
-        Returns (a's half, b's half) and marks the pair consumed so no
+        Returns (a's half, b's half); a pair is claimed once, so no
         teleportation can use it twice.
         """
         return self._run_consume(ConsumeRecord(a, b), None)
@@ -480,7 +469,7 @@ class NetworkState:
         """Require the factor holding q to span exactly ``size`` qubits."""
         self._run_factor_size(FactorSizeRecord(q, size), None)
 
-    # -- the record interpreter ----------------------------------------------
+    # -- the executors ---------------------------------------------------------
     #
     # One executor per record kind runs the operation, with all its checks,
     # and appends its record: the given one itself when the operation
@@ -545,7 +534,7 @@ class NetworkState:
         self.transcript.append(rec)
         return applied
 
-    def _run_measure(self, rec: MeasureRecord, choose) -> MeasurementOutcome:
+    def _run_measure(self, rec: MeasureRecord, choose) -> MeasureRecord:
         actor, q, label = rec.actor, rec.qubit, rec.label
         if self.owner.get(q) != actor:
             self._require_owner(actor, (q,))
@@ -560,9 +549,8 @@ class NetworkState:
             if choose is None:
                 raise ValueError("no branch chooser configured for this measurement")
         factors, slot = self._factors, self._slot[q]
-        outcome, rest = factors[slot].measure_out(q, choose)
+        bit, probability, rest = factors[slot].measure_out(q, choose)
         self.setup_open = False
-        bit, probability = outcome.bit, outcome.probability
         if rest.qubits:  # q leaves a factor of 2 or more qubits: the peak stays
             factors[slot] = rest
             slot = self._next_slot
@@ -574,7 +562,7 @@ class NetworkState:
         if bit != rec.bit or probability != rec.probability or label != rec.label:
             rec = MeasureRecord(actor, q, label, bit, probability)
         self.transcript.append(rec)
-        return outcome
+        return rec
 
     def _run_message(self, rec: ClassicalMessage, choose) -> None:
         # by name, so that whatever wraps send_classical sees replayed messages too
@@ -621,10 +609,7 @@ class NetworkState:
             raise ProtocolError(f"no unused EPR pair between agents {a} and {b}")
         self._unclaimed[key] = unused[1:]
         pair = self.epr_pairs[unused[0]]
-        pair.consumed = True
-        halves = (pair.qubit_a, pair.qubit_b)
-        if pair.agent_a != a:
-            halves = halves[::-1]
+        halves = pair.qubits if pair.agents[0] == a else pair.qubits[::-1]
         self._locked.difference_update(halves)
         self.transcript.append(rec)
         return halves
@@ -686,30 +671,8 @@ class NetworkState:
         return total
 
 
-class _Knowledge(Mapping):
-    """:attr:`NetworkState.knowledge`: agent to the labels it knows."""
-
-    __slots__ = ("_agents", "_known", "_broadcast")
-
-    def __init__(
-        self, agents: range, known: dict[tuple[AgentId, str], int], broadcast: dict[str, int]
-    ):
-        self._agents, self._known, self._broadcast = agents, known, broadcast
-
-    def __getitem__(self, agent: AgentId) -> dict[str, int]:
-        if agent not in self._agents:
-            raise KeyError(agent)
-        own = {label: bit for (a, label), bit in self._known.items() if a == agent}
-        return {**self._broadcast, **own}
-
-    def __iter__(self) -> Iterator[AgentId]:
-        return iter(self._agents)
-
-    def __len__(self) -> int:
-        return len(self._agents)
-
-
-#: The executor of each record kind, for :meth:`NetworkState.apply`.
+#: The executor of each record kind, for :meth:`NetworkState.apply` and
+#: :func:`prepare`; a public operation calls its executor directly.
 _EXECUTORS = {
     SetupRecord: NetworkState._run_setup,
     AncillaRecord: NetworkState._run_ancilla,

@@ -8,10 +8,10 @@ Protocols succeed on *every* measurement branch. A protocol's schedule
 never depends on measured bits, so each protocol body runs live once, on
 one branch, and its transcript is the schedule. Every other branch, of
 all of them or of a seeded sample when exhaustive enumeration would blow
-up, runs that schedule from the setup state through
-:meth:`NetworkState.apply`, with every message and check. Every branch
-sends the same messages, which is what makes cbit counts
-branch-independent.
+up, runs that schedule from the setup state through the executors that
+:func:`~eprweave.locc.prepare` paired with its records, with every
+message and check. Every branch sends the same messages, which is what
+makes cbit counts branch-independent.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EntanglementError, ProtocolError, ResourceError
 from .gates import CNOT, Fork, H, QubitId, X, Z
-from .locc import ALL, MeasureRecord, NetworkState, SetupRecord, prepare
+from .locc import ALL, ConsumeRecord, MeasureRecord, NetworkState, SetupRecord, prepare
 from .stabilizer import memoized
-from .topology import AgentId, EntangledHypergraph, SpanningTree, bfs_edges, merge_schedule
+from .topology import AgentId, EntangledHypergraph, MergeStep, SpanningTree
+from .topology import bfs_edges, merge_schedule
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,17 +60,6 @@ class BranchRecord:
     fidelity: float
 
 
-@dataclass(frozen=True)
-class MergeRecord:
-    """Size bookkeeping for one group-fusion step: the merged group must
-    span pre + add - overlap qubits, and did."""
-
-    pre_size: int
-    add_size: int
-    overlap: int
-    merged_size: int
-
-
 @dataclass
 class ProtocolReport:
     protocol: str  # "I", "II" or "III"
@@ -83,7 +73,7 @@ class ProtocolReport:
     k: int | None = None  # leaf count (Protocol II)
     step2_variant: str | None = None  # Protocol II
     epr_pairs_consumed: int | None = None  # Protocol II
-    merge_log: tuple[MergeRecord, ...] | None = None  # Protocol III
+    merge_log: tuple[MergeStep, ...] | None = None  # Protocol III: the steps fused
 
     def to_dict(self) -> dict:
         """Stable, JSON-ready form (insertion order is the key order)."""
@@ -449,7 +439,7 @@ def protocol_one(
         raise ProtocolError("network has already been operated on")
     if len(net.epr_pairs) != 2:
         raise ProtocolError(f"need exactly 2 EPR pairs, got {len(net.epr_pairs)}")
-    ends = [{p.agent_a, p.agent_b} for p in net.epr_pairs]
+    ends = [set(p.agents) for p in net.epr_pairs]
     common = ends[0] & ends[1]
     if len(common) != 1:
         raise ProtocolError(f"the EPR pairs {ends} do not share a single hub agent")
@@ -528,7 +518,7 @@ def protocol_two(
         raise ProtocolError("network has already been operated on")
     if net.n != tree.n:
         raise ProtocolError(f"network has {net.n} agents but the tree has {tree.n}")
-    pairs = sorted(tuple(sorted((p.agent_a, p.agent_b))) for p in net.epr_pairs)
+    pairs = sorted(tuple(sorted(p.agents)) for p in net.epr_pairs)
     if pairs != sorted(tree.edges):
         raise ProtocolError("the network's EPR pairs do not match the tree's edges")
     if step2 not in ("symmetric", "zeilinger"):
@@ -543,7 +533,7 @@ def protocol_two(
 
     work = _live(net, branches, seed)
     work.send_classical(start, ALL, [1], purpose="weave start")
-    work.lock_qubits(q for p in work.epr_pairs for q in (p.qubit_a, p.qubit_b))
+    work.lock_qubits(q for p in work.epr_pairs for q in p.qubits)
     if work.n == 2:
         qs, qt = work.consume_epr(start, root_leaf)
         designated = {start: qs, root_leaf: qt}
@@ -570,16 +560,9 @@ def protocol_two(
 
     k = len(tree.leaves)
     report = _explore(
-        "II",
-        net,
-        work,
-        designated,
-        branches,
-        seed,
-        max_register=net.n + 2,
-        k=k,
+        "II", net, work, designated, branches, seed, max_register=net.n + 2, k=k,
         step2_variant=None if net.n == 2 else step2,
-        epr_pairs_consumed=sum(p.consumed for p in work.epr_pairs),
+        epr_pairs_consumed=sum(isinstance(rec, ConsumeRecord) for rec in work.transcript),
     )
     expected = 1 if net.n == 2 else 2 * net.n + k - 4 - (step2 == "zeilinger")
     if report.cbits != expected:
@@ -626,7 +609,6 @@ def protocol_three(
     work = _live(net, branches, seed)
     holder = dict(groups[0])
     fused_in = {0}
-    merge_log = []
     for step in schedule:
         incoming = groups[step.index]
         fusion_step(work, holder, incoming, step.junction, label=f"fuse#{step.index}")
@@ -637,16 +619,11 @@ def protocol_three(
             holder[agent] = incoming[agent]
         merged_size = step.pre_size + step.add_size - len(step.overlap)
         work.check_factor_size(holder[step.junction], merged_size)
-        merge_log.append(
-            MergeRecord(step.pre_size, step.add_size, len(step.overlap), merged_size)
-        )
     for i, group in enumerate(groups):
         if i not in fused_in:
             work.drop_group(group.values())
 
-    report = _explore("III", net, work, holder, branches, seed, merge_log=tuple(merge_log))
+    report = _explore("III", net, work, holder, branches, seed, merge_log=tuple(schedule))
     if report.cbits != len(schedule):
-        raise ProtocolError(
-            f"fusion used {report.cbits} cbits for {len(schedule)} merge steps"
-        )
+        raise ProtocolError(f"fusion used {report.cbits} cbits for {len(schedule)} merge steps")
     return report

@@ -28,8 +28,7 @@ A shape can be *armed* (:func:`memoized`). An armed shape keeps each
 transition it computes, keyed by the operation, and the shape that
 transition leads to is armed too. Each operation looks its transition up
 with one ``memo.get`` in its own body and computes it, on a miss, with the
-function an unarmed shape calls; a measurement's transition also holds its
-two possible outcomes, built once. So any later tableau over that shape,
+function an unarmed shape calls. So any later tableau over that shape,
 whatever its signs, replays the transition with a dict lookup and a few
 int operations. The branches of one protocol schedule differ only in
 their signs, which is why the branch explorer arms the setup factors. An
@@ -58,7 +57,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import EntanglementError
-from .gates import BranchChooser, Gate, MeasurementOutcome, QubitId, choose_outcome
+from .gates import BranchChooser, Gate, QubitId, choose_outcome
 
 if TYPE_CHECKING:
     from .statevec import StateVector
@@ -233,8 +232,9 @@ class Tableau:
 
     # -- measurement -----------------------------------------------------------
 
-    def measure_out(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, "Tableau"]:
-        """Measure ``q`` in the Z basis and return the rest of the register.
+    def measure_out(self, q: QubitId, choose: BranchChooser) -> tuple[int, float, "Tableau"]:
+        """Measure ``q`` in the Z basis: ``(bit, probability, rest)``, with
+        the rest of the register.
 
         ``choose`` is a forced bit or a callable ``(p0, p1) -> bit``, such
         as a :class:`~eprweave.gates.Fork`, as for ``StateVector.measure``.
@@ -248,18 +248,18 @@ class Tableau:
         else:
             key = ("measure", q)
             step = memo.get(key) or memo.setdefault(key, self._eliminated(q, True))
-        form, qubits, xz, memo, drop, const, times, flip, made = step
+        form, qubits, xz, memo, drop, const, times, flip = step
         signs = self.signs
         if form is None:
-            outcome = choose_outcome(q, choose, 0.5, 0.5, made)
-        else:
+            bit, probability = choose_outcome(q, choose, 0.5, 0.5), 0.5
+        else:  # certain: the other bit is refused, so the chosen one has probability 1
             one = _value(form, signs << 1 | 1)
-            outcome = choose_outcome(q, choose, 1.0 - one, float(one), made)
+            bit, probability = choose_outcome(q, choose, 1.0 - one, float(one)), 1.0
         # the pivot's bit goes; const flips rows, and times does if the pivot's sign was 1
         word = (signs & drop - 1 | signs >> 1 & -drop) ^ (const ^ times if signs & drop else const)
-        if outcome.bit:
+        if bit:
             word ^= flip
-        return outcome, Tableau(qubits, xz, word, memo)
+        return bit, probability, Tableau(qubits, xz, word, memo)
 
     # -- register surgery ------------------------------------------------------
 
@@ -274,7 +274,7 @@ class Tableau:
             step = memo.get(key) or memo.setdefault(key, self._eliminated(q, False))
         if isinstance(step, str):
             raise EntanglementError(step)
-        _, qubits, xz, memo, drop, const, times, _, _ = step
+        _, qubits, xz, memo, drop, const, times, _ = step
         signs = self.signs  # the pivot's sign bit goes, as in measure_out
         word = (signs & drop - 1 | signs >> 1 & -drop) ^ (const ^ times if signs & drop else const)
         return Tableau(qubits, xz, word, memo)
@@ -386,10 +386,8 @@ class Tableau:
         outcome if the measurement is certain (else None), the next shape
         ``(qubits, xz, memo)``, the pivot row's bit in the sign word, the
         masks of the rows whose sign flips always, if the pivot's sign is
-        1, and if the outcome is 1, and for a measurement over an armed
-        shape the outcomes of bits 0 and 1 (else None), which the shape
-        fixes; or, when dropping a q that is entangled with the rest, the
-        refusal's message.
+        1, and if the outcome is 1; or, when dropping a q that is entangled
+        with the rest, the refusal's message.
 
         The pivot is the first row with X on q when measuring, or the first
         row acting on q when dropping. It clears that part from the other
@@ -421,16 +419,10 @@ class Tableau:
             if z & m:  # times (-1)^bit Z_q clears it
                 flip |= 1 << len(rest)
             rest.append(((x & low) | (x >> j1) << j, (z & low) | (z >> j1) << j, 0))
-        if p is None:  # certain: the other bit is refused, so the chosen one has probability 1
-            return (self._z_form(m), *self._eliminated(q, False)[1:-1], self._outcomes(q, 1.0))
+        if p is None:  # certain: q is dropped as a product
+            return (self._z_form(m), *self._eliminated(q, False)[1:])
         qubits, memo = self.qubits[:j] + self.qubits[j1:], None if self.memo is None else {}
-        made = self._outcomes(q, 0.5) if measuring else None
-        return None, qubits, tuple(rest), memo, 1 << pivot, const, times, flip, made
-
-    def _outcomes(self, q: QubitId, probability: float) -> tuple[MeasurementOutcome, ...] | None:
-        if self.memo is None:
-            return None
-        return MeasurementOutcome(q, 0, probability), MeasurementOutcome(q, 1, probability)
+        return None, qubits, tuple(rest), memo, 1 << pivot, const, times, flip
 
     def _tensored(self, other: "Tableau"):
         """The shape ``(qubits, xz, memo)`` of the tensor product."""

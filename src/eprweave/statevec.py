@@ -25,9 +25,10 @@ against. No dense register grows beyond ``DENSE_QUBIT_LIMIT`` qubits:
 building one raises ``ResourceError`` before it is allocated.
 
 This is the one module that imports numpy at the top. Gates,
-``MeasurementOutcome``, ``choose_outcome`` and the tolerances live in
-:mod:`eprweave.gates`, which the tableau and the network model share, and
-are re-exported here; the dense-register limit is this module's own.
+``choose_outcome`` and the tolerances live in :mod:`eprweave.gates`, which
+the tableau and the network model share, and are re-exported here; the
+dense-register limit is this module's own. A measurement returns
+``(bit, probability, state)``, as the tableau's does.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .gates import (  # noqa: F401
     BranchChooser,
     Gate,
     H,
-    MeasurementOutcome,
     QubitId,
     X,
     Z,
@@ -179,19 +179,21 @@ class StateVector:
 
     # -- measurement -----------------------------------------------------------
 
-    def _outcome(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, np.ndarray]:
-        """Pick the branch of measuring ``q``; return it with the block of
-        amplitudes it keeps (a view of ``self.amps``, not renormalized)."""
+    def _outcome(self, q: QubitId, choose: BranchChooser) -> tuple[int, float, np.ndarray]:
+        """Pick the branch of measuring ``q``: its bit and probability, and
+        the block of amplitudes it keeps (a view of ``self.amps``, not
+        renormalized)."""
         halves = _split(self.amps, (self.position(q),))
         p1 = _norm_sq(halves[1])
         p0 = 1.0 - p1
         if p0 < 1e-3:  # 1 - p1 keeps too few digits of a small p0 to renormalize by
             p0 = _norm_sq(halves[0])
-        outcome = choose_outcome(q, choose, p0, p1)
-        return outcome, halves[outcome.bit]
+        bit = choose_outcome(q, choose, p0, p1)
+        return bit, p1 if bit else p0, halves[bit]
 
-    def measure(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, "StateVector"]:
-        """Measure one qubit in the computational basis.
+    def measure(self, q: QubitId, choose: BranchChooser) -> tuple[int, float, "StateVector"]:
+        """Measure one qubit in the computational basis: ``(bit,
+        probability, state)``.
 
         ``choose`` selects the branch: a forced bit (0/1) or a callable
         ``(p0, p1) -> bit``, such as a seeded ``Fork(rng=rng)``.
@@ -199,24 +201,24 @@ class StateVector:
         ``ZeroProbabilityError``. The returned state is the full register,
         projected and renormalized.
         """
-        outcome, kept = self._outcome(q, choose)
+        bit, probability, kept = self._outcome(q, choose)
         out = np.zeros_like(self.amps)
-        _split(out, (self.position(q),))[outcome.bit] = kept / np.sqrt(outcome.probability)
-        return outcome, StateVector(self.qubits, out, _trusted=True)
+        _split(out, (self.position(q),))[bit] = kept / np.sqrt(probability)
+        return bit, probability, StateVector(self.qubits, out, _trusted=True)
 
-    def measure_out(self, q: QubitId, choose: BranchChooser) -> tuple[MeasurementOutcome, "StateVector"]:
+    def measure_out(self, q: QubitId, choose: BranchChooser) -> tuple[int, float, "StateVector"]:
         """Measure ``q`` as ``measure`` does and return the rest of the register.
 
         After the measurement ``q`` is exactly classical, so the rest is the
         kept block renormalized by its own norm: no purity check and no
         linear algebra.
         """
-        outcome, kept = self._outcome(q, choose)
-        rest = kept.reshape(-1)
-        rest = rest / np.sqrt(_norm_sq(rest))
-        return outcome, StateVector(tuple(x for x in self.qubits if x != q), rest, _trusted=True)
+        bit, probability, kept = self._outcome(q, choose)
+        rest = kept.reshape(-1) / np.sqrt(_norm_sq(kept))
+        remaining = tuple(x for x in self.qubits if x != q)
+        return bit, probability, StateVector(remaining, rest, _trusted=True)
 
-    def enumerate_branches(self, q: QubitId) -> list[tuple[MeasurementOutcome, "StateVector"]]:
+    def enumerate_branches(self, q: QubitId) -> list[tuple[int, float, "StateVector"]]:
         """Both measurement branches of ``q`` whose probability exceeds 1e-12."""
         branches = []
         for bit in (0, 1):

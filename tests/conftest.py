@@ -9,7 +9,8 @@ def census_weaves():
     on each labelled tree of 3, 4 and 5 agents under both step-2 circuits,
     as ``[(report, leaves), ...]``. ``leaves`` are the networks of the
     branches the report verified, the live run first; the factor map was
-    checked after every ``apply`` (``test_replay.capture_census_weaves``).
+    checked after every executed record, and ``leaves.checked`` counts the
+    checks (``test_replay.capture_census_weaves``).
     """
     from test_replay import capture_census_weaves
 

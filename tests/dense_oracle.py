@@ -89,8 +89,8 @@ class DenseRun:
     def _measure(self, rec: MeasureRecord) -> None:
         bit = self.outcomes[len(self.probabilities)]
         key = self._slot[rec.qubit]
-        outcome, rest = self._factors.pop(key).measure_out(rec.qubit, bit)
-        self.probabilities.append(outcome.probability)
+        _, probability, rest = self._factors.pop(key).measure_out(rec.qubit, bit)
+        self.probabilities.append(probability)
         self.bits[rec.label] = bit
         if rest.n:  # the rest keeps the factor's key
             self._factors[key] = rest

@@ -33,6 +33,7 @@ from eprweave.gates import Fork
 from eprweave.locc import (
     ALL,
     DiscardRecord,
+    FactorSizeRecord,
     NetworkState,
     SetupRecord,
 )
@@ -371,6 +372,14 @@ def _random_connected_hypergraph(rng, n):
     return EntangledHypergraph(n, edges)
 
 
+def merged_sizes(report) -> list[int]:
+    """The size that each merge step's ``FactorSizeRecord`` enforced, one
+    record per step of ``report.merge_log``, in order."""
+    sizes = [rec.size for rec in report.transcript if isinstance(rec, FactorSizeRecord)]
+    assert len(sizes) == len(report.merge_log)
+    return sizes
+
+
 def test_acceptance_4_group_fusion_on_random_hypergraphs():
     rng = np.random.default_rng(404)
     # five staircases of triples: consecutive groups share two agents, so
@@ -393,13 +402,13 @@ def test_acceptance_4_group_fusion_on_random_hypergraphs():
         # classical cost is exactly one broadcast bit per merge step
         assert report.cbits == len(report.merge_log)
         # the |F| + |E_i| - |F n E_i| bookkeeping versus the simulation
-        for step in report.merge_log:
-            assert step.merged_size == step.pre_size + step.add_size - step.overlap
+        for step, size in zip(report.merge_log, merged_sizes(report)):
+            assert size == step.pre_size + step.add_size - len(step.overlap)
         # every merge discards one fused qubit plus (overlap-1) duplicates,
         # each verified in |0> before discard (or the run would have raised)
         discards = sum(isinstance(r, DiscardRecord) for r in report.transcript)
-        assert discards == sum(step.overlap for step in report.merge_log)
-        if any(step.overlap >= 2 for step in report.merge_log):
+        assert discards == sum(len(step.overlap) for step in report.merge_log)
+        if any(len(step.overlap) >= 2 for step in report.merge_log):
             deep_overlap_cases += 1
     assert deep_overlap_cases >= 5
     print(

@@ -217,6 +217,30 @@ def test_check_rejects_disconnected_specs_with_exit_2(tmp_path):
     assert "if and only if" in err
 
 
+def test_usage_errors_are_returned_in_process_and_exit_1_alike(capsys):
+    code, out, err = invoke(["bogus"])
+    assert (code, out) == (1, "")
+    assert run(["bogus"]) == 1  # the default streams are the ones at call time
+    assert capsys.readouterr() == ("", err)
+    assert err == (
+        "usage: eprweave [-h] [--version] {check,tree,mst,ghz3,weave,fuse} ...\n"
+        "eprweave: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'check', 'tree', 'mst', 'ghz3', 'weave', 'fuse')\n"
+    )
+    import eprweave
+
+    src = str(Path(eprweave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "eprweave.cli", "bogus"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     import eprweave
 
@@ -547,10 +571,9 @@ def test_branches_flag_validation(capsys):
         ["bogus"],
     ]
     for argv in refused_argvs:
-        with pytest.raises(SystemExit) as refused:
-            run(argv)
-        assert refused.value.code == 1, argv
-        err = capsys.readouterr().err
+        code, out, err = invoke(argv)  # returned, not raised, and written to err
+        assert (code, out) == (1, ""), argv
+        assert capsys.readouterr() == ("", "")
         last = err.splitlines()[-1]
         assert err.startswith("usage: eprweave") and last.startswith("eprweave")
         assert ": error: " in last

@@ -508,20 +508,34 @@ def test_replay_without_trigger_message_raises_conditioning_error():
         replay_transcript(net.n, net.transcript, skip_messages=[msg_index])
 
 
+def claims_per_pair(net: NetworkState) -> list[int]:
+    """For each setup EPR pair, in order, how many ``ConsumeRecord``s of the
+    transcript name its two agents."""
+    claims = [
+        {rec.agent_a, rec.agent_b} for rec in net.transcript if isinstance(rec, ConsumeRecord)
+    ]
+    return [claims.count(set(pair.agents)) for pair in net.epr_pairs]
+
+
 def test_replay_of_a_weave_consumes_its_pairs_and_keeps_its_locks():
     tree = SpanningTree.from_edges(4, [(1, 2), (2, 3), (3, 4)])
     report = protocol_two(setup_epr_network(4, tree.edges), tree)
     twin = replay_transcript(4, report.transcript)
-    assert [p.consumed for p in twin.epr_pairs] == [True, True, True]
+    assert claims_per_pair(twin) == [1, 1, 1]
+    for pair in twin.epr_pairs:  # no pair can be claimed twice
+        with pytest.raises(ProtocolError, match="no unused EPR pair"):
+            twin.consume_epr(*pair.agents)
     assert twin.transcript == list(report.transcript)
 
     # stopped after the first claim, the other pairs' halves stay locked
     live = setup_epr_network(4, tree.edges)
     live.send_classical(1, ALL, [1], purpose="weave start")
-    live.lock_qubits(q for p in live.epr_pairs for q in (p.qubit_a, p.qubit_b))
+    live.lock_qubits(q for p in live.epr_pairs for q in p.qubits)
     live.consume_epr(1, 2)
     twin = replay_transcript(4, live.transcript)
-    assert [p.consumed for p in twin.epr_pairs] == [True, False, False]
+    assert claims_per_pair(twin) == [1, 0, 0]
+    with pytest.raises(ProtocolError, match="no unused EPR pair"):
+        twin.consume_epr(1, 2)
     assert twin._locked == live._locked == {3, 4, 5, 6}
     with pytest.raises(ProtocolError, match="locked"):
         twin.local_gate(2, X(3))

@@ -45,6 +45,8 @@ from eprweave.topology import (
     spanning_tree,
 )
 from tableau_view import dense_view
+from test_acceptance import merged_sizes
+from test_locc import claims_per_pair
 from weave_stages import weave_stages
 
 GOOD = 1 - 1e-10
@@ -271,7 +273,9 @@ def test_teleport_moves_an_unknown_qubit_on_every_branch():
         expected = StateVector((carrier,), np.array([1, -1]) / math.sqrt(2))
         assert dense_view(net, (carrier,)).fidelity(expected) >= GOOD
         assert net.cbit_count == 2
-        assert all(p.consumed for p in net.epr_pairs)
+        assert claims_per_pair(net) == [1]
+        with pytest.raises(ProtocolError, match="no unused EPR pair"):
+            net.consume_epr(1, 2)
 
 
 def test_teleport_preserves_entanglement_of_the_payload():
@@ -712,7 +716,8 @@ def test_merge_chain_of_pairs_into_ghz():
     assert report.cbits == 2
     assert len(report.branches) == 4
     assert report.worst_fidelity >= GOOD
-    assert [(m.pre_size, m.add_size, m.overlap, m.merged_size) for m in report.merge_log] == [
+    steps = zip(report.merge_log, merged_sizes(report))
+    assert [(m.pre_size, m.add_size, len(m.overlap), size) for m, size in steps] == [
         (2, 2, 1, 3),
         (3, 2, 1, 4),
     ]
@@ -725,7 +730,8 @@ def test_merge_overlapping_triples_uncopies_duplicates():
     assert len(report.branches) == 2
     assert report.worst_fidelity >= GOOD
     (step,) = report.merge_log
-    assert (step.pre_size, step.add_size, step.overlap, step.merged_size) == (3, 3, 2, 4)
+    (size,) = merged_sizes(report)
+    assert (step.pre_size, step.add_size, len(step.overlap), size) == (3, 3, 2, 4)
 
 
 def test_merge_drops_redundant_contained_groups():
@@ -733,6 +739,7 @@ def test_merge_drops_redundant_contained_groups():
     report = protocol_three(net, h)
     assert report.cbits == 0
     assert report.merge_log == ()
+    assert merged_sizes(report) == []
     assert report.worst_fidelity >= GOOD
     assert any(isinstance(r, DropGroupRecord) for r in report.transcript)
 
@@ -791,8 +798,8 @@ def test_merge_random_connected_hypergraphs():
         report = protocol_three(setup_group_network(h), h)
         assert report.worst_fidelity >= GOOD
         assert report.cbits == len(report.merge_log)
-        for step in report.merge_log:
-            assert step.merged_size == step.pre_size + step.add_size - step.overlap
+        for step, size in zip(report.merge_log, merged_sizes(report)):
+            assert size == step.pre_size + step.add_size - len(step.overlap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Refusals across the layers: each bad call raises its own error class
 with its own message."""
 
+import io
 import re
 
 import pytest
 
-from eprweave.cli import parse_spec
+from eprweave.cli import parse_spec, run
 from eprweave.errors import NetworkSpecError, ProtocolError
 from eprweave.gates import X
 from eprweave.locc import NetworkState, SetupRecord, replay_transcript
@@ -135,6 +136,42 @@ REFUSALS = {
         NetworkSpecError,
         r"line 2: expected an agent number, got 'x'",
     ),
+    # numbers are ASCII digits with no underscores, though int() and float() take more
+    "parse_spec, agent count, Arabic-Indic digit": (
+        lambda: parse_spec("agents \u0663"),
+        NetworkSpecError,
+        r"line 1: bad agent count '\u0663'",
+    ),
+    "parse_spec, agent count, underscore": (
+        lambda: parse_spec("agents 1_0"),
+        NetworkSpecError,
+        r"line 1: bad agent count '1_0'",
+    ),
+    "parse_spec, edge agent, Arabic-Indic digit": (
+        lambda: parse_spec("agents 3\nedge 2 \u0663"),
+        NetworkSpecError,
+        r"line 2: expected an agent number, got '\u0663'",
+    ),
+    "parse_spec, edge agent, underscore": (
+        lambda: parse_spec("agents 3\nedge 2 1_0"),
+        NetworkSpecError,
+        r"line 2: expected an agent number, got '1_0'",
+    ),
+    "parse_spec, group member, Arabic-Indic digit": (
+        lambda: parse_spec("agents 3\nhyper 1 2 \u0663"),
+        NetworkSpecError,
+        r"line 2: expected an agent number, got '\u0663'",
+    ),
+    "parse_spec, edge weight, Arabic-Indic digit": (
+        lambda: parse_spec("agents 3\nedge 1 2 \u0663"),
+        NetworkSpecError,
+        r"line 2: bad edge weight '\u0663'",
+    ),
+    "parse_spec, edge weight, underscore": (
+        lambda: parse_spec("agents 3\nedge 1 2 0.2_5"),
+        NetworkSpecError,
+        r"line 2: bad edge weight '0\.2_5'",
+    ),
 }
 
 
@@ -145,3 +182,20 @@ def test_each_refusal_has_its_class_and_message(case):
         call()
     assert type(caught.value) is error
     assert re.fullmatch(message, str(caught.value)), str(caught.value)
+
+
+def test_a_spec_with_non_ascii_comments_still_parses():
+    # a non-ASCII character or an underscore anywhere sends each number through the token check
+    spec = parse_spec("agents 3  # \u0663 agents_here\nedge 1 2 0.5\n")
+    assert (spec.n, spec.edges) == (3, ((1, 2, 0.5),))
+
+
+@pytest.mark.parametrize("seed", ["\u0663", "1_0"])
+def test_a_seed_outside_ascii_digits_is_a_usage_error(seed):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["weave", "any.spec", "--seed", seed], out=out, err=err) == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("usage: eprweave weave ")
+    assert err.getvalue().endswith(
+        f"eprweave weave: error: argument --seed: invalid int value: {seed!r}\n"
+    )

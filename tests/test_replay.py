@@ -2,10 +2,12 @@
 
 Every branch a protocol checks is captured where it is verified: the live
 run first, then each branch the explorer ran from the setup state through
-``NetworkState.apply``. Replaying a captured transcript on a fresh network
-must give the same transcript, knowledge, cbits and factors. After every
-``apply``, each live qubit must lie in exactly one factor, and the
-network's qubit-to-factor map must agree with a scan of its factors.
+the executor pairs of ``locc.prepare``. Replaying a captured transcript on
+a fresh network must give the same transcript, knowledge, cbits and
+factors. After every record is executed, by a public operation, by
+``NetworkState.apply`` or by the explorer, each live qubit must lie in
+exactly one factor, and the network's qubit-to-factor map must agree with
+a scan of its factors.
 
 A broken schedule must be refused: with any one conditioned correction
 left out, some branch fails both through ``NetworkState.apply`` and on the
@@ -19,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from eprweave import protocols
+from eprweave import locc, protocols
 from eprweave.errors import EprWeaveError
 from eprweave.gates import Fork
 from eprweave.locc import (
@@ -27,6 +29,7 @@ from eprweave.locc import (
     GateRecord,
     MeasureRecord,
     NetworkState,
+    SetupRecord,
     replay_transcript,
 )
 from eprweave.protocols import (
@@ -74,23 +77,54 @@ def factor_view(net: NetworkState):
     return [(f.qubits, f.rows) for f in net.factors()]
 
 
+#: The NetworkState methods that append a transcript record themselves:
+#: every executor but the two that hand their record to a public method.
+RECORDING = [
+    name
+    for name in vars(NetworkState)
+    if name.startswith("_run_") and name not in ("_run_setup", "_run_message")
+] + ["distribute_epr", "distribute_ghz", "send_classical"]
+
+
+class Captured(list):
+    """The networks of the verified branches, in order; ``checked`` counts
+    the records after whose execution the factor map was checked."""
+
+    checked = 0
+
+
 @contextmanager
 def capture_branches():
-    """Checks the factor map after every ``apply`` while the block runs,
-    and yields the list that each verified branch's network is added to."""
-    leaves = []
-    original_apply, original_verify = NetworkState.apply, protocols.verify_ghz
+    """Checks the factor map after every record is executed while the
+    block runs, and yields the ``Captured`` list that each verified
+    branch's network is added to.
 
-    def checked_apply(self, rec, choose=None):
-        original_apply(self, rec, choose)
-        check_factor_map(self)
+    Public operations call the executors by name, and ``apply`` and the
+    explorer's ``prepare`` look them up in ``locc._EXECUTORS``, so both are
+    patched."""
+    leaves = Captured()
+    original_verify = protocols.verify_ghz
+
+    def checked(method):
+        def run(self, *args, **kwargs):
+            before = len(self.transcript)
+            result = method(self, *args, **kwargs)
+            assert len(self.transcript) == before + 1, method.__name__
+            check_factor_map(self)
+            leaves.checked += 1
+            return result
+
+        return run
 
     def capturing_verify(net, designated, strict=False):
         leaves.append(net)
         return original_verify(net, designated, strict)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(NetworkState, "apply", checked_apply)
+        for name in RECORDING:
+            patch.setattr(NetworkState, name, checked(getattr(NetworkState, name)))
+        for kind, execute in locc._EXECUTORS.items():
+            patch.setitem(locc._EXECUTORS, kind, getattr(NetworkState, execute.__name__))
         patch.setattr(protocols, "verify_ghz", capturing_verify)
         yield leaves
 
@@ -151,6 +185,18 @@ def test_every_census_weave_replays_alike_on_every_branch(census_weaves):
         assert_replays_alike(report, leaves)
         runs += 1
     assert runs == 2 * (3 + 16 + 125)
+
+
+def test_the_factor_map_was_checked_after_every_census_record(census_weaves):
+    """The setup's records once, then every record of every branch's
+    schedule, which the live run and the explorer each executed."""
+    records = 0
+    for report, leaves in census_weaves:
+        setup = sum(isinstance(rec, SetupRecord) for rec in report.transcript)
+        executed = setup + sum(len(leaf.transcript) - setup for leaf in leaves)
+        assert leaves.checked == executed
+        records += executed
+    assert records > 400_000
 
 
 def test_acceptance_4_fusions_replay_alike_on_every_branch(explored):

@@ -44,7 +44,7 @@ from eprweave.statevec import (
 from eprweave.topology import EntangledHypergraph, SpanningTree, hypergraph_is_connected
 
 from dense_oracle import run_dense
-from test_acceptance import _random_connected_hypergraph, prufer_tree
+from test_acceptance import _random_connected_hypergraph, merged_sizes, prufer_tree
 
 TOL = 1e-12
 
@@ -85,14 +85,14 @@ def assert_agree(t: Tableau, d: StateVector, data) -> None:
         assert t.probability_of_one(q) == pytest.approx(d.probability_of_one(q), abs=TOL)
         for bit in (0, 1):
             try:
-                d_out, d_rest = d.measure_out(q, bit)
+                d_bit, d_prob, d_rest = d.measure_out(q, bit)
             except ZeroProbabilityError:
                 with pytest.raises(ZeroProbabilityError):
                     t.measure_out(q, bit)
                 continue
-            t_out, t_rest = t.measure_out(q, bit)
-            assert (t_out.qubit, t_out.bit) == (d_out.qubit, d_out.bit)
-            assert t_out.probability == pytest.approx(d_out.probability, abs=TOL)
+            t_bit, t_prob, t_rest = t.measure_out(q, bit)
+            assert t_bit == d_bit == bit
+            assert t_prob == pytest.approx(d_prob, abs=TOL)
             assert t_rest.qubits == d_rest.qubits
             assert t_rest.to_statevector().fidelity(d_rest) == pytest.approx(1.0, abs=TOL)
         try:
@@ -125,11 +125,11 @@ def test_tableau_agrees_with_the_dense_state_after_every_operation(start, data):
         elif op == "measure":  # keep the collapsed qubit, at the top
             bit = data.draw(st.integers(0, 1))
             try:
-                d_out, d_rest = d.measure_out(q, bit)
+                d_bit, _, d_rest = d.measure_out(q, bit)
             except ZeroProbabilityError:
                 continue
-            t_out, t_rest = t.measure_out(q, bit)
-            assert t_out.bit == d_out.bit
+            t_bit, _, t_rest = t.measure_out(q, bit)
+            assert t_bit == d_bit
             collapsed = np.zeros(2, dtype=complex)
             collapsed[bit] = 1.0
             t = t_rest.tensor(Tableau.basis_state(q, bit))
@@ -161,19 +161,19 @@ def test_long_gate_sequences_track_the_dense_state(start, data):
 def test_measure_out_follows_the_chooser_contract():
     t = Tableau.ghz((1, 2, 3))
     seen = []
-    out, rest = t.measure_out(2, lambda p0, p1: seen.append((p0, p1)) or 1)
+    bit, prob, rest = t.measure_out(2, lambda p0, p1: seen.append((p0, p1)) or 1)
     assert seen == [(0.5, 0.5)]
-    assert (out.bit, out.probability) == (1, 0.5)
+    assert (bit, prob) == (1, 0.5)
     assert rest.to_statevector().fidelity(StateVector((1, 3), [0, 0, 0, 1])) == 1.0
     with pytest.raises(ValueError, match="forced bit"):
         t.measure_out(2, 2)
-    out, _ = t.measure_out(1, Fork(rng=np.random.default_rng(0)))
-    assert out.probability == 0.5
+    _, prob, _ = t.measure_out(1, Fork(rng=np.random.default_rng(0)))
+    assert prob == 0.5
     certain = Tableau.zeros((1, 2)).apply(X(2))
     with pytest.raises(ZeroProbabilityError):
         certain.measure_out(2, 0)
-    out, rest = certain.measure_out(2, 1)
-    assert (out.bit, out.probability, rest.qubits) == (1, 1.0, (1,))
+    bit, prob, rest = certain.measure_out(2, 1)
+    assert (bit, prob, rest.qubits) == (1, 1.0, (1,))
 
 
 def _chooser_states():
@@ -189,10 +189,9 @@ def _measured(state, choose):
     """``measure_out`` of qubit 2: (bit, probability, rest), or the error's
     class and message."""
     try:
-        out, rest = state.measure_out(2, choose)
+        return state.measure_out(2, choose)
     except Exception as exc:
         return type(exc), str(exc)
-    return out.bit, out.probability, rest
 
 
 _NO_ZERO = (ZeroProbabilityError, "outcome 0 on qubit 2 has probability 0.000e+00")
@@ -254,11 +253,11 @@ def test_a_seeded_generator_draws_alike_on_both_backends():
     for i in range(60):
         p1 = (0.5, 0.0, 0.5, 1.0)[i % 4]
         tableau, dense = states[p1]
-        t, _ = tableau.measure_out(2, t_fork)
-        d, _ = dense.measure_out(2, d_fork)
+        t_bit, t_prob, _ = tableau.measure_out(2, t_fork)
+        d_bit, d_prob, _ = dense.measure_out(2, d_fork)
         bit = 1 if reference.random() < p1 else 0
-        assert t.bit == d.bit == bit, i
-        assert t.probability == pytest.approx(d.probability, abs=TOL)
+        assert t_bit == d_bit == bit, i
+        assert t_prob == pytest.approx(d_prob, abs=TOL)
 
 
 def test_tableau_ghz_block_is_exact_on_mixed_subsets():
@@ -336,11 +335,11 @@ def run_ops(state, ops, fresh):
             elif kind == "measure":
                 refused = None
                 try:
-                    outcome, state = state.measure_out(q, b % 2)
+                    bit, prob, state = state.measure_out(q, b % 2)
                 except ZeroProbabilityError as exc:
                     refused = (type(exc), str(exc))
-                    outcome, state = state.measure_out(q, 1 - b % 2)
-                value = ("measure", refused, outcome.bit, outcome.probability)
+                    bit, prob, state = state.measure_out(q, 1 - b % 2)
+                value = ("measure", refused, bit, prob)
             elif kind == "chosen":
                 seen = []
 
@@ -348,9 +347,9 @@ def run_ops(state, ops, fresh):
                     seen.append((p0, p1))
                     return want if (p1 if want else p0) >= PROB_FLOOR else 1 - want
 
-                outcome, state = state.measure_out(q, choose)
+                bit, prob, state = state.measure_out(q, choose)
                 [asked] = seen  # called once
-                value = ("chosen", outcome.bit, outcome.probability, *asked)
+                value = ("chosen", bit, prob, *asked)
             elif kind == "discard":
                 state = state.discard(q)
                 value = ("discard",)
@@ -512,7 +511,7 @@ def test_fuses_past_the_dense_limit():
     h = _random_connected_hypergraph(rng, 40)
     assert hypergraph_is_connected(h)
     report = protocol_three(setup_group_network(h), h, branches=16)
-    assert report.merge_log[-1].merged_size == 40 > DENSE_QUBIT_LIMIT
+    assert merged_sizes(report)[-1] == 40 > DENSE_QUBIT_LIMIT
     assert report.cbits == len(report.merge_log)
     assert report.worst_fidelity == 1.0
     assert all(b.fidelity == 1.0 for b in report.branches)

@@ -267,23 +267,23 @@ def test_forced_zero_probability_branch_raises():
 
 
 def test_measure_projects_and_renormalizes():
-    outcome, post = ghz_state((0, 1, 2)).measure(1, 0)
-    assert outcome.probability == pytest.approx(0.5, abs=1e-12)
+    bit, prob, post = ghz_state((0, 1, 2)).measure(1, 0)
+    assert (bit, prob) == (0, pytest.approx(0.5, abs=1e-12))
     assert post.fidelity(new_register([0, 1, 2])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_improbable_zero_outcome_renormalizes_exactly():
     a = 0.001953  # P[0] ~ 3.8e-6, where 1 - P[1] keeps only ~10 digits
     sv = StateVector((0,), np.array([1j * a, 1j * np.sqrt(1 - a * a)]))
-    outcome, post = sv.measure(0, 0)
-    assert outcome.probability == pytest.approx(a * a, rel=1e-12)
+    _, prob, post = sv.measure(0, 0)
+    assert prob == pytest.approx(a * a, rel=1e-12)
     assert abs(post.norm_squared() - 1.0) <= 1e-12
     post.apply(X(0))  # asserts the norm has not drifted
 
 
 def test_measure_with_callable_chooser():
-    outcome, _ = bell_pair(0, 1).measure(0, lambda p0, p1: int(p1 > 0.25))
-    assert outcome.bit == 1
+    bit, _, _ = bell_pair(0, 1).measure(0, lambda p0, p1: int(p1 > 0.25))
+    assert bit == 1
 
 
 def test_measure_with_generator_is_reproducible():
@@ -291,7 +291,7 @@ def test_measure_with_generator_is_reproducible():
     for _ in range(2):
         gen = np.random.default_rng(7)
         fork = Fork(rng=gen)
-        bits.append([bell_pair(0, 1).measure(0, fork)[0].bit for _ in range(20)])
+        bits.append([bell_pair(0, 1).measure(0, fork)[0] for _ in range(20)])
     assert bits[0] == bits[1]
     assert set(bits[0]) == {0, 1}
 
@@ -301,8 +301,8 @@ def test_measure_with_generator_is_reproducible():
 def test_branch_probabilities_sum_to_one(sv, data):
     q = data.draw(st.sampled_from(sv.qubits))
     branches = sv.enumerate_branches(q)
-    assert abs(sum(o.probability for o, _ in branches) - 1.0) <= 1e-12
-    for _, post in branches:
+    assert abs(sum(prob for _, prob, _ in branches) - 1.0) <= 1e-12
+    for _, _, post in branches:
         assert abs(post.norm_squared() - 1.0) <= 1e-12
 
 
@@ -311,14 +311,12 @@ def test_branch_probabilities_sum_to_one(sv, data):
 def test_projection_is_amplitude_exact(sv, data):
     q = data.draw(st.sampled_from(sv.qubits))
     pos = sv.qubits.index(q)
-    for outcome, post in sv.enumerate_branches(q):
+    for bit, prob, post in sv.enumerate_branches(q):
         for i, amp in enumerate(post.amps):
-            if (i >> pos) & 1 != outcome.bit:
+            if (i >> pos) & 1 != bit:
                 assert amp == 0.0
             else:
-                assert amp == pytest.approx(
-                    sv.amps[i] / np.sqrt(outcome.probability), abs=1e-12
-                )
+                assert amp == pytest.approx(sv.amps[i] / np.sqrt(prob), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +472,11 @@ def test_measure_out_matches_projection_then_svd(n):
     sv = random_state(rng, n)
     for pos, q in enumerate(sv.qubits):
         for bit in (0, 1):
-            outcome, rest = sv.measure_out(q, bit)
-            full_outcome, _ = sv.measure(q, bit)
-            assert outcome == full_outcome
+            got, prob, rest = sv.measure_out(q, bit)
+            assert (got, prob) == sv.measure(q, bit)[:2]
             assert rest.qubits == tuple(x for x in sv.qubits if x != q)
             assert abs(rest.norm_squared() - 1.0) <= 1e-12
-            oracle = measured_out_oracle(sv, pos, bit, outcome.probability)
+            oracle = measured_out_oracle(sv, pos, bit, prob)
             assert abs(abs(np.vdot(oracle, rest.amps)) ** 2 - 1.0) <= 1e-12
 
 
@@ -500,9 +497,9 @@ def test_measure_out_slices_the_qubit_out_without_discard(monkeypatch):
 
     monkeypatch.setattr(StateVector, "discard", counting)
     five = ghz_state((1, 2, 3)).tensor(bell_pair(4, 5)).apply(CNOT(1, 4))
-    outcome, rest = five.measure_out(4, 1)
+    bit, _, rest = five.measure_out(4, 1)
     assert discards == []
-    assert (outcome.bit, rest.qubits) == (1, (1, 2, 3, 5))
+    assert (bit, rest.qubits) == (1, (1, 2, 3, 5))
     assert rest.fidelity(ghz_state((1, 2, 3, 5)).apply(X(5))) == pytest.approx(1.0, abs=1e-12)
 
 
