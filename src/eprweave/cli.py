@@ -445,9 +445,7 @@ def run(argv=None, out=None, err=None) -> int:
             tree, document["tree"] = _choose_tree(spec, spec.weighted)
             document["options"]["tree"] = "mst" if spec.weighted else "bfs"
             net = setup_epr_network(spec.n, tree.edges)
-            report = protocol_two(
-                net, tree, step2=args.step2, branches=args.branches, seed=args.seed
-            )
+            report = protocol_two(net, step2=args.step2, branches=args.branches, seed=args.seed)
             document["result"] = _protocol_result(report)
             k = len(tree.leaves)
             print(f"weaving a {spec.n}-partite GHZ state over a tree with {k} leaves", file=out)
@@ -459,9 +457,7 @@ def run(argv=None, out=None, err=None) -> int:
             from .protocols import protocol_three, setup_group_network
 
             h = spec.to_hypergraph()  # EPR pairs are just 2-agent groups
-            report = protocol_three(
-                setup_group_network(h), h, branches=args.branches, seed=args.seed
-            )
+            report = protocol_three(setup_group_network(h), branches=args.branches, seed=args.seed)
             document["result"] = _protocol_result(report)
             groups = len(h.hyperedges)
             print(f"fusing {groups} group states into a {spec.n}-partite GHZ state", file=out)

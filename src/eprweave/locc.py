@@ -572,6 +572,8 @@ class NetworkState:
         actor, q = rec.actor, rec.qubit
         if self.owner.get(q) != actor:
             self._require_owner(actor, (q,))
+        if q in self._locked:
+            self._require_unlocked((q,))
         slot = self._slot[q]
         f = self._factors[slot]
         if len(f.qubits) == 1:  # a qubit alone in its factor just goes
@@ -580,7 +582,6 @@ class NetworkState:
             self._factors[slot] = f.discard(q)
         del self._slot[q]
         del self.owner[q]
-        self._locked.discard(q)
         self.transcript.append(rec)
 
     def _run_drop_group(self, rec: DropGroupRecord, choose) -> None:

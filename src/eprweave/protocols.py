@@ -20,17 +20,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import EntanglementError, ProtocolError, ResourceError
 from .gates import CNOT, Fork, H, QubitId, X, Z
 from .locc import ALL, ConsumeRecord, MeasureRecord, NetworkState, SetupRecord, prepare
 from .stabilizer import memoized
-from .topology import AgentId, EntangledHypergraph, MergeStep, SpanningTree
-from .topology import bfs_edges, merge_schedule
-
-if TYPE_CHECKING:
-    import numpy as np
+from .topology import AgentId, EntangledHypergraph, EprGraph, MergeStep
+from .topology import bfs_edges, merge_schedule, spanning_tree
 
 FIDELITY_TOL = 1e-10
 
@@ -470,57 +467,35 @@ def protocol_one(
 # Protocol II: spanning tree of EPR pairs -> n-partite GHZ
 
 
-def _traversal_schedule(
-    tree: SpanningTree,
-    initially_entangled: Iterable[AgentId],
-    order_rng: np.random.Generator | None = None,
-) -> list[tuple[AgentId, AgentId]]:
-    """Order of extend-and-teleport hops covering the tree.
-
-    Default: first-come-first-served over agents, neighbors in increasing
-    index. With ``order_rng``, any admissible hop (entangled vertex to
-    un-entangled neighbor) may fire next — used to check the weave is
-    insensitive to who processes first.
-    """
-    if order_rng is None:
-        return bfs_edges(initially_entangled, tree.neighbors)
-    entangled = set(initially_entangled)
-    hops = []
-    while frontier := [
-        (v, u) for v in sorted(entangled) for u in tree.neighbors(v) if u not in entangled
-    ]:
-        v, u = frontier[int(order_rng.integers(len(frontier)))]
-        entangled.add(u)
-        hops.append((v, u))
-    return hops
-
-
 def protocol_two(
     net: NetworkState,
-    tree: SpanningTree,
     *,
     step2: str = "symmetric",
     branches: str | int = "all",
     seed: int = 0,
-    order_rng: np.random.Generator | None = None,
 ) -> ProtocolReport:
-    """Weave an n-partite GHZ state over a spanning tree of EPR pairs.
+    """Weave an n-partite GHZ state over the network's tree of EPR pairs.
 
+    The tree is read off the network's pairs, which must join all n agents
+    with n-1 pairs: a disconnected network is refused with the
+    :class:`~eprweave.errors.ConnectivityError` of
+    :func:`~eprweave.topology.spanning_tree`, before any quantum operation.
     The start agent broadcasts one signal bit (freezing everyone's pairs),
     builds a three-party GHZ with the root leaf and one more neighbor,
-    then the state ripples outward: each entangled vertex locally extends
-    the state by one qubit and teleports it across a tree edge (2 cbits a
-    hop). Leaves other than the root leaf broadcast one completion bit.
-    Classical total: 2n+k-4 with k leaves (2n+k-5 with the fused step-2
-    variant); never more than 3n-5.
+    then the state ripples outward in breadth-first order: each entangled
+    vertex locally extends the state by one qubit and teleports it across
+    a tree edge (2 cbits a hop). Leaves other than the root leaf broadcast
+    one completion bit. Classical total: 2n+k-4 with k leaves (2n+k-5 with
+    the fused step-2 variant); never more than 3n-5.
     """
     if not net.setup_open:
         raise ProtocolError("network has already been operated on")
-    if net.n != tree.n:
-        raise ProtocolError(f"network has {net.n} agents but the tree has {tree.n}")
-    pairs = sorted(tuple(sorted(p.agents)) for p in net.epr_pairs)
-    if pairs != sorted(tree.edges):
-        raise ProtocolError("the network's EPR pairs do not match the tree's edges")
+    g = EprGraph(net.n, [p.agents for p in net.epr_pairs])
+    tree = spanning_tree(g)  # raises ConnectivityError before any quantum op
+    if len(g.edges) != net.n - 1:
+        raise ProtocolError(
+            f"the network has {len(g.edges)} EPR pairs; a tree on {net.n} agents has {net.n - 1}"
+        )
     if step2 not in ("symmetric", "zeilinger"):
         raise ValueError(f"unknown step-2 variant {step2!r}")
 
@@ -529,7 +504,7 @@ def protocol_two(
         hops = []
     else:
         third = min(u for u in tree.neighbors(start) if u != root_leaf)
-        hops = _traversal_schedule(tree, (start, root_leaf, third), order_rng)
+        hops = bfs_edges((start, root_leaf, third), tree.neighbors)
 
     work = _live(net, branches, seed)
     work.send_classical(start, ALL, [1], purpose="weave start")
@@ -580,31 +555,33 @@ def protocol_two(
 
 def protocol_three(
     net: NetworkState,
-    h: EntangledHypergraph,
     *,
     branches: str | int = "all",
     seed: int = 0,
 ) -> ProtocolReport:
-    """Merge pre-shared group GHZ states into one n-partite GHZ state.
+    """Merge the network's pre-shared group states into one n-partite GHZ state.
 
-    Connectivity is checked (and the merge order fixed) before any quantum
-    operation. Starting from the largest group, each scheduled hyperedge
-    is fused in at its junction agent (1 cbit), then every other agent the
-    two groups share uncopies its duplicate qubit for free. Groups whose
-    members are already covered are dropped wholesale — their entanglement
-    is redundant and costs nothing. Total cbits = number of fusion steps.
+    The hypergraph is read off the network's group states, EPR pairs
+    counting as 2-agent groups. Connectivity is checked (and the merge
+    order fixed) by :func:`~eprweave.topology.merge_schedule` before any
+    quantum operation. Starting from the largest group, each scheduled
+    hyperedge is fused in at its junction agent (1 cbit), then every other
+    agent the two groups share uncopies its duplicate qubit for free.
+    Groups whose members are already covered are dropped wholesale — their
+    entanglement is redundant and costs nothing. Total cbits = number of
+    fusion steps.
     """
     if not net.setup_open:
         raise ProtocolError("network has already been operated on")
-    if net.n != h.n:
-        raise ProtocolError(f"network has {net.n} agents but the hypergraph has {h.n}")
-    groups: list[dict[AgentId, QubitId]] = []
-    for rec in net.transcript:
-        if isinstance(rec, SetupRecord):
-            groups.append(dict(zip(rec.agents, rec.qubits)))
-    if [frozenset(g) for g in groups] != list(h.hyperedges):
-        raise ProtocolError("the network's group states do not match the hypergraph")
-    schedule = merge_schedule(h)  # raises ConnectivityError before any quantum op
+    # largest first, ties in setup order: EntangledHypergraph stores its
+    # hyperedges in this order too, so groups[i] is hyperedge i
+    groups = sorted(
+        (dict(zip(r.agents, r.qubits)) for r in net.transcript if isinstance(r, SetupRecord)),
+        key=len,
+        reverse=True,
+    )
+    # raises ConnectivityError before any quantum op
+    schedule = merge_schedule(EntangledHypergraph(net.n, groups))
 
     work = _live(net, branches, seed)
     holder = dict(groups[0])

@@ -217,7 +217,7 @@ def test_acceptance_2_tree_weave_identity_across_tree_census():
     for n, edges, branches in trees:
         tree = SpanningTree.from_edges(n, edges)
         net = setup_epr_network(n, tree.edges)
-        report = protocol_two(net, tree, branches=branches, seed=11)
+        report = protocol_two(net, branches=branches, seed=11)
         k = len(tree.leaves)
         assert report.worst_fidelity >= GOOD, (n, edges)
         assert report.cbits == 2 * n + k - 4, (n, edges)
@@ -258,7 +258,7 @@ def test_acceptance_3_disconnected_networks_rejected_and_loccproof(tmp_path):
     h = EntangledHypergraph(5, [(1, 2, 3), (4, 5)])
     net = setup_group_network(h)
     with pytest.raises(ConnectivityError):
-        protocol_three(net, h)
+        protocol_three(net)
     assert net.setup_open  # nothing ran
     assert net.cbit_count == 0
     assert all(isinstance(r, SetupRecord) for r in net.transcript)
@@ -395,7 +395,7 @@ def test_acceptance_4_group_fusion_on_random_hypergraphs():
 
     deep_overlap_cases = 0
     for h in cases:
-        report = protocol_three(setup_group_network(h), h)
+        report = protocol_three(setup_group_network(h))
         assert report.worst_fidelity >= GOOD, h.hyperedges
         for br in report.branches:
             assert br.fidelity >= GOOD, h.hyperedges

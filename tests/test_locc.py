@@ -343,8 +343,17 @@ def test_locked_qubits_reject_operations():
         net.local_gate(2, X(b))
     with pytest.raises(ProtocolError):
         net.local_measure(2, b, choose=0)
-    net.unlock_qubits([b])
+    with pytest.raises(ProtocolError, match="locked"):  # not the entangled-discard refusal
+        net.discard_qubit(2, b)
+    fresh = net.add_ancilla(1)
+    net.lock_qubits([fresh])
+    with pytest.raises(ProtocolError, match="locked"):
+        net.discard_qubit(1, fresh)
+    with pytest.raises(ProtocolError, match="locked"):  # the refused discard kept the lock
+        net.local_gate(1, X(fresh))
+    net.unlock_qubits([b, fresh])
     net.local_gate(2, X(b))
+    net.discard_qubit(1, fresh)
 
 
 def test_epr_pairs_are_consumed_once():
@@ -519,7 +528,7 @@ def claims_per_pair(net: NetworkState) -> list[int]:
 
 def test_replay_of_a_weave_consumes_its_pairs_and_keeps_its_locks():
     tree = SpanningTree.from_edges(4, [(1, 2), (2, 3), (3, 4)])
-    report = protocol_two(setup_epr_network(4, tree.edges), tree)
+    report = protocol_two(setup_epr_network(4, tree.edges))
     twin = replay_transcript(4, report.transcript)
     assert claims_per_pair(twin) == [1, 1, 1]
     for pair in twin.epr_pairs:  # no pair can be claimed twice
@@ -562,7 +571,7 @@ def test_replay_reruns_the_release_check_on_a_changed_branch():
 
 def test_replay_reuses_exactly_the_records_it_reproduces():
     tree = SpanningTree.from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
-    report = protocol_two(setup_epr_network(5, tree.edges), tree)
+    report = protocol_two(setup_epr_network(5, tree.edges))
     setup = sum(isinstance(rec, SetupRecord) for rec in report.transcript)
     # the recorded bits; the live run's own branch (all 0); another branch
     for choose in (None, 0, 1):

@@ -23,7 +23,8 @@ from eprweave.errors import (
 )
 from eprweave import protocols
 from eprweave.gates import Fork
-from eprweave.locc import ALL, DropGroupRecord, MeasureRecord, NetworkState
+from eprweave.cli import CONNECTIVITY_LAW
+from eprweave.locc import ALL, DropGroupRecord, MeasureRecord, NetworkState, SetupRecord
 from eprweave.protocols import (
     CorrectionRule,
     disentangle_duplicate,
@@ -45,7 +46,7 @@ from eprweave.topology import (
     spanning_tree,
 )
 from tableau_view import dense_view
-from test_acceptance import merged_sizes
+from test_acceptance import cli, merged_sizes
 from test_locc import claims_per_pair
 from weave_stages import weave_stages
 
@@ -371,10 +372,10 @@ def test_group_fusion_transcript_is_that_of_the_owner_scan(monkeypatch):
     # agents 3 to 6 hold the oldest qubits, so the fused group's owner order and
     # qubit order disagree
     h = EntangledHypergraph(7, [(3, 4, 5, 6), (1, 3), (1, 2, 6), (5, 7)])
-    report = protocol_three(setup_group_network(h), h)
+    report = protocol_three(setup_group_network(h))
     assert out_of_qubit_order(report.designated)
     monkeypatch.setattr(protocols, "fusion_step", scanning_fusion_step)
-    scanned = protocol_three(setup_group_network(h), h)
+    scanned = protocol_three(setup_group_network(h))
     assert report.transcript == scanned.transcript
     assert report.to_dict() == scanned.to_dict()
 
@@ -392,8 +393,8 @@ def test_sample_streams_over_the_cap_are_refused_before_any_is_built(monkeypatch
     tree = SpanningTree.from_edges(3, [(1, 2), (1, 3)])
     runs = [
         lambda: protocol_one(setup_epr_network(3, tree.edges), branches=too_many),
-        lambda: protocol_two(setup_epr_network(3, tree.edges), tree, branches=too_many),
-        lambda: protocol_three(setup_group_network(h), h, branches=too_many),
+        lambda: protocol_two(setup_epr_network(3, tree.edges), branches=too_many),
+        lambda: protocol_three(setup_group_network(h), branches=too_many),
     ]
     for run in runs:
         with pytest.raises(ResourceError, match=f"sample:{too_many} asks for 65,537 sampled branches"):
@@ -414,8 +415,8 @@ def test_branch_counts_other_than_positive_ints_are_refused_before_any_stream(
     nets = [setup_epr_network(3, tree.edges), setup_group_network(h)]
     runs = [
         lambda: protocol_one(nets[0], branches=count),
-        lambda: protocol_two(nets[0], tree, branches=count),
-        lambda: protocol_three(nets[1], h, branches=count),
+        lambda: protocol_two(nets[0], branches=count),
+        lambda: protocol_three(nets[1], branches=count),
     ]
     message = f"branches must be 'all' or a sample count of at least 1, got {count!r}"
     for run in runs:
@@ -437,8 +438,8 @@ def test_a_negative_seed_is_refused_in_every_branch_mode(monkeypatch, branches):
     nets = [setup_epr_network(3, tree.edges), setup_group_network(h)]
     runs = [
         lambda: protocol_one(nets[0], branches=branches, seed=-1),
-        lambda: protocol_two(nets[0], tree, branches=branches, seed=-1),
-        lambda: protocol_three(nets[1], h, branches=branches, seed=-1),
+        lambda: protocol_two(nets[0], branches=branches, seed=-1),
+        lambda: protocol_three(nets[1], branches=branches, seed=-1),
     ]
     for run in runs:
         with pytest.raises(ValueError) as refused:
@@ -450,9 +451,9 @@ def test_a_negative_seed_is_refused_in_every_branch_mode(monkeypatch, branches):
 def test_sample_cap_admits_exactly_its_own_count(monkeypatch):
     monkeypatch.setattr(protocols, "SAMPLE_CAP", 4)
     h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])
-    assert protocol_three(setup_group_network(h), h, branches=4).branch_mode == "sample:4"
+    assert protocol_three(setup_group_network(h), branches=4).branch_mode == "sample:4"
     with pytest.raises(ResourceError, match="over the limit of 4"):
-        protocol_three(setup_group_network(h), h, branches=5)
+        protocol_three(setup_group_network(h), branches=5)
 
 
 def test_disentangle_duplicate_releases_a_copied_qubit():
@@ -525,7 +526,7 @@ def check_weave_identities(report, tree):
 
 def test_weave_on_a_three_agent_path():
     net, tree = tree_network([(1, 2), (2, 3)])
-    report = protocol_two(net, tree)
+    report = protocol_two(net)
     assert report.protocol == "II"
     assert len(report.branches) == 4
     assert report.k == 2
@@ -535,7 +536,7 @@ def test_weave_on_a_three_agent_path():
 
 def test_weave_on_a_five_agent_star_hits_the_cbit_ceiling():
     net, tree = tree_network([(1, 2), (1, 3), (1, 4), (1, 5)])
-    report = protocol_two(net, tree)
+    report = protocol_two(net)
     assert len(report.branches) == 64
     assert report.k == 4
     assert report.cbits == 10 == 3 * tree.n - 5
@@ -544,7 +545,7 @@ def test_weave_on_a_five_agent_star_hits_the_cbit_ceiling():
 
 def test_weave_on_a_single_pair_degenerates_to_a_signal():
     net, tree = tree_network([(1, 2)])
-    report = protocol_two(net, tree)
+    report = protocol_two(net)
     assert report.cbits == 1
     assert report.epr_pairs_consumed == 1
     assert report.branches == tuple(report.branches)
@@ -555,20 +556,20 @@ def test_weave_on_a_single_pair_degenerates_to_a_signal():
 
 def test_weave_fused_step_two_variant_saves_one_cbit():
     net, tree = tree_network([(1, 2), (2, 3)])
-    report = protocol_two(net, tree, step2="zeilinger")
+    report = protocol_two(net, step2="zeilinger")
     assert report.step2_variant == "zeilinger"
     assert len(report.branches) == 2
     assert report.cbits == 3 == 2 * 3 + 2 - 5
     assert report.worst_fidelity >= GOOD
     with pytest.raises(ValueError, match="variant"):
-        protocol_two(*tree_network([(1, 2), (2, 3)]), step2="other")
+        protocol_two(tree_network([(1, 2), (2, 3)])[0], step2="other")
 
 
 def test_weave_exhaustive_over_all_small_trees():
     # every labelled tree on 4 agents (16 Prüfer sequences)
     for seq in [(a, b) for a in range(1, 5) for b in range(1, 5)]:
         net, tree = tree_network(prufer_tree(4, seq), n=4)
-        report = protocol_two(net, tree)
+        report = protocol_two(net)
         assert report.branch_mode == "all"
         check_weave_identities(report, tree)
 
@@ -578,7 +579,7 @@ def test_weave_on_random_larger_trees_with_sampling():
     for n in (6, 7, 8):
         seq = tuple(int(v) for v in rng.integers(1, n + 1, size=n - 2))
         net, tree = tree_network(prufer_tree(n, seq), n=n)
-        report = protocol_two(net, tree, branches=64, seed=9)
+        report = protocol_two(net, branches=64, seed=9)
         assert report.branch_mode == "sample:64"
         assert len(report.branches) >= 32
         check_weave_identities(report, tree)
@@ -586,7 +587,7 @@ def test_weave_on_random_larger_trees_with_sampling():
 
 def test_sampled_branches_are_those_each_stream_reaches_on_its_own():
     net, tree = tree_network(prufer_tree(6, (2, 2, 5, 5)), n=6)
-    report = protocol_two(net, tree, branches=12, seed=5)
+    report = protocol_two(net, branches=12, seed=5)
     schedule = report.transcript[len(net.transcript) :]
     reached, rng = set(), Random(5)
     for _ in range(12):  # 12 full runs of the schedule, one after another on one generator
@@ -607,16 +608,16 @@ def test_branch_cap_fallback_is_decided_before_any_branch_runs(monkeypatch):
 
     monkeypatch.setattr(protocols, "BRANCH_CAP", 16)
     monkeypatch.setattr(protocols, "verify_ghz", counted)
-    report = protocol_two(*tree_network(edges), branches="all")
+    report = protocol_two(tree_network(edges)[0], branches="all")
     assert report.branch_mode == "sample:1024"
     assert len(calls) == len(report.branches) == 64
-    assert report.to_dict() == protocol_two(*tree_network(edges), branches=1024).to_dict()
+    assert report.to_dict() == protocol_two(tree_network(edges)[0], branches=1024).to_dict()
 
 
 @pytest.mark.parametrize("branches", ["all", 3])
 def test_branches_run_in_increasing_order_and_the_lowest_gives_the_transcript(branches):
     # at seed 3 on this path, the live run draws 1010 and the two runs after it 0110 and 1101
-    report = protocol_two(*tree_network([(1, 2), (2, 3), (3, 4)]), branches=branches, seed=3)
+    report = protocol_two(tree_network([(1, 2), (2, 3), (3, 4)])[0], branches=branches, seed=3)
     outcomes = [b.outcomes for b in report.branches]
     m = len(outcomes[0])
     if branches == "all":
@@ -647,24 +648,45 @@ def test_an_exhaustive_live_run_holds_no_more_than_a_sampled_one(monkeypatch):
         tracemalloc.start()
         try:
             with pytest.raises(_LiveRunDone):
-                protocol_two(net, tree, branches=branches)
+                protocol_two(net, branches=branches)
             peaks[branches] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peaks["all"] <= 1.1 * peaks[1], peaks
 
 
-def test_weave_is_insensitive_to_hop_ordering():
-    edges = prufer_tree(6, (3, 3, 5, 2))
-    baseline = protocol_two(*tree_network(edges, n=6), branches=32, seed=4)
-    for seed in (0, 1, 2):
-        net, tree = tree_network(edges, n=6)
-        shuffled = protocol_two(
-            net, tree, branches=32, seed=4, order_rng=np.random.default_rng(seed)
-        )
-        assert shuffled.cbits == baseline.cbits
-        assert shuffled.worst_fidelity >= GOOD
-        assert shuffled.epr_pairs_consumed == baseline.epr_pairs_consumed
+def any_admissible_hop(rng):
+    """A stand-in for ``bfs_edges`` that fires any admissible hop next (an
+    entangled agent to an unentangled neighbor), as ``rng`` draws it."""
+
+    def walk(roots, neighbors):
+        entangled, hops = set(roots), []
+        while frontier := [
+            (v, u) for v in sorted(entangled) for u in neighbors(v) if u not in entangled
+        ]:
+            v, u = rng.choice(frontier)
+            entangled.add(u)
+            hops.append((v, u))
+        return hops
+
+    return walk
+
+
+def test_weave_is_insensitive_to_hop_ordering(monkeypatch):
+    # past its first three agents, the first tree is a path: one hop order only
+    reordered = 0
+    for seq in ((3, 3, 5, 2), (2, 4, 4, 2)):
+        edges = prufer_tree(6, seq)
+        baseline = protocol_two(tree_network(edges, n=6)[0], branches=32, seed=4)
+        for seed in (0, 1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(protocols, "bfs_edges", any_admissible_hop(Random(seed)))
+                shuffled = protocol_two(tree_network(edges, n=6)[0], branches=32, seed=4)
+            assert shuffled.cbits == baseline.cbits
+            assert shuffled.worst_fidelity >= GOOD
+            assert shuffled.epr_pairs_consumed == baseline.epr_pairs_consumed
+            reordered += shuffled.transcript != baseline.transcript
+    assert reordered  # some seed fired the hops out of breadth-first order
 
 
 def test_weave_accepts_minimum_spanning_tree_input():
@@ -674,26 +696,65 @@ def test_weave_accepts_minimum_spanning_tree_input():
     g = EprGraph(4, edges)
     tree = minimum_spanning_tree(g)
     net = setup_epr_network(4, tree.edges)
-    report = protocol_two(net, tree)
+    report = protocol_two(net)
     check_weave_identities(report, tree)
 
 
-def test_weave_rejects_mismatched_setups():
-    net, tree = tree_network([(1, 2), (2, 3)])
-    _, other = tree_network([(1, 3), (2, 3)])
-    with pytest.raises(ProtocolError, match="do not match the tree"):
-        protocol_two(net, other)
-    with pytest.raises(ProtocolError, match="agents"):
-        protocol_two(NetworkState(4), tree)
-    closed, tree2 = tree_network([(1, 2), (2, 3)])
+def test_weave_refuses_pairs_that_are_not_a_tree():
+    cycle = setup_epr_network(3, [(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(ProtocolError, match="the network has 3 EPR pairs"):
+        protocol_two(cycle)
+    doubled = setup_epr_network(3, [(1, 2), (2, 3), (2, 1)])
+    with pytest.raises(ValueError, match=r"^duplicate edge 1 2$"):
+        protocol_two(doubled)
+    bare = NetworkState(4)
+    with pytest.raises(ConnectivityError, match=r"no path joins agents 1 and 2$"):
+        protocol_two(bare)
+    assert all(net.setup_open and net.cbit_count == 0 for net in (cycle, doubled, bare))
+    closed, _ = tree_network([(1, 2), (2, 3)])
     closed.send_classical(1, ALL, [0])
     with pytest.raises(ProtocolError, match="already been operated"):
-        protocol_two(closed, tree2)
+        protocol_two(closed)
+
+
+@pytest.mark.parametrize(
+    "protocol, build, command, spec",
+    [
+        (
+            protocol_two,
+            lambda: setup_epr_network(5, [(1, 2), (3, 4), (4, 5)]),
+            "weave",
+            "agents 5\nedge 1 2\nedge 3 4\nedge 4 5\n",
+        ),
+        (
+            protocol_three,
+            lambda: setup_group_network(EntangledHypergraph(5, [(1, 2), (3, 4, 5)])),
+            "fuse",
+            "agents 5\nhyper 1 2\nhyper 3 4 5\n",
+        ),
+    ],
+    ids=["weave", "fuse"],
+)
+def test_a_disconnected_network_is_refused_as_the_cli_refuses_it(
+    tmp_path, protocol, build, command, spec
+):
+    net = build()
+    with pytest.raises(ConnectivityError) as refused:
+        protocol(net)
+    assert (refused.value.agent_a, refused.value.agent_b) == (1, 3)
+    assert net.setup_open  # nothing ran
+    assert net.cbit_count == 0
+    assert all(isinstance(r, SetupRecord) for r in net.transcript)
+    path = tmp_path / "split.spec"
+    path.write_text(spec)
+    code, out, err = cli([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"rejected: {refused.value} ({CONNECTIVITY_LAW})\n"
 
 
 def test_weave_transcript_starts_with_the_wakeup_broadcast():
     net, tree = tree_network([(1, 2), (2, 3)])
-    report = protocol_two(net, tree)
+    report = protocol_two(net)
     messages = [r for r in report.transcript if hasattr(r, "receivers")]
     assert messages[0].receivers == ALL
     assert messages[0].bits == (1,)
@@ -705,13 +766,12 @@ def test_weave_transcript_starts_with_the_wakeup_broadcast():
 
 def group_network(hyperedges, n=None):
     n = n if n is not None else max(max(e) for e in hyperedges)
-    h = EntangledHypergraph(n, hyperedges)
-    return setup_group_network(h), h
+    return setup_group_network(EntangledHypergraph(n, hyperedges))
 
 
 def test_merge_chain_of_pairs_into_ghz():
-    net, h = group_network([(1, 2), (2, 3), (3, 4)])
-    report = protocol_three(net, h)
+    net = group_network([(1, 2), (2, 3), (3, 4)])
+    report = protocol_three(net)
     assert report.protocol == "III"
     assert report.cbits == 2
     assert len(report.branches) == 4
@@ -724,8 +784,8 @@ def test_merge_chain_of_pairs_into_ghz():
 
 
 def test_merge_overlapping_triples_uncopies_duplicates():
-    net, h = group_network([(1, 2, 3), (2, 3, 4)])
-    report = protocol_three(net, h)
+    net = group_network([(1, 2, 3), (2, 3, 4)])
+    report = protocol_three(net)
     assert report.cbits == 1
     assert len(report.branches) == 2
     assert report.worst_fidelity >= GOOD
@@ -735,8 +795,8 @@ def test_merge_overlapping_triples_uncopies_duplicates():
 
 
 def test_merge_drops_redundant_contained_groups():
-    net, h = group_network([(1, 2, 3), (1, 2, 3, 4)])
-    report = protocol_three(net, h)
+    net = group_network([(1, 2, 3), (1, 2, 3, 4)])
+    report = protocol_three(net)
     assert report.cbits == 0
     assert report.merge_log == ()
     assert merged_sizes(report) == []
@@ -745,30 +805,39 @@ def test_merge_drops_redundant_contained_groups():
 
 
 def test_merge_accepts_epr_pairs_as_two_agent_groups():
-    h = EntangledHypergraph(4, [(1, 2, 3), (3, 4)])
-    net = NetworkState(4)
-    net.distribute_ghz((1, 2, 3))
-    net.distribute_epr(3, 4)
-    report = protocol_three(net, h)
-    assert report.cbits == 1
-    assert report.worst_fidelity >= GOOD
+    # the larger group is the one fused into, whichever was set up first
+    for pair_first in (False, True):
+        net = NetworkState(4)
+        if pair_first:
+            net.distribute_epr(3, 4)
+        net.distribute_ghz((1, 2, 3))
+        if not pair_first:
+            net.distribute_epr(3, 4)
+        report = protocol_three(net)
+        assert report.cbits == 1
+        assert report.worst_fidelity >= GOOD
+        assert [step.hyperedge for step in report.merge_log] == [frozenset({3, 4})]
 
 
 def test_merge_rejects_disconnected_hypergraphs_before_any_quantum_op():
-    net, h = group_network([(1, 2), (3, 4)])
+    net = group_network([(1, 2), (3, 4)])
     with pytest.raises(ConnectivityError):
-        protocol_three(net, h)
+        protocol_three(net)
     assert net.setup_open
     assert net.cbit_count == 0
 
 
-def test_merge_rejects_mismatched_group_distribution():
-    h = EntangledHypergraph(3, [(1, 2), (2, 3)])
+@pytest.mark.parametrize(
+    "first, second", [((2, 3), (1, 2)), ((1, 2), (2, 3))], ids=["2-3 first", "1-2 first"]
+)
+def test_merge_breaks_a_size_tie_by_setup_order(first, second):
     net = NetworkState(3)
-    net.distribute_ghz((2, 3))
-    net.distribute_ghz((1, 2))
-    with pytest.raises(ProtocolError, match="do not match the hypergraph"):
-        protocol_three(net, h)
+    net.distribute_ghz(first)
+    net.distribute_ghz(second)
+    report = protocol_three(net)
+    assert [step.hyperedge for step in report.merge_log] == [frozenset(second)]
+    assert report.cbits == 1
+    assert report.worst_fidelity >= GOOD
 
 
 def random_connected_hypergraph(rng, n):
@@ -795,7 +864,7 @@ def test_merge_random_connected_hypergraphs():
     for _ in range(12):
         n = int(rng.integers(3, 7))
         h = random_connected_hypergraph(rng, n)
-        report = protocol_three(setup_group_network(h), h)
+        report = protocol_three(setup_group_network(h))
         assert report.worst_fidelity >= GOOD
         assert report.cbits == len(report.merge_log)
         for step, size in zip(report.merge_log, merged_sizes(report)):
@@ -860,5 +929,5 @@ def test_weave_uses_bfs_tree_helper_end_to_end():
     g = EprGraph(4, [(1, 2), (2, 3), (2, 4), (3, 4)])
     tree = spanning_tree(g)
     net = setup_epr_network(4, tree.edges)
-    report = protocol_two(net, tree)
+    report = protocol_two(net)
     check_weave_identities(report, tree)

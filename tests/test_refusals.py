@@ -7,13 +7,14 @@ import re
 import pytest
 
 from eprweave.cli import parse_spec, run
-from eprweave.errors import NetworkSpecError, ProtocolError
+from eprweave.errors import ConnectivityError, NetworkSpecError, ProtocolError
 from eprweave.gates import X
 from eprweave.locc import NetworkState, SetupRecord, replay_transcript
 from eprweave.protocols import (
     CorrectionRule,
     protocol_one,
     protocol_three,
+    protocol_two,
     setup_epr_network,
     setup_group_network,
 )
@@ -38,8 +39,6 @@ def _censored(index):
     replay_transcript(2, net.transcript, skip_messages=[index])
 
 
-PATH3 = EntangledHypergraph(3, [(1, 2), (2, 3)])
-
 # case -> (the call, its error class, a regex for its whole message)
 REFUSALS = {
     "protocol_one, cycle outside 1..3": (
@@ -47,17 +46,20 @@ REFUSALS = {
         ProtocolError,
         r"correction cycle \(1, 2, 4\) must name agents 1\.\.3",
     ),
+    "protocol_two, pairs with a cycle": (
+        lambda: protocol_two(setup_epr_network(3, [(1, 2), (2, 3), (1, 3)])),
+        ProtocolError,
+        r"the network has 3 EPR pairs; a tree on 3 agents has 2",
+    ),
     "protocol_three, operated network": (
-        lambda: protocol_three(_operated_group_network(), PATH3),
+        lambda: protocol_three(_operated_group_network()),
         ProtocolError,
         r"network has already been operated on",
     ),
-    "protocol_three, mismatched n": (
-        lambda: protocol_three(
-            setup_group_network(PATH3), EntangledHypergraph(4, [(1, 2), (2, 3), (3, 4)])
-        ),
-        ProtocolError,
-        r"network has 3 agents but the hypergraph has 4",
+    "protocol_three, split groups": (
+        lambda: protocol_three(setup_group_network(EntangledHypergraph(4, [(1, 2), (3, 4)]))),
+        ConnectivityError,
+        r"entangled hypergraph is disconnected: no chain of groups joins agents 1 and 3",
     ),
     "local_measure, no chooser": (
         _measured_without_a_chooser,

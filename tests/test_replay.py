@@ -138,7 +138,7 @@ def capture_census_weaves():
         tree = SpanningTree.from_edges(n, edges)
         for step2 in ("symmetric", "zeilinger"):
             with capture_branches() as leaves:
-                report = protocol_two(setup_epr_network(n, tree.edges), tree, step2=step2)
+                report = protocol_two(setup_epr_network(n, tree.edges), step2=step2)
             weaves.append((report, leaves))
     return weaves
 
@@ -202,14 +202,14 @@ def test_the_factor_map_was_checked_after_every_census_record(census_weaves):
 def test_acceptance_4_fusions_replay_alike_on_every_branch(explored):
     for h in acceptance_4_hypergraphs():
         explored.clear()
-        report = protocol_three(setup_group_network(h), h)
+        report = protocol_three(setup_group_network(h))
         assert_replays_alike(report, explored)
 
 
 def test_sampled_branches_replay_alike(explored):
     edges = [(1, 2), (2, 3), (2, 4), (4, 5), (5, 6), (4, 7), (7, 8), (8, 9)]
     tree = SpanningTree.from_edges(9, edges)
-    report = protocol_two(setup_epr_network(9, tree.edges), tree, branches=5, seed=3)
+    report = protocol_two(setup_epr_network(9, tree.edges), branches=5, seed=3)
     assert_replays_alike(report, explored)
 
 
@@ -219,7 +219,7 @@ def test_sampled_branches_replay_alike(explored):
 
 def _path_weave(step2):
     tree = SpanningTree.from_edges(4, [(1, 2), (2, 3), (3, 4)])
-    return protocol_two(setup_epr_network(4, tree.edges), tree, step2=step2)
+    return protocol_two(setup_epr_network(4, tree.edges), step2=step2)
 
 
 @pytest.mark.parametrize("step2", ["symmetric", "zeilinger"])
@@ -287,12 +287,12 @@ def test_dropping_any_conditioned_gate_fails_a_branch_on_both_interpreters(sched
 
 def _path_schedule():
     tree = SpanningTree.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
-    return lambda: protocol_two(setup_epr_network(5, tree.edges), tree)
+    return lambda: protocol_two(setup_epr_network(5, tree.edges))
 
 
 def _chain_fusion():
     h = EntangledHypergraph(7, [(1, 2, 3), (3, 4, 5), (5, 6, 7)])
-    return lambda: protocol_three(setup_group_network(h), h)
+    return lambda: protocol_three(setup_group_network(h))
 
 
 def _teleport_z_fix(transcript):

@@ -487,7 +487,7 @@ def test_acceptance_4_hypergraphs_fuse_alike_on_both_backends(leaves):
             cases.append(h)
     for h in cases:
         leaves.clear()
-        assert_dense_oracle_agrees(protocol_three(setup_group_network(h), h), leaves)
+        assert_dense_oracle_agrees(protocol_three(setup_group_network(h)), leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +498,7 @@ def test_weaves_past_the_dense_limit():
     path = SpanningTree.from_edges(64, [(i, i + 1) for i in range(1, 64)])
     star = SpanningTree.from_edges(40, [(1, i) for i in range(2, 41)])
     for tree in (path, star):
-        report = protocol_two(setup_epr_network(tree.n, tree.edges), tree, branches=1)
+        report = protocol_two(setup_epr_network(tree.n, tree.edges), branches=1)
         assert report.cbits == 2 * tree.n + len(tree.leaves) - 4
         assert report.epr_pairs_consumed == tree.n - 1
         assert report.worst_fidelity == 1.0
@@ -510,7 +510,7 @@ def test_fuses_past_the_dense_limit():
     rng = np.random.default_rng(40)
     h = _random_connected_hypergraph(rng, 40)
     assert hypergraph_is_connected(h)
-    report = protocol_three(setup_group_network(h), h, branches=16)
+    report = protocol_three(setup_group_network(h), branches=16)
     assert merged_sizes(report)[-1] == 40 > DENSE_QUBIT_LIMIT
     assert report.cbits == len(report.merge_log)
     assert report.worst_fidelity == 1.0
