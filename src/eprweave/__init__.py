@@ -34,7 +34,6 @@ _EXPORTS = {
     "locc": ("ALL", "NetworkState", "replay_transcript"),
     "protocols": (
         "BranchRecord",
-        "CorrectionRule",
         "ProtocolReport",
         "disentangle_duplicate",
         "extend_ghz",

@@ -235,12 +235,17 @@ class NetworkState:
         """One fresh qubit per agent, in order; nothing is allocated
         unless every agent exists."""
         for agent in agents:
-            if agent not in self.agents:
-                raise ValueError(f"unknown agent {agent}")
+            self._require_agent(agent)
         qubits = tuple(range(self._next_qubit, self._next_qubit + len(agents)))
         self._next_qubit += len(agents)
         self.owner.update(zip(qubits, agents))
         return qubits
+
+    def _require_agent(self, agent: AgentId) -> None:
+        """Refuse anything but an int in 1..n: a float or a bool passes
+        ``in self.agents`` alone. Every qubit allocation checks its owner here."""
+        if type(agent) is not int or agent not in self.agents:
+            raise ValueError(f"unknown agent {agent}")
 
     def _slot_of(self, q: QubitId) -> int:
         try:
@@ -494,8 +499,7 @@ class NetworkState:
 
     def _run_ancilla(self, rec: AncillaRecord, choose) -> QubitId:
         actor, q = rec.actor, self._next_qubit
-        if actor not in self.agents:  # the check of _new_qubits
-            raise ValueError(f"unknown agent {actor}")
+        self._require_agent(actor)
         self._next_qubit = q + 1
         self.owner[q] = actor
         self._store_factor(Tableau((q,), BASIS_XZ, 0))

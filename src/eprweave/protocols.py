@@ -26,8 +26,8 @@ from .errors import EntanglementError, ProtocolError, ResourceError
 from .gates import CNOT, Fork, H, QubitId, X, Z
 from .locc import ALL, ConsumeRecord, MeasureRecord, NetworkState, SetupRecord, prepare
 from .stabilizer import memoized
-from .topology import AgentId, EntangledHypergraph, EprGraph, MergeStep
-from .topology import bfs_edges, merge_schedule, spanning_tree
+from .topology import AgentId, EntangledHypergraph, MergeStep, SpanningTree
+from .topology import bfs_edges, merge_schedule
 
 FIDELITY_TOL = 1e-10
 
@@ -94,36 +94,6 @@ class ProtocolReport:
                 for b in self.branches
             ],
         }
-
-
-@dataclass(frozen=True)
-class CorrectionRule:
-    """Who fixes what after the three-party weave.
-
-    The three agents sit in a fixed cyclic order. Whoever shares the two
-    EPR pairs starts the cycle's walk: the next agent along applies the X
-    correction, the one after applies the Z correction.
-    """
-
-    cycle: tuple[AgentId, AgentId, AgentId]
-    sharer: AgentId
-
-    def __post_init__(self):
-        if len(set(self.cycle)) != 3:
-            raise ValueError(f"cycle {self.cycle} must name three distinct agents")
-        if self.sharer not in self.cycle:
-            raise ValueError(f"sharer {self.sharer} is not in the cycle")
-
-    def _successor(self, agent: AgentId) -> AgentId:
-        return self.cycle[(self.cycle.index(agent) + 1) % 3]
-
-    @property
-    def x_applier(self) -> AgentId:
-        return self._successor(self.sharer)
-
-    @property
-    def z_applier(self) -> AgentId:
-        return self._successor(self.x_applier)
 
 
 # ---------------------------------------------------------------------------
@@ -416,47 +386,32 @@ def _weave_ghz3(
 
 
 def protocol_one(
-    net: NetworkState,
-    rule: CorrectionRule | None = None,
-    *,
-    branches: str | int = "all",
-    seed: int = 0,
+    net: NetworkState, *, branches: str | int = "all", seed: int = 0
 ) -> ProtocolReport:
     """Three agents, two EPR pairs at one of them, out comes a GHZ state.
 
-    The hub entangles a fresh ancilla into its kept pair, routes it into
-    the second pair with a CNOT, and measures both the second pair's half
-    and the ancilla. Two result bits travel (one to each partner); the
-    kept qubit plus both partners' corrected qubits end in
-    (|000>+|111>)/sqrt(2) on every branch.
+    The roles are read off the network's pairs, which must form a tree on
+    the three agents (:meth:`~eprweave.topology.SpanningTree.from_edges`,
+    before any quantum operation): its start agent is the hub, and of the
+    two leaves the lower (the root leaf) applies the X correction and the
+    other the Z correction. The hub entangles a fresh ancilla into its
+    pair with the root leaf, routes it into the second pair with a CNOT,
+    and measures both the second pair's half and the ancilla. Two result
+    bits travel (one to each partner); the kept qubit plus both partners'
+    corrected qubits end in (|000>+|111>)/sqrt(2) on every branch.
     """
     if net.n != 3:
         raise ProtocolError(f"this weave needs exactly 3 agents, got {net.n}")
     if not net.setup_open:
         raise ProtocolError("network has already been operated on")
-    if len(net.epr_pairs) != 2:
-        raise ProtocolError(f"need exactly 2 EPR pairs, got {len(net.epr_pairs)}")
-    ends = [set(p.agents) for p in net.epr_pairs]
-    common = ends[0] & ends[1]
-    if len(common) != 1:
-        raise ProtocolError(f"the EPR pairs {ends} do not share a single hub agent")
-    hub = common.pop()
-    others = sorted(set(net.agents) - {hub})
-    if rule is None:
-        rule = CorrectionRule(cycle=(hub, others[0], others[1]), sharer=hub)
-    if set(rule.cycle) != set(net.agents):
-        raise ProtocolError(f"correction cycle {rule.cycle} must name agents 1..3")
-    if rule.sharer != hub:
-        raise ProtocolError(
-            f"correction rule names {rule.sharer} as sharer but the pairs meet at {hub}"
-        )
+    tree = SpanningTree.from_edges(3, [p.agents for p in net.epr_pairs])
+    hub, x_partner = tree.start, tree.root_leaf
+    (z_partner,) = tree.leaves - {x_partner}
 
     work = _live(net, branches, seed)
-    keep, x_qubit = work.consume_epr(hub, rule.x_applier)
-    channel, z_qubit = work.consume_epr(hub, rule.z_applier)
-    designated = _weave_ghz3(
-        work, hub, keep, rule.x_applier, x_qubit, channel, rule.z_applier, z_qubit
-    )
+    keep, x_qubit = work.consume_epr(hub, x_partner)
+    channel, z_qubit = work.consume_epr(hub, z_partner)
+    designated = _weave_ghz3(work, hub, keep, x_partner, x_qubit, channel, z_partner, z_qubit)
     report = _explore("I", net, work, designated, branches, seed)
     if report.cbits != 2:
         raise ProtocolError(f"three-party weave used {report.cbits} cbits instead of 2")
@@ -477,9 +432,9 @@ def protocol_two(
     """Weave an n-partite GHZ state over the network's tree of EPR pairs.
 
     The tree is read off the network's pairs, which must join all n agents
-    with n-1 pairs: a disconnected network is refused with the
-    :class:`~eprweave.errors.ConnectivityError` of
-    :func:`~eprweave.topology.spanning_tree`, before any quantum operation.
+    with n-1 pairs: :meth:`~eprweave.topology.SpanningTree.from_edges`
+    refuses any other set (a disconnected one with a
+    :class:`~eprweave.errors.ConnectivityError`) before any quantum operation.
     The start agent broadcasts one signal bit (freezing everyone's pairs),
     builds a three-party GHZ with the root leaf and one more neighbor,
     then the state ripples outward in breadth-first order: each entangled
@@ -490,12 +445,7 @@ def protocol_two(
     """
     if not net.setup_open:
         raise ProtocolError("network has already been operated on")
-    g = EprGraph(net.n, [p.agents for p in net.epr_pairs])
-    tree = spanning_tree(g)  # raises ConnectivityError before any quantum op
-    if len(g.edges) != net.n - 1:
-        raise ProtocolError(
-            f"the network has {len(g.edges)} EPR pairs; a tree on {net.n} agents has {net.n - 1}"
-        )
+    tree = SpanningTree.from_edges(net.n, [p.agents for p in net.epr_pairs])
     if step2 not in ("symmetric", "zeilinger"):
         raise ValueError(f"unknown step-2 variant {step2!r}")
 

@@ -171,16 +171,17 @@ class SpanningTree:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SpanningTree":
-        """Build (and validate) a tree from an explicit edge list."""
-        if n < 2:
-            raise ValueError("a spanning tree needs at least two agents")
+        """The tree that ``edges`` form on agents 1..n, checked: this is
+        the one check that a list of EPR pairs is a spanning tree. Each
+        edge passes :class:`EprGraph`'s checks; edges that leave an agent
+        out of agent 1's reach get :func:`spanning_tree`'s
+        :class:`~eprweave.errors.ConnectivityError`, and a connected list
+        of more than n - 1 edges a ``ValueError``."""
         g = EprGraph(n, edges)
+        tree = spanning_tree(g)
         if len(g.edges) != n - 1:
             raise ValueError(f"{len(g.edges)} edges cannot form a tree on {n} agents")
-        missing = _unreached_agent(n, bfs_edges([1], g.neighbors))
-        if missing is not None:
-            raise ValueError(f"edge set is not connected (agent {missing} unreachable)")
-        return cls._of(n, g.edges)
+        return tree
 
     @classmethod
     def _of(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SpanningTree":
@@ -201,7 +202,13 @@ class SpanningTree:
         return list(self._adj.get(v, ()))
 
     def total_weight(self, g: EprGraph) -> float:
-        return sum(g.weight(a, b) for a, b in self.edges)
+        """The tree's edge weights in ``g``, added left to right in edge
+        order: ``sum`` compensates float rounding from Python 3.12 on, and
+        reports must not depend on the Python version."""
+        total = 0.0
+        for a, b in self.edges:
+            total += g.weight(a, b)
+        return total
 
 
 class EntangledHypergraph:

@@ -152,10 +152,16 @@ def test_two_member_group_equals_epr_pair():
         (lambda net: net.add_ancilla(4), "unknown agent 4"),
         (lambda net: net.add_ancilla(1.5), "unknown agent 1.5"),
         (lambda net: net.add_ancilla("x"), "unknown agent x"),
+        # 1.0 and True are in range(1, 4), but agents are ints
+        (lambda net: net.distribute_epr(1.0, 2), "unknown agent 1.0"),
+        (lambda net: net.distribute_epr(2, True), "unknown agent True"),
+        (lambda net: net.distribute_ghz((True, 3)), "unknown agent True"),
+        (lambda net: net.add_ancilla(1.0), "unknown agent 1.0"),
     ],
     ids=[
         "epr-second", "epr-first", "ghz", "ghz-repeated", "ancilla", "ancilla-0", "ancilla-n+1",
-        "ancilla-float", "ancilla-str",
+        "ancilla-float", "ancilla-str", "epr-whole-float", "epr-bool", "ghz-bool",
+        "ancilla-whole-float",
     ],
 )
 def test_refused_setup_call_allocates_nothing(refused, message):
@@ -179,8 +185,10 @@ def test_refused_setup_call_allocates_nothing(refused, message):
 
 def test_an_ancilla_agent_is_checked_as_a_member_of_1_to_n():
     net = NetworkState(3)
-    q = net.add_ancilla(True)  # True == 1, so range(1, 4) holds it
-    assert net.owner[q] is True and net.factor_qubits(q) == (q,)
+    with pytest.raises(ValueError, match=r"^unknown agent True$"):
+        net.add_ancilla(True)  # True == 1, so range(1, 4) alone would hold it
+    q = net.add_ancilla(1)
+    assert q == 1 and net.owner == {1: 1} and net.factor_qubits(q) == (q,)
 
 
 def test_dropping_an_empty_group_is_a_value_error():
@@ -652,6 +660,8 @@ REFUSALS = [
      ValueError, "unknown agent 9"),
     (lambda n: n.distribute_epr(2, 3), SetupRecord("epr", (2, 3), (5, 6)),
      SetupClosedError, "only allowed during setup"),
+    (lambda n: n.add_ancilla(1.0), AncillaRecord(1.0, 5),
+     ValueError, "unknown agent 1.0"),
 ]
 
 

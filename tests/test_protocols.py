@@ -26,7 +26,6 @@ from eprweave.gates import Fork
 from eprweave.cli import CONNECTIVITY_LAW
 from eprweave.locc import ALL, DropGroupRecord, MeasureRecord, NetworkState, SetupRecord
 from eprweave.protocols import (
-    CorrectionRule,
     disentangle_duplicate,
     extend_ghz,
     fusion_step,
@@ -152,17 +151,19 @@ def test_sampled_weave_stages_each_reported_branch_once_in_report_order():
         assert snapshot.fidelity(expected_stage_state(stage, roles, measured)) >= GOOD
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["cycle", "reversed"])
 @pytest.mark.parametrize("hub", [1, 2, 3])
-def test_weave_stage_algebra_holds_for_every_hub_and_correction_rule(hub, reverse):
-    others = sorted({1, 2, 3} - {hub}, reverse=reverse)
-    rule = CorrectionRule(cycle=(hub, *others), sharer=hub)
-    snapshots = weave_stages(protocol_one(hub_network(hub), rule))
+def test_weave_stage_algebra_holds_for_every_hub(hub):
+    net = hub_network(hub)
+    tree = SpanningTree.from_edges(3, [p.agents for p in net.epr_pairs])
+    (other_leaf,) = tree.leaves - {tree.root_leaf}
+    snapshots = weave_stages(protocol_one(net))
     assert len(snapshots) == 7 * 4
     for stage, snapshot, roles, measured in snapshots:
-        assert (roles["hub"], roles["x_partner"], roles["z_partner"]) == rule.cycle
+        assert (roles["hub"], roles["x_partner"], roles["z_partner"]) == (
+            tree.start, tree.root_leaf, other_leaf
+        ) == (hub, *sorted({1, 2, 3} - {hub}))
         expected = expected_stage_state(stage, roles, measured)
-        assert snapshot.fidelity(expected) >= GOOD, (hub, reverse, stage, measured)
+        assert snapshot.fidelity(expected) >= GOOD, (hub, stage, measured)
 
 
 def test_three_party_weave_succeeds_on_all_four_branches():
@@ -192,36 +193,14 @@ def test_three_party_weave_detects_hub_automatically():
     assert set(report.designated) == {1, 2, 3}
 
 
-def test_correction_rule_cyclic_succession():
-    rule = CorrectionRule(cycle=(1, 2, 3), sharer=1)
-    assert (rule.x_applier, rule.z_applier) == (2, 3)
-    rule = CorrectionRule(cycle=(1, 2, 3), sharer=3)
-    assert (rule.x_applier, rule.z_applier) == (1, 2)
-    rule = CorrectionRule(cycle=(2, 1, 3), sharer=2)
-    assert (rule.x_applier, rule.z_applier) == (1, 3)
-    with pytest.raises(ValueError):
-        CorrectionRule(cycle=(1, 1, 2), sharer=1)
-    with pytest.raises(ValueError):
-        CorrectionRule(cycle=(1, 2, 3), sharer=4)
-
-
-def test_three_party_weave_honours_explicit_correction_rule():
-    rule = CorrectionRule(cycle=(1, 3, 2), sharer=1)
-    report = protocol_one(hub_network(), rule)
-    assert report.worst_fidelity >= GOOD
-    # agent 3 now takes the X role, agent 2 the Z role
-    assert report.designated[3] == 4
-    assert report.designated[2] == 2
-
-
 def test_three_party_weave_rejects_bad_setups():
     with pytest.raises(ProtocolError, match="exactly 3 agents"):
         protocol_one(NetworkState(4))
-    with pytest.raises(ProtocolError, match="exactly 2 EPR pairs"):
+    with pytest.raises(ConnectivityError, match=r"no path joins agents 1 and 3$"):
         net = NetworkState(3)
         net.distribute_epr(1, 2)
         protocol_one(net)
-    with pytest.raises(ProtocolError, match="share a single hub"):
+    with pytest.raises(ValueError, match=r"^duplicate edge 1 2$"):
         net = NetworkState(3)
         net.distribute_epr(1, 2)
         net.distribute_epr(1, 2)
@@ -230,8 +209,9 @@ def test_three_party_weave_rejects_bad_setups():
         net = hub_network()
         net.send_classical(1, 2, [1])
         protocol_one(net)
-    with pytest.raises(ProtocolError, match="sharer"):
-        protocol_one(hub_network(), CorrectionRule(cycle=(1, 2, 3), sharer=2))
+    # the roles are read off the pairs: there is no rule to pass
+    with pytest.raises(TypeError):
+        protocol_one(hub_network(), None)
 
 
 def test_three_party_weave_sampled_mode():
@@ -702,7 +682,7 @@ def test_weave_accepts_minimum_spanning_tree_input():
 
 def test_weave_refuses_pairs_that_are_not_a_tree():
     cycle = setup_epr_network(3, [(1, 2), (2, 3), (1, 3)])
-    with pytest.raises(ProtocolError, match="the network has 3 EPR pairs"):
+    with pytest.raises(ValueError, match=r"^3 edges cannot form a tree on 3 agents$"):
         protocol_two(cycle)
     doubled = setup_epr_network(3, [(1, 2), (2, 3), (2, 1)])
     with pytest.raises(ValueError, match=r"^duplicate edge 1 2$"):

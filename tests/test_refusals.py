@@ -11,7 +11,6 @@ from eprweave.errors import ConnectivityError, NetworkSpecError, ProtocolError
 from eprweave.gates import X
 from eprweave.locc import NetworkState, SetupRecord, replay_transcript
 from eprweave.protocols import (
-    CorrectionRule,
     protocol_one,
     protocol_three,
     protocol_two,
@@ -41,15 +40,25 @@ def _censored(index):
 
 # case -> (the call, its error class, a regex for its whole message)
 REFUSALS = {
-    "protocol_one, cycle outside 1..3": (
-        lambda: protocol_one(setup_epr_network(3, [(1, 2), (1, 3)]), CorrectionRule((1, 2, 4), 1)),
-        ProtocolError,
-        r"correction cycle \(1, 2, 4\) must name agents 1\.\.3",
+    "protocol_one, missing pair": (
+        lambda: protocol_one(setup_epr_network(3, [(1, 2)])),
+        ConnectivityError,
+        r"EPR graph is disconnected: no path joins agents 1 and 3",
+    ),
+    "protocol_one, pairs with a cycle": (
+        lambda: protocol_one(setup_epr_network(3, [(1, 2), (2, 3), (1, 3)])),
+        ValueError,
+        r"3 edges cannot form a tree on 3 agents",
+    ),
+    "protocol_one, doubled pair": (
+        lambda: protocol_one(setup_epr_network(3, [(1, 2), (1, 2)])),
+        ValueError,
+        r"duplicate edge 1 2",
     ),
     "protocol_two, pairs with a cycle": (
         lambda: protocol_two(setup_epr_network(3, [(1, 2), (2, 3), (1, 3)])),
-        ProtocolError,
-        r"the network has 3 EPR pairs; a tree on 3 agents has 2",
+        ValueError,
+        r"3 edges cannot form a tree on 3 agents",
     ),
     "protocol_three, operated network": (
         lambda: protocol_three(_operated_group_network()),
@@ -184,6 +193,14 @@ def test_each_refusal_has_its_class_and_message(case):
         call()
     assert type(caught.value) is error
     assert re.fullmatch(message, str(caught.value)), str(caught.value)
+
+
+def test_protocol_one_names_the_agent_its_pairs_leave_out_and_operates_on_nothing():
+    net = setup_epr_network(3, [(1, 2)])
+    with pytest.raises(ConnectivityError) as caught:
+        protocol_one(net)
+    assert (caught.value.agent_a, caught.value.agent_b) == (1, 3)
+    assert net.setup_open and net.cbit_count == 0
 
 
 def test_a_spec_with_non_ascii_comments_still_parses():

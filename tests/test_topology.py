@@ -7,8 +7,10 @@ minimum-weight checks. The merge order is checked against the original
 rescan-every-step algorithm, kept here as its reference.
 """
 
+import functools
 import heapq
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -357,32 +359,40 @@ def test_leaf_count_extremes():
 
 
 def test_from_edges_rejects_non_trees():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConnectivityError, match=r"no path joins agents 1 and 3$"):
         SpanningTree.from_edges(3, [(1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate edge 1 2$"):
         SpanningTree.from_edges(4, [(1, 2), (1, 2), (3, 4)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConnectivityError, match=r"no path joins agents 1 and 4$"):
         SpanningTree.from_edges(4, [(1, 2), (2, 3), (1, 3)])
 
 
-UNREACHED_4 = r"^edge set is not connected \(agent 4 unreachable\)$"
+NO_PATH = "EPR graph is disconnected: no path joins agents 1 and {}"
 
 
 @pytest.mark.parametrize(
-    "n, edges, message",
+    "n, edges, unreached, message",
     [
-        (4, [(1, 2), (2, 3), (1, 3)], UNREACHED_4),
-        (5, [(1, 2), (2, 3), (3, 1), (4, 5)], UNREACHED_4),
-        (6, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 4)], UNREACHED_4),
-        (5, [(1, 2), (2, 3), (3, 4)], r"^3 edges cannot form a tree on 5 agents$"),
-        (3, [(1, 2), (2, 3), (1, 3)], r"^3 edges cannot form a tree on 3 agents$"),
-        (1, [], r"^a spanning tree needs at least two agents$"),
+        (4, [(1, 2), (2, 3), (1, 3)], 4, NO_PATH.format(4)),
+        (5, [(1, 2), (2, 3), (3, 1), (4, 5)], 4, NO_PATH.format(4)),
+        (6, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 4)], 4, NO_PATH.format(4)),
+        (5, [(1, 2), (2, 3), (3, 4)], 5, NO_PATH.format(5)),
+        (3, [(1, 2), (2, 3), (1, 3)], None, "3 edges cannot form a tree on 3 agents"),
+        (1, [], None, "a spanning tree needs at least two agents"),
     ],
     ids=["cycle-misses-4", "cycle-plus-edge", "two-parts", "too-few", "too-many", "one-agent"],
 )
-def test_from_edges_refuses_cyclic_disconnected_and_wrong_size_lists(n, edges, message):
-    with pytest.raises(ValueError, match=message):
+def test_from_edges_refuses_cyclic_disconnected_and_wrong_size_lists(n, edges, unreached, message):
+    """A list that leaves an agent out of agent 1's reach gets
+    spanning_tree's ConnectivityError, naming agent 1 and the lowest agent
+    it cannot reach, whatever its size; a connected list of the wrong size
+    gets a ValueError."""
+    error = ValueError if unreached is None else ConnectivityError
+    with pytest.raises(error) as refused:
         SpanningTree.from_edges(n, edges)
+    assert type(refused.value) is error and str(refused.value) == message
+    if unreached is not None:
+        assert (refused.value.agent_a, refused.value.agent_b) == (1, unreached)
 
 
 @settings(max_examples=100)
@@ -413,6 +423,15 @@ def test_mst_triangle_picks_cheap_edges():
     t = minimum_spanning_tree(g)
     assert t.edges == ((1, 2), (2, 3))
     assert t.total_weight(g) == 3.0
+
+
+def test_total_weight_adds_left_to_right_on_every_python():
+    # sum() compensates rounding from Python 3.12 on and gives 1.0 here
+    g = EprGraph(11, [(v, v + 1, 0.1) for v in range(1, 11)])
+    t = spanning_tree(g)
+    weights = [g.weight(a, b) for a, b in t.edges]
+    assert t.total_weight(g) == functools.reduce(operator.add, weights, 0.0)
+    assert t.total_weight(g) == 0.9999999999999999
 
 
 def test_mst_tie_break_is_lexicographic():

@@ -13,7 +13,9 @@ checkouts compare with ``diff -r``.
 
 The corpus is the benchmark's four pools (``perfbench/workloads.py``, read
 only) at one seed with ``--verbose``, then hand-written specs that reach
-paths the pools do not: ``ghz3``, both step-2 circuits on small and weighted
+paths the pools do not: ``ghz3`` with its hub at each of the three agents
+and on three 3-agent pair sets that form no tree (a pair missing, a pair
+doubled, a triangle), both step-2 circuits on small and weighted
 trees, sampled runs under a 97-bit and a negative seed, the ``BRANCH_CAP``
 fallback, contained, duplicate and EPR groups under ``fuse``, runs on both
 sides of the branch explorer's memo bound (an 80-agent ``fuse`` staircase
@@ -74,6 +76,17 @@ def corpus():
     hub = _edges(3, [(1, 2), (1, 3)])
     for branches in ("all", "sample:4"):
         yield f"ghz3-{branches}", hub, ["ghz3", "--branches", branches, "--seed", "3", "--verbose"]
+    # the hub and its X and Z partners are read off the pairs
+    for at, pairs in ((2, [(1, 2), (2, 3)]), (3, [(1, 3), (2, 3)])):
+        yield f"ghz3-hub-{at}", _edges(3, pairs), ["ghz3", "--verbose"]
+    # three agents whose pairs form no tree
+    not_trees = {
+        "missing-pair": [(1, 2)],
+        "triangle": [(1, 2), (2, 3), (1, 3)],
+        "doubled-pair": [(1, 2), (1, 2)],
+    }
+    for name, pairs in not_trees.items():
+        yield f"ghz3-{name}", _edges(3, pairs), ["ghz3"]
 
     trees = {
         "pair": _edges(2, [(1, 2)]),
