@@ -31,19 +31,20 @@ so a copy of a network whose agents know nothing copies nothing.
 All operations, locks, pair claims and schedule checks mutate the
 NetworkState in place and append to its transcript, so a transcript is a
 complete schedule. One executor per kind of record runs the operation,
-and three paths reach it: each public operation builds its record and
-calls its executor; ``NetworkState.apply`` looks it up, for
-``replay_transcript`` (which can censor messages: any operation
-conditioned on a censored bit must then fail); and branch exploration
-runs the executor pairs that ``prepare`` looked up once. An operation
-that reproduces its record appends that record itself.
+and two paths reach it: each public operation builds its record and
+calls its executor; ``NetworkState.run`` looks it up for each record it
+is given, for ``replay_transcript`` (which can censor messages: any
+operation conditioned on a censored bit must then fail) and for branch
+exploration. A measurement takes its branch from the network's chooser,
+else from its record. An operation that reproduces its record appends
+that record itself.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ConditioningError,
@@ -126,8 +127,9 @@ class ConsumeRecord:
 
 @dataclass(frozen=True)
 class LockRecord:
+    """The qubits stay locked until their pair is claimed."""
+
     qubits: tuple[QubitId, ...]
-    locked: bool  # False: the qubits were released
 
 
 @dataclass(frozen=True)
@@ -242,8 +244,10 @@ class NetworkState:
         return qubits
 
     def _require_agent(self, agent: AgentId) -> None:
-        """Refuse anything but an int in 1..n: a float or a bool passes
-        ``in self.agents`` alone. Every qubit allocation checks its owner here."""
+        """Refuse anything but an int in 1..n: a float or a bool is ``in
+        self.agents`` and equals an owner's int, but is no agent. Qubit
+        allocations, pair claims, senders and public operations' actors
+        are checked here."""
         if type(agent) is not int or agent not in self.agents:
             raise ValueError(f"unknown agent {agent}")
 
@@ -329,7 +333,7 @@ class NetworkState:
 
     def add_ancilla(self, actor: AgentId) -> QubitId:
         """Fresh local |0> qubit; free, and legal at any time."""
-        return self._run_ancilla(AncillaRecord(actor, self._next_qubit), None)
+        return self._run_ancilla(AncillaRecord(actor, self._next_qubit))
 
     def local_gate(self, actor: AgentId, gate: Gate, when: str | None = None) -> bool:
         """Apply a gate to the actor's own qubits.
@@ -339,29 +343,26 @@ class NetworkState:
         is an error — that is the classical side of LOCC enforcement.
         Returns whether the gate was actually applied.
         """
-        return self._run_gate(GateRecord(actor, gate, when, True), None)
+        self._require_agent(actor)
+        return self._run_gate(GateRecord(actor, gate, when, True))
 
-    def local_measure(
-        self,
-        actor: AgentId,
-        q: QubitId,
-        label: str | None = None,
-        choose: BranchChooser | None = None,
-    ) -> MeasureRecord:
-        """Measure the actor's qubit; only the actor learns the outcome.
+    def local_measure(self, actor: AgentId, q: QubitId, label: str | None = None) -> MeasureRecord:
+        """Measure the actor's qubit on the branch the network's
+        ``chooser`` picks; only the actor learns the outcome.
 
         The result is stored in the actor's knowledge under ``label`` and
         stays private until sent classically. The measured qubit collapses
         and is split into its own single-qubit factor. Returns the
         ``MeasureRecord`` it appends, with the label, bit and probability.
         """
+        self._require_agent(actor)
         # no recorded bit: without a chooser there is nothing to measure by
-        placeholder = MeasureRecord(actor, q, label, None, 0.0)
-        return self._run_measure(placeholder, choose if choose is not None else self.chooser)
+        return self._run_measure(MeasureRecord(actor, q, label, None, 0.0))
 
     def discard_qubit(self, actor: AgentId, q: QubitId) -> None:
         """Drop a qubit that factors out (e.g. already measured); free."""
-        self._run_discard(DiscardRecord(actor, q), None)
+        self._require_agent(actor)
+        self._run_discard(DiscardRecord(actor, q))
 
     def drop_group(self, qubits: Iterable[QubitId]) -> None:
         """Remove an entire factor wholesale (redundant group entanglement).
@@ -369,7 +370,7 @@ class NetworkState:
         Legal only when ``qubits`` is exactly one factor's qubit set, i.e.
         the group is untouched and unentangled with everything else.
         """
-        self._run_drop_group(DropGroupRecord(tuple(sorted(frozenset(qubits)))), None)
+        self._run_drop_group(DropGroupRecord(tuple(sorted(frozenset(qubits)))))
 
     # -- classical communication ---------------------------------------------
 
@@ -388,7 +389,7 @@ class NetworkState:
         cbits, regardless of how many agents listen.
 
         ``send_classical(message)`` sends a recorded message again, as
-        :meth:`apply` does: its labeled bits take the values this network
+        :meth:`run` does: its labeled bits take the values this network
         knows, with every check above. Every message passes through here.
         """
         if isinstance(sender, ClassicalMessage):
@@ -403,13 +404,13 @@ class NetworkState:
                 purpose,
             )
         sender, receivers, agents = rec.sender, rec.receivers, self.agents
-        if sender not in agents:
-            raise ValueError(f"unknown agent {sender}")
+        if type(sender) is not int or sender not in agents:
+            self._require_agent(sender)
         if not rec.bits:
             raise ValueError("a classical message must carry at least one bit")
         if receivers != ALL:
             for receiver in receivers:
-                if receiver not in agents:
+                if type(receiver) is not int or receiver not in agents:
                     raise ValueError(f"unknown receiver {receiver}")
                 if receiver == sender:
                     raise ValueError("sending a message to oneself is not communication")
@@ -449,11 +450,9 @@ class NetworkState:
 
     def lock_qubits(self, qubits: Iterable[QubitId]) -> None:
         """Freeze qubits until the protocol schedule reaches them; any
-        local operation on a locked qubit is a protocol error."""
-        self._run_lock(LockRecord(tuple(qubits), True), None)
-
-    def unlock_qubits(self, qubits: Iterable[QubitId]) -> None:
-        self._run_lock(LockRecord(tuple(qubits), False), None)
+        local operation on a locked qubit is a protocol error. Claiming
+        a pair (:meth:`consume_epr`) releases its halves."""
+        self._run_lock(LockRecord(tuple(qubits)))
 
     def consume_epr(self, a: AgentId, b: AgentId) -> tuple[QubitId, QubitId]:
         """Claim the first unused EPR pair between a and b, unlocking it.
@@ -461,18 +460,19 @@ class NetworkState:
         Returns (a's half, b's half); a pair is claimed once, so no
         teleportation can use it twice.
         """
-        return self._run_consume(ConsumeRecord(a, b), None)
+        return self._run_consume(ConsumeRecord(a, b))
 
     # -- schedule checks -------------------------------------------------------
 
     def check_zero(self, actor: AgentId, q: QubitId) -> None:
         """Require the actor's qubit to be |0>, as a perfect duplicate is
         after its uncopy; anything else is an entanglement error."""
-        self._run_zero_check(ZeroCheckRecord(actor, q), None)
+        self._require_agent(actor)
+        self._run_zero_check(ZeroCheckRecord(actor, q))
 
     def check_factor_size(self, q: QubitId, size: int) -> None:
         """Require the factor holding q to span exactly ``size`` qubits."""
-        self._run_factor_size(FactorSizeRecord(q, size), None)
+        self._run_factor_size(FactorSizeRecord(q, size))
 
     # -- the executors ---------------------------------------------------------
     #
@@ -480,16 +480,27 @@ class NetworkState:
     # and appends its record: the given one itself when the operation
     # reproduces it, else a new one with this run's result. The checks are
     # inlined; the raising helpers above run only once a check has failed.
+    # A record's actor is checked as an agent only where that is cheap (a
+    # message's sender, a pair claim); a public operation checks its own.
 
-    def apply(self, rec: Record, choose: BranchChooser | None = None) -> None:
-        """Run the operation that made ``rec``, with all its checks.
+    def run(self, records: Iterable[Record]) -> None:
+        """Run the operation that made each record, in order, with all its
+        checks.
 
         Conditioned gates and message bits follow this network's
-        knowledge; a measurement takes ``choose``, else the recorded bit.
+        knowledge; a measurement takes the branch ``chooser`` picks, else
+        its recorded bit. One :class:`~eprweave.gates.Fork` as the chooser
+        pins one branch across any number of calls.
         """
-        _executor(rec)(self, rec, choose)
+        executors = _EXECUTORS  # looked up per record, so a patched entry is seen
+        for rec in records:
+            try:
+                execute = executors[type(rec)]
+            except KeyError:
+                raise TypeError(f"unknown transcript record {rec!r}") from None
+            execute(self, rec)
 
-    def _run_setup(self, rec: SetupRecord, choose) -> None:
+    def _run_setup(self, rec: SetupRecord) -> None:
         if rec.kind == "ghz":
             self.distribute_ghz(rec.agents)
         elif rec.kind == "epr" and len(rec.agents) == 2:
@@ -497,7 +508,7 @@ class NetworkState:
         else:
             raise ValueError(f"{rec!r} is neither a 2-agent 'epr' record nor a 'ghz' record")
 
-    def _run_ancilla(self, rec: AncillaRecord, choose) -> QubitId:
+    def _run_ancilla(self, rec: AncillaRecord) -> QubitId:
         actor, q = rec.actor, self._next_qubit
         self._require_agent(actor)
         self._next_qubit = q + 1
@@ -508,7 +519,7 @@ class NetworkState:
         self.transcript.append(rec)
         return q
 
-    def _run_gate(self, rec: GateRecord, choose) -> bool:
+    def _run_gate(self, rec: GateRecord) -> bool:
         actor, gate, when = rec.actor, rec.gate, rec.when
         qubits = gate.qubits
         for q in qubits:
@@ -538,7 +549,7 @@ class NetworkState:
         self.transcript.append(rec)
         return applied
 
-    def _run_measure(self, rec: MeasureRecord, choose) -> MeasureRecord:
+    def _run_measure(self, rec: MeasureRecord) -> MeasureRecord:
         actor, q, label = rec.actor, rec.qubit, rec.label
         if self.owner.get(q) != actor:
             self._require_owner(actor, (q,))
@@ -548,6 +559,7 @@ class NetworkState:
             label = next(f"m{k}" for k in itertools.count(1) if f"m{k}" not in self._labels)
         if label in self._labels:
             raise ValueError(f"measurement label {label!r} already used in this run")
+        choose = self.chooser
         if choose is None:
             choose = rec.bit
             if choose is None:
@@ -568,11 +580,11 @@ class NetworkState:
         self.transcript.append(rec)
         return rec
 
-    def _run_message(self, rec: ClassicalMessage, choose) -> None:
+    def _run_message(self, rec: ClassicalMessage) -> None:
         # by name, so that whatever wraps send_classical sees replayed messages too
         self.send_classical(rec)
 
-    def _run_discard(self, rec: DiscardRecord, choose) -> None:
+    def _run_discard(self, rec: DiscardRecord) -> None:
         actor, q = rec.actor, rec.qubit
         if self.owner.get(q) != actor:
             self._require_owner(actor, (q,))
@@ -588,7 +600,7 @@ class NetworkState:
         del self.owner[q]
         self.transcript.append(rec)
 
-    def _run_drop_group(self, rec: DropGroupRecord, choose) -> None:
+    def _run_drop_group(self, rec: DropGroupRecord) -> None:
         if not rec.qubits:
             raise ValueError("a dropped group needs at least one qubit")
         slot = self._slot_of(rec.qubits[0])
@@ -606,8 +618,11 @@ class NetworkState:
             self._locked.discard(q)
         self.transcript.append(rec)
 
-    def _run_consume(self, rec: ConsumeRecord, choose) -> tuple[QubitId, QubitId]:
+    def _run_consume(self, rec: ConsumeRecord) -> tuple[QubitId, QubitId]:
         a, b = rec.agent_a, rec.agent_b
+        if type(a) is not int or type(b) is not int:  # an int outside 1..n has no pair
+            self._require_agent(a)
+            self._require_agent(b)
         key = (a, b) if a < b else (b, a)
         unused = self._unclaimed.get(key)
         if not unused:
@@ -619,14 +634,11 @@ class NetworkState:
         self.transcript.append(rec)
         return halves
 
-    def _run_lock(self, rec: LockRecord, choose) -> None:
-        if rec.locked:
-            self._locked.update(rec.qubits)
-        else:
-            self._locked.difference_update(rec.qubits)
+    def _run_lock(self, rec: LockRecord) -> None:
+        self._locked.update(rec.qubits)
         self.transcript.append(rec)
 
-    def _run_zero_check(self, rec: ZeroCheckRecord, choose) -> None:
+    def _run_zero_check(self, rec: ZeroCheckRecord) -> None:
         actor, q = rec.actor, rec.qubit
         if self.owner.get(q) != actor:
             self._require_owner(actor, (q,))
@@ -638,7 +650,7 @@ class NetworkState:
             )
         self.transcript.append(rec)
 
-    def _run_factor_size(self, rec: FactorSizeRecord, choose) -> None:
+    def _run_factor_size(self, rec: FactorSizeRecord) -> None:
         actual = len(self._factors[self._slot_of(rec.qubit)].qubits)
         if actual != rec.size:
             raise ProtocolError(f"merged group spans {actual} qubits, expected {rec.size}")
@@ -676,8 +688,8 @@ class NetworkState:
         return total
 
 
-#: The executor of each record kind, for :meth:`NetworkState.apply` and
-#: :func:`prepare`; a public operation calls its executor directly.
+#: The executor of each record kind, for :meth:`NetworkState.run`; a
+#: public operation calls its executor directly.
 _EXECUTORS = {
     SetupRecord: NetworkState._run_setup,
     AncillaRecord: NetworkState._run_ancilla,
@@ -693,24 +705,9 @@ _EXECUTORS = {
 }
 
 
-def _executor(rec: Record):
-    try:
-        return _EXECUTORS[type(rec)]
-    except KeyError:
-        raise TypeError(f"unknown transcript record {rec!r}") from None
-
-
-def prepare(records: Iterable[Record]) -> list[tuple[Callable, Record]]:
-    """Each record with its executor, looked up once: running
-    ``execute(net, rec, choose)`` for every pair does what
-    ``net.apply(rec, choose)`` for every record does, so a schedule that
-    runs on many branches is dispatched once."""
-    return [(_executor(rec), rec) for rec in records]
-
-
 # ---------------------------------------------------------------------------
-# replay: ``apply`` takes each recorded bit, or a chooser's; one
-# ``gates.Fork(outcomes)`` pins a branch for a whole schedule
+# replay: ``NetworkState.run`` takes each recorded bit, or the chooser's;
+# one ``gates.Fork(outcomes)`` as the chooser pins a branch
 
 
 def replay_transcript(
@@ -720,7 +717,7 @@ def replay_transcript(
 ) -> NetworkState:
     """Re-execute a transcript on a fresh n-agent network.
 
-    Each record goes through ``NetworkState.apply`` with measurement
+    The records go through ``NetworkState.run`` with measurement
     outcomes forced to their recorded bits, so a faithful replay
     reproduces the transcript record-for-record, checks included; a
     changed bit replays another branch and its checks. ``skip_messages``
@@ -732,11 +729,9 @@ def replay_transcript(
     skip = set(skip_messages)
     if outside := skip.difference(range(len(transcript))):
         raise ValueError(f"cannot censor entries {sorted(outside)} outside range({len(transcript)})")
+    for i in sorted(skip):
+        if not isinstance(transcript[i], ClassicalMessage):
+            raise ValueError(f"transcript entry {i} is not a message")
     net = NetworkState(n)
-    for i, rec in enumerate(transcript):
-        if i in skip:
-            if not isinstance(rec, ClassicalMessage):
-                raise ValueError(f"transcript entry {i} is not a message")
-            continue
-        net.apply(rec)
+    net.run(rec for i, rec in enumerate(transcript) if i not in skip)
     return net

@@ -8,10 +8,10 @@ Protocols succeed on *every* measurement branch. A protocol's schedule
 never depends on measured bits, so each protocol body runs live once, on
 one branch, and its transcript is the schedule. Every other branch, of
 all of them or of a seeded sample when exhaustive enumeration would blow
-up, runs that schedule from the setup state through the executors that
-:func:`~eprweave.locc.prepare` paired with its records, with every
-message and check. Every branch sends the same messages, which is what
-makes cbit counts branch-independent.
+up, runs that schedule from the setup state through
+:meth:`~eprweave.locc.NetworkState.run` under a ``Fork`` that pins its
+branch, with every message and check. Every branch sends the same
+messages, which is what makes cbit counts branch-independent.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .errors import EntanglementError, ProtocolError, ResourceError
 from .gates import CNOT, Fork, H, QubitId, X, Z
-from .locc import ALL, ConsumeRecord, MeasureRecord, NetworkState, SetupRecord, prepare
+from .locc import ALL, ConsumeRecord, MeasureRecord, NetworkState, SetupRecord
 from .stabilizer import memoized
 from .topology import AgentId, EntangledHypergraph, MergeStep, SpanningTree
 from .topology import bfs_edges, merge_schedule
@@ -145,8 +145,8 @@ def _explore(
     Above BRANCH_CAP, ``"all"`` takes ``sample:FALLBACK_SAMPLES``'s, from
     a fresh ``Random(seed)``. They run in increasing order: the live vector
     is ``work``, and every other runs the schedule from a copy of the setup
-    under ``Fork(vector)``, each record through its executor (looked up
-    once, by :func:`~eprweave.locc.prepare`), with every message and
+    whose chooser is ``Fork(vector)``, through
+    :meth:`~eprweave.locc.NetworkState.run`, with every message and
     check. Those runs differ only in their tableaux's signs, so while they
     run the setup factors are armed (:func:`~eprweave.stabilizer.memoized`)
     if the live run's largest factor has at most MEMO_MAX_QUBITS qubits.
@@ -165,7 +165,6 @@ def _explore(
         for _ in range(len(drawn), branches):
             drawn.add(tuple(1 if rng.random() < 0.5 else 0 for _ in range(m)))
         vectors, others = sorted(drawn), drawn != {live}
-    steps = prepare(schedule) if others else ()  # nothing left to run after the live run
 
     records, transcript = [], None
     armed = net.factors() if others and work.peak_factor_qubits <= MEMO_MAX_QUBITS else ()
@@ -174,9 +173,9 @@ def _explore(
             if vector == live:
                 leaf = work
             else:
-                leaf, fork = net.copy(), Fork(vector)
-                for execute, rec in steps:
-                    execute(leaf, rec, fork)
+                leaf = net.copy()
+                leaf.chooser = Fork(vector)
+                leaf.run(schedule)
             if max_register is not None and leaf.peak_factor_qubits > max_register:
                 raise ProtocolError(f"working register grew to {leaf.peak_factor_qubits} qubits")
             done = leaf.transcript
@@ -530,8 +529,9 @@ def protocol_three(
         key=len,
         reverse=True,
     )
-    # raises ConnectivityError before any quantum op
-    schedule = merge_schedule(EntangledHypergraph(net.n, groups))
+    # distribute_ghz and distribute_epr checked every group as check_group
+    # does; merge_schedule raises ConnectivityError before any quantum op
+    schedule = merge_schedule(EntangledHypergraph.from_checked(net.n, map(frozenset, groups)))
 
     work = _live(net, branches, seed)
     holder = dict(groups[0])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -23,13 +22,12 @@ AgentId = int
 
 
 def _check_agent(v: int, n: int) -> None:
-    """Refuse an agent id that is not an integer (as ``operator.index``
-    takes it) in 1..n."""
-    try:
-        i = operator.index(v)
-    except TypeError:
-        raise ValueError(f"agent {v!r} is not an integer") from None
-    if not 1 <= i <= n:
+    """Refuse an agent id that is not an ``int`` in 1..n, as
+    :class:`~eprweave.locc.NetworkState` does: a bool or a numpy integer
+    equals an int but is not one."""
+    if type(v) is not int:
+        raise ValueError(f"agent {v!r} is not an integer")
+    if not 1 <= v <= n:
         raise ValueError(f"agent {v} is outside 1..{n}")
 
 

@@ -80,7 +80,8 @@ def measure(net, actor, label, bit):
     """The actor measures a fresh |+> qubit and learns ``bit`` as ``label``."""
     q = net.add_ancilla(actor)
     net.local_gate(actor, H(q))
-    net.local_measure(actor, q, label=label, choose=bit)
+    net.chooser = bit
+    net.local_measure(actor, q, label=label)
 
 
 def outcome(call):

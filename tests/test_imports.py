@@ -236,11 +236,11 @@ def test_every_kind_of_chooser_measures_with_numpy_refused(tmp_path):
         from random import Random
 
         choosers = [1, lambda p0, p1: 1, Fork((1,)), Fork(rng=Random(0))]
-        for choose in choosers:
-            net = NetworkState(2)
+        for chooser in choosers:
+            net = NetworkState(2, chooser)
             qa, qb = net.distribute_epr(1, 2)
-            a = net.local_measure(1, qa, label="a", choose=choose)
-            b = net.local_measure(2, qb, label="b", choose=choose)
+            a = net.local_measure(1, qa, label="a")
+            b = net.local_measure(2, qb, label="b")
             assert a.probability == 0.5 and (b.bit, b.probability) == (a.bit, 1.0)
             replayed = replay_transcript(2, net.transcript)
             assert replayed.transcript == net.transcript

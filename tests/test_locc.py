@@ -47,7 +47,8 @@ from tableau_view import dense_view
 
 
 def hub_setup(chooser=None):
-    """Agent 1 shares one EPR pair with each of agents 2 and 3."""
+    """Agent 1 shares one EPR pair with each of agents 2 and 3; the
+    network measures under ``chooser``."""
     net = NetworkState(3, chooser)
     a1, b = net.distribute_epr(1, 2)
     a2, c = net.distribute_epr(1, 3)
@@ -89,10 +90,11 @@ def test_setup_closes_at_first_protocol_step():
         net.distribute_ghz({1, 2, 3})
 
 
-# a refused first operation -> its error's class and message
+# a refused first operation, on a network that forces every measurement's
+# bit to 2 -> its error's class and message
 REFUSED_FIRST_STEPS = {
     "forced bit 2": (
-        lambda net, q: net.local_measure(1, q, choose=2),
+        lambda net, q: net.local_measure(1, q),
         ValueError, "forced bit must be 0 or 1, got 2",
     ),
     "cross-agent gate": (
@@ -113,7 +115,7 @@ REFUSED_FIRST_STEPS = {
 @pytest.mark.parametrize("step", sorted(REFUSED_FIRST_STEPS))
 def test_a_refused_operation_leaves_setup_open(step):
     call, error, message = REFUSED_FIRST_STEPS[step]
-    net = NetworkState(3)
+    net = NetworkState(3, chooser=2)
     qa, _ = net.distribute_epr(1, 2)
     with pytest.raises(error) as caught:
         call(net, qa)
@@ -230,14 +232,14 @@ def test_local_two_qubit_gate_merges_factors():
 
 
 def test_measurement_requires_ownership():
-    net, a1, a2, b, c = hub_setup()
+    net, a1, a2, b, c = hub_setup(0)
     with pytest.raises(LoccViolationError):
-        net.local_measure(2, a1, choose=0)
+        net.local_measure(2, a1)
 
 
 def test_measurement_outcome_is_private_until_sent():
-    net, a1, a2, b, c = hub_setup()
-    net.local_measure(1, a2, label="flip", choose=1)
+    net, a1, a2, b, c = hub_setup(1)
+    net.local_measure(1, a2, label="flip")
     assert net.knowledge[1] == {"flip": 1}
     assert net.knowledge[2] == {}
     with pytest.raises(ConditioningError):
@@ -248,23 +250,23 @@ def test_measurement_outcome_is_private_until_sent():
 
 
 def test_conditioned_gate_skips_on_zero_bit():
-    net, a1, a2, b, c = hub_setup()
-    net.local_measure(1, a2, label="flip", choose=0)
+    net, a1, a2, b, c = hub_setup(0)
+    net.local_measure(1, a2, label="flip")
     before = dense_view(net, (a1,))
     assert net.local_gate(1, X(a1), when="flip") is False
     assert dense_view(net, (a1,)).fidelity(before) == pytest.approx(1.0)
 
 
 def test_measurement_labels_are_single_use():
-    net, a1, a2, b, c = hub_setup()
-    net.local_measure(1, a1, label="m", choose=0)
+    net, a1, a2, b, c = hub_setup(0)
+    net.local_measure(1, a1, label="m")
     with pytest.raises(ValueError):
-        net.local_measure(1, a2, label="m", choose=0)
+        net.local_measure(1, a2, label="m")
 
 
 def test_measured_qubit_splits_into_its_own_factor():
-    net, a1, a2, b, c = hub_setup()
-    net.local_measure(1, a1, choose=1)
+    net, a1, a2, b, c = hub_setup(1)
+    net.local_measure(1, a1)
     assert net.factor_qubits(a1) == (a1,)
     assert net.factor_qubits(b) == (b,)  # partner collapsed too
     assert dense_view(net, (b,)).probability_of_one(b) == pytest.approx(1.0)
@@ -279,11 +281,11 @@ def test_local_measure_slices_the_qubit_out_without_discard(monkeypatch):
         return original(self, q)
 
     monkeypatch.setattr(Tableau, "discard", counting)
-    net = NetworkState(3)
+    net = NetworkState(3, chooser=1)
     held = net.distribute_ghz([1, 2, 3])
     a, b = net.distribute_epr(1, 2)
     net.local_gate(1, CNOT(held[1], a))  # one five-qubit factor
-    net.local_measure(1, a, choose=1)
+    net.local_measure(1, a)
     assert discards == []
     ghz4 = (held[1], held[2], held[3], b)
     assert net.factor_qubits(b) == ghz4
@@ -298,8 +300,8 @@ def test_local_measure_slices_the_qubit_out_without_discard(monkeypatch):
 
 
 def test_message_costs_its_bit_length_once():
-    net, a1, a2, b, c = hub_setup()
-    net.local_measure(1, a1, label="r", choose=0)
+    net, a1, a2, b, c = hub_setup(0)
+    net.local_measure(1, a1, label="r")
     net.send_classical(1, 2, ["r"])
     assert net.cbit_count == 1
     net.send_classical(1, ALL, [1], purpose="go")
@@ -312,8 +314,8 @@ def test_message_costs_its_bit_length_once():
 
 
 def test_broadcast_reaches_everyone_else():
-    net, a1, a2, b, c = hub_setup()
-    net.local_measure(1, a1, label="r", choose=1)
+    net, a1, a2, b, c = hub_setup(1)
+    net.local_measure(1, a1, label="r")
     net.send_classical(1, ALL, ["r"])
     assert net.knowledge[2] == {"r": 1}
     assert net.knowledge[3] == {"r": 1}
@@ -332,8 +334,8 @@ def test_message_validation():
 
 
 def test_forwarding_a_received_bit_is_legal():
-    net, a1, a2, b, c = hub_setup()
-    net.local_measure(1, a1, label="r", choose=0)
+    net, a1, a2, b, c = hub_setup(0)
+    net.local_measure(1, a1, label="r")
     net.send_classical(1, 2, ["r"])
     net.send_classical(2, 3, ["r"])  # B may relay what B knows
     assert net.knowledge[3] == {"r": 0}
@@ -345,12 +347,12 @@ def test_forwarding_a_received_bit_is_legal():
 
 
 def test_locked_qubits_reject_operations():
-    net, a1, a2, b, c = hub_setup()
+    net, a1, a2, b, c = hub_setup(0)
     net.lock_qubits([b])
     with pytest.raises(ProtocolError):
         net.local_gate(2, X(b))
     with pytest.raises(ProtocolError):
-        net.local_measure(2, b, choose=0)
+        net.local_measure(2, b)
     with pytest.raises(ProtocolError, match="locked"):  # not the entangled-discard refusal
         net.discard_qubit(2, b)
     fresh = net.add_ancilla(1)
@@ -359,9 +361,6 @@ def test_locked_qubits_reject_operations():
         net.discard_qubit(1, fresh)
     with pytest.raises(ProtocolError, match="locked"):  # the refused discard kept the lock
         net.local_gate(1, X(fresh))
-    net.unlock_qubits([b, fresh])
-    net.local_gate(2, X(b))
-    net.discard_qubit(1, fresh)
 
 
 def test_epr_pairs_are_consumed_once():
@@ -380,8 +379,8 @@ def test_epr_pairs_are_consumed_once():
 
 
 def test_discard_measured_qubit():
-    net, a1, a2, b, c = hub_setup()
-    net.local_measure(1, a1, choose=0)
+    net, a1, a2, b, c = hub_setup(0)
+    net.local_measure(1, a1)
     net.discard_qubit(1, a1)
     assert a1 not in net.owner
     with pytest.raises(ValueError):
@@ -416,10 +415,10 @@ def test_a_dropped_group_is_matched_as_a_set_of_qubits():
     net.local_gate(2, CNOT(held[2], mixed[2]))  # one factor over both groups
     qubits = sorted(held.values())
     with pytest.raises(ProtocolError, match="not a standalone group"):
-        net.apply(DropGroupRecord(tuple(qubits)))  # now part of a five-qubit factor
+        net.run([DropGroupRecord(tuple(qubits))])  # now part of a five-qubit factor
     twin = NetworkState(4)
     group = sorted(twin.distribute_ghz({1, 2, 3}).values())
-    twin.apply(DropGroupRecord(tuple(reversed(group))))  # a record out of qubit order
+    twin.run([DropGroupRecord(tuple(reversed(group)))])  # a record out of qubit order
     assert twin.factors() == [] and twin.owner == {}
 
 
@@ -584,8 +583,8 @@ def test_replay_reuses_exactly_the_records_it_reproduces():
     # the recorded bits; the live run's own branch (all 0); another branch
     for choose in (None, 0, 1):
         twin = setup_epr_network(5, tree.edges)
-        for rec in report.transcript[setup:]:
-            twin.apply(rec, choose)
+        twin.chooser = choose
+        twin.run(report.transcript[setup:])
         pairs = list(zip(report.transcript[setup:], twin.transcript[setup:]))
         assert len(pairs) == len(report.transcript) - setup
         assert all((new is old) == (new == old) for old, new in pairs)
@@ -601,13 +600,13 @@ def refusal_scene():
     1-2 pair; agent 3's half c (qubit 4) is locked; setup is closed."""
     net, a1, a2, b, c = hub_setup(Fork())
     net.consume_epr(1, 2)
-    net.local_measure(1, a1, label="r", choose=0)
+    net.local_measure(1, a1, label="r")
     net.lock_qubits([c])
     return net
 
 
 REFUSALS = [
-    # (public call, the record apply runs, error class, message)
+    # (public call, the record given to `run`, error class, message)
     (lambda n: n.local_gate(2, X(3)), GateRecord(2, X(3), None, True),
      LoccViolationError, "belongs to agent 1"),
     (lambda n: n.local_gate(2, X(9)), GateRecord(2, X(9), None, True),
@@ -616,11 +615,11 @@ REFUSALS = [
      ProtocolError, "locked"),
     (lambda n: n.local_gate(2, X(2), when="r"), GateRecord(2, X(2), "r", True),
      ConditioningError, "without having"),
-    (lambda n: n.local_measure(2, 3, label="s", choose=0), MeasureRecord(2, 3, "s", 0, 0.5),
+    (lambda n: n.local_measure(2, 3, label="s"), MeasureRecord(2, 3, "s", 0, 0.5),
      LoccViolationError, "belongs to agent 1"),
-    (lambda n: n.local_measure(3, 4, label="s", choose=0), MeasureRecord(3, 4, "s", 0, 0.5),
+    (lambda n: n.local_measure(3, 4, label="s"), MeasureRecord(3, 4, "s", 0, 0.5),
      ProtocolError, "locked"),
-    (lambda n: n.local_measure(1, 3, label="r", choose=0), MeasureRecord(1, 3, "r", 0, 0.5),
+    (lambda n: n.local_measure(1, 3, label="r"), MeasureRecord(1, 3, "r", 0, 0.5),
      ValueError, "already used"),
     (lambda n: n.send_classical(2, 3, ["r"]), ClassicalMessage(2, (3,), (0,), ("r",)),
      ConditioningError, "without having"),
@@ -662,6 +661,15 @@ REFUSALS = [
      SetupClosedError, "only allowed during setup"),
     (lambda n: n.add_ancilla(1.0), AncillaRecord(1.0, 5),
      ValueError, "unknown agent 1.0"),
+    # a bool or a float equals an agent's int, and is refused all the same
+    (lambda n: n.send_classical(True, 2, [1]), ClassicalMessage(True, (2,), (1,), (None,)),
+     ValueError, "unknown agent True"),
+    (lambda n: n.send_classical(2, True, [1]), ClassicalMessage(2, (True,), (1,), (None,)),
+     ValueError, "unknown receiver True"),
+    (lambda n: n.consume_epr(1.0, 3), ConsumeRecord(1.0, 3),
+     ValueError, "unknown agent 1.0"),
+    (lambda n: n.consume_epr(3, True), ConsumeRecord(3, True),
+     ValueError, "unknown agent True"),
 ]
 
 
@@ -675,10 +683,10 @@ def test_apply_refuses_a_record_as_its_public_operation_does(public, rec, error,
     with pytest.raises(error, match=message) as by_call:
         public(live)
     with pytest.raises(error) as by_record:
-        replayed.apply(rec)
+        replayed.run([rec])
     assert type(by_record.value) is type(by_call.value)
     assert str(by_record.value) == str(by_call.value)
-    assert replayed.transcript == live.transcript
+    assert replayed.transcript == live.transcript == refusal_scene().transcript
     assert replayed.owner == live.owner
 
 

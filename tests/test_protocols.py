@@ -571,10 +571,10 @@ def test_sampled_branches_are_those_each_stream_reaches_on_its_own():
     schedule = report.transcript[len(net.transcript) :]
     reached, rng = set(), Random(5)
     for _ in range(12):  # 12 full runs of the schedule, one after another on one generator
-        run, fork = net.copy(), Fork(rng=rng)
-        for rec in schedule:
-            run.apply(rec, choose=fork if isinstance(rec, MeasureRecord) else None)
-        reached.add(tuple(r.bit for r in run.transcript if isinstance(r, MeasureRecord)))
+        again = net.copy()
+        again.chooser = Fork(rng=rng)
+        again.run(schedule)
+        reached.add(tuple(r.bit for r in again.transcript if isinstance(r, MeasureRecord)))
     assert [b.outcomes for b in report.branches] == sorted(reached)
 
 

@@ -33,6 +33,17 @@ def _measured_without_a_chooser():
     net.local_measure(1, qa)
 
 
+def _on_a_pair(call):
+    """Make ``call(net)`` on a 2-agent network holding one pair (qubit 1 is
+    agent 1's half), which must leave the network as it was."""
+    net = setup_epr_network(2, [(1, 2)])
+    before = list(net.transcript)
+    try:
+        call(net)
+    finally:
+        assert net.transcript == before and net.setup_open
+
+
 def _censored(index):
     net = setup_epr_network(2, [(1, 2)])  # one record: the pair's setup
     replay_transcript(2, net.transcript, skip_messages=[index])
@@ -75,10 +86,41 @@ REFUSALS = {
         ValueError,
         r"no branch chooser configured for this measurement",
     ),
-    "apply, not a record": (
-        lambda: NetworkState(2).apply(object()),
+    "run, not a record": (
+        lambda: NetworkState(2).run([object()]),
         TypeError,
         r"unknown transcript record <object object at 0x[0-9a-f]+>",
+    ),
+    # a bool or a float equals agent 1's int, but no operation takes it as agent 1
+    "send_classical, bool sender": (
+        lambda: _on_a_pair(lambda net: net.send_classical(True, 2, [1])),
+        ValueError,
+        r"unknown agent True",
+    ),
+    "local_gate, float actor": (
+        lambda: _on_a_pair(lambda net: net.local_gate(1.0, X(1))),
+        ValueError,
+        r"unknown agent 1\.0",
+    ),
+    "consume_epr, float agent": (
+        lambda: _on_a_pair(lambda net: net.consume_epr(1.0, 2)),
+        ValueError,
+        r"unknown agent 1\.0",
+    ),
+    "local_measure, bool actor": (
+        lambda: _on_a_pair(lambda net: net.local_measure(True, 1)),
+        ValueError,
+        r"unknown agent True",
+    ),
+    "discard_qubit, float actor": (
+        lambda: _on_a_pair(lambda net: net.discard_qubit(1.0, 1)),
+        ValueError,
+        r"unknown agent 1\.0",
+    ),
+    "check_zero, float actor": (
+        lambda: _on_a_pair(lambda net: net.check_zero(1.0, 1)),
+        ValueError,
+        r"unknown agent 1\.0",
     ),
     "replay_transcript, setup skipped": (
         lambda: _censored(0),

@@ -2,15 +2,15 @@
 
 Every branch a protocol checks is captured where it is verified: the live
 run first, then each branch the explorer ran from the setup state through
-the executor pairs of ``locc.prepare``. Replaying a captured transcript on
-a fresh network must give the same transcript, knowledge, cbits and
-factors. After every record is executed, by a public operation, by
-``NetworkState.apply`` or by the explorer, each live qubit must lie in
-exactly one factor, and the network's qubit-to-factor map must agree with
-a scan of its factors.
+``NetworkState.run``. Replaying a captured transcript on a fresh network
+must give the same transcript, knowledge, cbits and factors. After every
+record is executed, by a public operation or by ``NetworkState.run`` (for
+replay and the explorer alike), each live qubit must lie in exactly one
+factor, and the network's qubit-to-factor map must agree with a scan of
+its factors.
 
 A broken schedule must be refused: with any one conditioned correction
-left out, some branch fails both through ``NetworkState.apply`` and on the
+left out, some branch fails both through ``NetworkState.run`` and on the
 dense oracle. With the explorer's memoized transitions, the branches that
 fail are exactly those where the left-out correction's bit is 1.
 """
@@ -99,14 +99,14 @@ def capture_branches():
     block runs, and yields the ``Captured`` list that each verified
     branch's network is added to.
 
-    Public operations call the executors by name, and ``apply`` and the
-    explorer's ``prepare`` look them up in ``locc._EXECUTORS``, so both are
+    Public operations call the executors by name, and ``NetworkState.run``
+    looks them up in ``locc._EXECUTORS`` for each record, so both are
     patched."""
     leaves = Captured()
     original_verify = protocols.verify_ghz
 
     def checked(method):
-        def run(self, *args, **kwargs):
+        def recording(self, *args, **kwargs):
             before = len(self.transcript)
             result = method(self, *args, **kwargs)
             assert len(self.transcript) == before + 1, method.__name__
@@ -114,7 +114,7 @@ def capture_branches():
             leaves.checked += 1
             return result
 
-        return run
+        return recording
 
     def capturing_verify(net, designated, strict=False):
         leaves.append(net)
@@ -227,13 +227,43 @@ def test_the_readme_recipe_replays_every_branch_of_a_report(step2):
     report = _path_weave(step2)
     assert len(report.branches) == 2 ** (8 - 4 - (step2 == "zeilinger"))
     for branch in report.branches:
-        # one fork for the whole schedule: it hands out the branch's bits in order
-        net, pin = NetworkState(report.n), Fork(branch.outcomes)
+        # one fork for the whole schedule: it hands out the branch's bits in order,
+        # however the schedule is cut into runs
+        net = NetworkState(report.n)
+        net.chooser = Fork(branch.outcomes)
         for rec in report.transcript:
-            net.apply(rec, pin)
+            net.run([rec])
         bits = tuple(rec.bit for rec in net.transcript if isinstance(rec, MeasureRecord))
         assert bits == branch.outcomes
         assert verify_ghz(net, report.designated, strict=True) == 1.0
+
+
+def test_run_takes_the_networks_chooser_over_recorded_bits():
+    report = _path_weave("symmetric")
+    schedule = report.transcript
+    recorded = tuple(rec.bit for rec in schedule if isinstance(rec, MeasureRecord))
+    flipped = tuple(1 - bit for bit in recorded)
+
+    def measured(net):
+        return tuple(rec.bit for rec in net.transcript if isinstance(rec, MeasureRecord))
+
+    without = NetworkState(report.n)  # no chooser: each measurement takes its recorded bit
+    without.run(schedule)
+    assert measured(without) == recorded and without.transcript == list(schedule)
+
+    forced = NetworkState(report.n, chooser=Fork(flipped))  # the chooser wins over the record
+    forced.run(schedule)
+    assert measured(forced) == flipped
+    assert verify_ghz(forced, report.designated, strict=True) == 1.0
+
+    # one fork across two runs goes on with the same branch
+    half = len(schedule) // 2
+    assert any(isinstance(rec, MeasureRecord) for rec in schedule[:half])
+    assert any(isinstance(rec, MeasureRecord) for rec in schedule[half:])
+    split = NetworkState(report.n, chooser=Fork(flipped))
+    split.run(schedule[:half])
+    split.run(schedule[half:])
+    assert split.transcript == forced.transcript
 
 
 MUTATED = {
@@ -246,11 +276,10 @@ MUTATED = {
 
 def replayed_fidelity(n, schedule, designated, outcomes):
     """The strict GHZ fidelity after running ``schedule`` on the branch
-    ``outcomes`` through ``NetworkState.apply``; None if it is refused."""
-    net, pin = NetworkState(n), Fork(outcomes)
+    ``outcomes`` through ``NetworkState.run``; None if it is refused."""
+    net = NetworkState(n, chooser=Fork(outcomes))
     try:
-        for rec in schedule:
-            net.apply(rec, pin)
+        net.run(schedule)
         return verify_ghz(net, designated, strict=True)
     except EprWeaveError:
         return None

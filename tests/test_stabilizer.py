@@ -242,7 +242,8 @@ def test_a_chooser_that_returns_no_bit_leaves_the_network_untouched(bad):
         net.local_measure(1, qa, label="m")
     assert (net.transcript, dict(net.knowledge), net.factors()) == before
     # the label is still free, and the pair still whole
-    assert net.local_measure(1, qa, label="m", choose=1).bit == 1
+    net.chooser = 1
+    assert net.local_measure(1, qa, label="m").bit == 1
     assert net.knowledge[1] == {"m": 1}
 
 
@@ -424,7 +425,7 @@ def test_an_armed_shape_replays_exactly_what_an_unarmed_one_computes(start, data
 @pytest.fixture
 def leaves(monkeypatch):
     """The network of every branch a protocol verifies: its live run, then
-    each branch the explorer ran through ``NetworkState.apply``."""
+    each branch the explorer ran through ``NetworkState.run``."""
     captured = []
     verify = protocols.verify_ghz
 

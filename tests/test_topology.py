@@ -12,6 +12,7 @@ import heapq
 import itertools
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprweave.errors import ConnectivityError
+from eprweave.locc import NetworkState
 from eprweave.topology import (
     EntangledHypergraph,
     EprGraph,
     SpanningTree,
     bfs_edges,
+    check_group,
     hypergraph_is_connected,
     is_connected,
     merge_schedule,
@@ -252,10 +255,6 @@ def test_graph_rejects_out_of_range_agents():
         EprGraph(3, [(1, "2")])
     with pytest.raises(ValueError, match=r"^agent 1\.5 is not an integer$"):
         EprGraph(3, [(1, 2)]).neighbors(1.5)
-    # whatever operator.index takes is an integer, numpy's included
-    g = EprGraph(3, [(np.int64(1), np.int64(2)), (np.int32(3), 2)])
-    assert is_connected(g)
-    assert g.neighbors(np.int64(2)) == [1, 3]
 
 
 def test_graph_rejects_bad_weights():
@@ -485,9 +484,22 @@ def test_hypergraph_rejects_tiny_or_out_of_range_edges():
         EntangledHypergraph(3, [(1, 2, 3), (1.5, 2)])
     with pytest.raises(ValueError, match=r"^agent None is not an integer$"):
         EntangledHypergraph(3, [(1, None)])
-    h = EntangledHypergraph(3, [(np.int64(1), np.int64(2)), (2, 3)])
-    assert hypergraph_is_connected(h)
-    assert [step.hyperedge for step in merge_schedule(h)] == [frozenset({2, 3})]
+
+
+@pytest.mark.parametrize("agent", [True, np.int64(1), np.int32(1)], ids=repr)
+def test_an_agent_id_is_an_int_as_the_network_takes_it(agent):
+    # each equals the int 1, and a network refuses it as an agent
+    with pytest.raises(ValueError, match=rf"^unknown agent {agent}$"):
+        NetworkState(3).distribute_epr(agent, 2)
+    refused = rf"^agent {re.escape(repr(agent))} is not an integer$"
+    with pytest.raises(ValueError, match=refused):
+        EprGraph(3, [(agent, 2), (2, 3)])
+    with pytest.raises(ValueError, match=refused):
+        SpanningTree.from_edges(3, [(2, 3), (2, agent)])
+    with pytest.raises(ValueError, match=refused):
+        EntangledHypergraph(3, [(agent, 2), (2, 3)])
+    with pytest.raises(ValueError, match=refused):
+        check_group(3, (2, 3, agent))
 
 
 def test_hyperpath_example_is_connected():
